@@ -613,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
             help="override one config key (repeatable)",
         )
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./runs)")
-        p.add_argument("--workers", type=int, default=None, help="intra-run worker cap")
+        p.add_argument("--workers", type=int, default=None, help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
     try:
         return run(args.subcommand, args.config, args.overrides, args.out, args.workers)

@@ -70,30 +70,46 @@ class ControlPenalty:
                 )
 
 
+def _zero_kernel(x, y) -> np.ndarray:
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+
 @dataclass(frozen=True)
 class CostFunction:
-    """Scalar cost (x, m) -> R with an analytic spatial gradient."""
+    """Scalar cost (x, m) -> R with an analytic spatial gradient.
+
+    ``pair_gradient`` optionally declares the gradient's pairwise kernel k,
+    gradient(x, m) = integral of k(x, y) m(dy), broadcasting over the leading
+    axes of x and y; ``None`` when the gradient is not of that form.
+    """
 
     value: Callable
     gradient: Callable
+    pair_gradient: Callable | None = None
 
     @staticmethod
     def zero(d: int) -> "CostFunction":
         return CostFunction(
             value=lambda x, m: np.zeros(np.shape(x)[:-1]),
             gradient=lambda x, m: np.zeros(np.shape(x)),
+            pair_gradient=_zero_kernel,
         )
 
 
 @dataclass(frozen=True)
 class DriftFunction:
-    """Vector field (x, m) -> R^d."""
+    """Vector field (x, m) -> R^d.
+
+    ``pair_value`` optionally declares the pairwise kernel k with
+    value(x, m) = integral of k(x, y) m(dy), as for ``CostFunction``.
+    """
 
     value: Callable
+    pair_value: Callable | None = None
 
     @staticmethod
     def zero(d: int) -> "DriftFunction":
-        return DriftFunction(value=lambda x, m: np.zeros(np.shape(x)))
+        return DriftFunction(value=lambda x, m: np.zeros(np.shape(x)), pair_value=_zero_kernel)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,17 @@
 The integrator is weak order 1 with a fixed step, matching the O(dt) accuracy
 of the control derivation. Coupling measures are rebuilt every step. All noise
 for a step is drawn in one block per population, in particle order, before any
-update runs, so results are independent of how the per-particle work is
-chunked across workers.
+update runs.
+
+The leave-one-out coupling evaluates each ingredient against every player's
+own exclusion measure. Ingredients that declare a pairwise kernel get this
+from one full-measure evaluation per step; opaque ones are evaluated player
+by player.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,6 +66,7 @@ class SimConfig:
     record_every: int = 1
     coupling: str = "full_empirical"
     t0: float = 0.0
+    # accepted for compatibility; has no effect (steps run serially)
     workers: int = 1
 
     def __post_init__(self):
@@ -120,6 +124,34 @@ def _reflect(positions: np.ndarray, floors) -> np.ndarray:
     return positions
 
 
+def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarray:
+    """``fn(x_i, m^{-i})`` for every particle i of population ``pop``, shape (N, d).
+
+    ``m^{-i}`` replaces population ``pop``'s measure by the uniform measure on
+    its other N - 1 particles; other populations keep their full measures.
+    When ``fn(x, m)`` is the integral of a declared pairwise kernel
+    ``pair(x, y)`` against m and there is one population, the exclusion is
+    exact algebra on the full measure,
+    ``fn(x_i, m^{-i}) = (N fn(x_i, m) - pair(x_i, x_i)) / (N - 1)``, so ``fn``
+    runs once on all particles. Otherwise each particle is evaluated against
+    its own leave-one-out measure.
+    """
+    n = pts.shape[0]
+    # a single particle falls through to leave_one_out, which rejects it
+    if pair is not None and len(views) == 1 and n > 1:
+        full = fn(pts, views[0])
+        diag = _check_finite(pair(pts, pts), "pairwise kernel", f"pop {pop} self-interaction")
+        return (n * full - diag) / (n - 1)
+    out = np.empty_like(pts)
+    for i in range(n):
+        vi = tuple(leave_one_out(v, i) if p == pop else v for p, v in enumerate(views))
+        try:
+            out[i] = fn(pts[i], _coupling_arg(vi, len(vi)))
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} (particle {i})") from exc
+    return out
+
+
 def em_step(model: ModelSpec, state: EnsembleState, control, dt: float, rng, coupling: str = "full_empirical") -> EnsembleState:
     """One Euler-Maruyama step X += (f + u) dt + sigma(t, X) sqrt(dt) xi.
 
@@ -140,17 +172,14 @@ def em_step(model: ModelSpec, state: EnsembleState, control, dt: float, rng, cou
         pmod = model.population(pop)
         pts = state.positions[pop]
         n = pts.shape[0]
+
+        def drift(x, m):
+            return _check_finite(pmod.drift.value(x, m), "drift f", f"em_step pop {pop}")
+
         if coupling == "full_empirical":
-            m = _coupling_arg(views, n_pop)
-            f = _check_finite(pmod.drift.value(pts, m), "drift f", f"em_step pop {pop}")
+            f = drift(pts, _coupling_arg(views, n_pop))
         else:
-            f = np.empty_like(pts)
-            for i in range(n):
-                vi = [leave_one_out(views[p], i) if p == pop else views[p] for p in range(n_pop)]
-                mi = vi[0] if n_pop == 1 else tuple(vi)
-                f[i] = _check_finite(
-                    pmod.drift.value(pts[i], mi), "drift f", f"em_step pop {pop} particle {i}"
-                )
+            f = _leave_one_out_eval(drift, pmod.drift.pair_value, pts, views, pop)
         total = f.copy()
         if control is not None:
             for i in range(n):
@@ -177,6 +206,20 @@ def em_step(model: ModelSpec, state: EnsembleState, control, dt: float, rng, cou
     )
 
 
+def _brs_kernel(model: ModelSpec, pop: int, denom: float):
+    """Pairwise kernel of f + u, the best-reply step drift, or ``None``.
+
+    Exists only when the drift f and both costs h and g declare their kernels;
+    it mirrors ``f - mask * (grad h + grad g / T) / denom``.
+    """
+    p = model.population(pop)
+    kf, kh, kg = p.drift.pair_value, p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
+    if kf is None or kh is None or kg is None:
+        return None
+    mask = model.mask(pop)
+    return lambda x, y: kf(x, y) - mask * (kh(x, y) + kg(x, y) / model.T) / denom
+
+
 def _brs_step(
     model: ModelSpec,
     state: EnsembleState,
@@ -184,9 +227,8 @@ def _brs_step(
     dt: float,
     rng,
     coupling: str,
-    workers: int,
 ) -> EnsembleState:
-    """BRS-controlled step; vectorized for the full-empirical coupling."""
+    """BRS-controlled step; one vectorized evaluation per population where possible."""
     n_pop = model.n_populations
     views = _measure_views(state)
     noises = [rng.standard_normal(p.shape) for p in state.positions]
@@ -195,39 +237,17 @@ def _brs_step(
         pmod = model.population(pop)
         pts = state.positions[pop]
         denom = penalty_denominator(model, pop, state.t, mpc)
+
+        def step_drift(x, m):
+            f = _check_finite(pmod.drift.value(x, m), "drift f", f"step pop {pop}")
+            return f + control_batch(model, pop, state.t, x, m, denom)
+
         if coupling == "full_empirical":
-            m = _coupling_arg(views, n_pop)
-            f = _check_finite(pmod.drift.value(pts, m), "drift f", f"step pop {pop}")
-            u = control_batch(model, pop, state.t, pts, m, denom)
-            total = f + u
+            total = step_drift(pts, _coupling_arg(views, n_pop))
         else:
-            total = np.empty_like(pts)
-
-            def worker(span):
-                lo, hi = span
-                out = np.empty((hi - lo, model.d))
-                for i in range(lo, hi):
-                    vi = [
-                        leave_one_out(views[p], i) if p == pop else views[p]
-                        for p in range(n_pop)
-                    ]
-                    mi = vi[0] if n_pop == 1 else tuple(vi)
-                    fi = _check_finite(
-                        pmod.drift.value(pts[i], mi), "drift f", f"particle {i}"
-                    )
-                    out[i - lo] = fi + control_batch(model, pop, state.t, pts[i], mi, denom)
-                return lo, out
-
-            n = pts.shape[0]
-            spans = _chunk_spans(n, workers)
-            if workers > 1 and len(spans) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for lo, out in pool.map(worker, spans):
-                        total[lo : lo + out.shape[0]] = out
-            else:
-                for span in spans:
-                    lo, out = worker(span)
-                    total[lo : lo + out.shape[0]] = out
+            total = _leave_one_out_eval(
+                step_drift, _brs_kernel(model, pop, denom), pts, views, pop
+            )
         sig = _check_finite(
             pmod.diffusion.value(state.t, pts), "diffusion sigma", f"step pop {pop}"
         )
@@ -243,12 +263,6 @@ def _brs_step(
         step_index=state.step_index + 1,
         t0=state.t0,
     )
-
-
-def _chunk_spans(n: int, workers: int) -> list[tuple[int, int]]:
-    k = max(1, min(workers, n))
-    bounds = np.linspace(0, n, k + 1).astype(int)
-    return [(int(bounds[j]), int(bounds[j + 1])) for j in range(k) if bounds[j + 1] > bounds[j]]
 
 
 def initial_state(model: ModelSpec, cfg: SimConfig) -> EnsembleState:
@@ -282,7 +296,7 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig, mpc: MpcConfig | None
     times = [state.t]
     snaps = [state]
     for k in range(n_steps):
-        state = _brs_step(model, state, mpc, cfg.dt, rng, cfg.coupling, cfg.workers)
+        state = _brs_step(model, state, mpc, cfg.dt, rng, cfg.coupling)
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
             times.append(state.t)
             snaps.append(state)

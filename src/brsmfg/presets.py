@@ -84,6 +84,9 @@ def mean_coupling_model(
         mu = float(moments(m, order=1).mean[0])
         return strength * (x - mu)
 
-    h = CostFunction(value=value, gradient=gradient)
+    def pair_gradient(x, y):
+        return strength * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+
+    h = CostFunction(value=value, gradient=gradient, pair_gradient=pair_gradient)
     pop = _scalar_population(h, CostFunction.zero(1), sigma, init_var, alpha)
     return ModelSpec(d=1, T=T, populations=(pop,))

@@ -1,13 +1,20 @@
 """Particle system: integrator contract, determinism, couplings, chaos metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import FixedNoise, point_law, quadratic_cost, rk4, scalar_model
 
+import brsmfg.particle_sim as particle_sim
+from brsmfg.applications import WealthParams, build_wealth_model
+from brsmfg.brs import MpcConfig, brs_control_finite
 from brsmfg.fokker_planck import FpkConfig, solve_fpk
-from brsmfg.measures import EmpiricalMeasure, Grid, wasserstein_1d
-from brsmfg.model import DriftFunction
+from brsmfg.measures import EmpiricalMeasure, Grid, leave_one_out, wasserstein_1d
+from brsmfg.model import CostFunction, DriftFunction
 from brsmfg.particle_sim import (
     EnsembleState,
     SimConfig,
@@ -152,6 +159,109 @@ class TestSimulate:
         bad = EnsembleState(positions=(np.array([[np.nan]]),), t=0.0, seed=0)
         with pytest.raises(FloatingPointError, match="non-finite"):
             bad.check()
+
+
+def without_kernels(model):
+    """The same model with every pairwise-kernel declaration removed."""
+    pops = tuple(
+        replace(
+            p,
+            drift=replace(p.drift, pair_value=None),
+            running_cost=replace(p.running_cost, pair_gradient=None),
+            terminal_cost=replace(p.terminal_cost, pair_gradient=None),
+        )
+        for p in model.populations
+    )
+    return replace(model, populations=pops)
+
+
+@pytest.fixture
+def loo_calls(monkeypatch):
+    """Counts the leave-one-out measures the particle step builds."""
+    calls = []
+
+    def counted(m, i):
+        calls.append(i)
+        return leave_one_out(m, i)
+
+    monkeypatch.setattr(particle_sim, "leave_one_out", counted)
+    return calls
+
+
+class TestLeaveOneOutKernel:
+    def test_declared_kernel_matches_generic_loop(self, loo_calls):
+        model = mean_coupling_model(T=0.2)
+        cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=60, seed=5, coupling="leave_one_out")
+        fast = simulate_brs_nplayer(model, cfg).final().positions[0]
+        assert loo_calls == []
+        slow = simulate_brs_nplayer(without_kernels(model), cfg).final().positions[0]
+        assert len(loo_calls) == 60 * cfg.n_steps()
+        np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-12)
+
+    def test_em_step_drift_kernel_matches_generic_loop(self, loo_calls):
+        # Gaussian kernel: its self-interaction k(x, x) = 1 is not zero
+        def kernel(x, y):
+            return np.exp(-((np.asarray(x) - np.asarray(y)) ** 2))
+
+        def value(x, m):
+            k = kernel(np.asarray(x, dtype=float)[..., None, :], m.points)
+            return (k * m.weights[:, None]).sum(axis=-2)
+
+        drift = DriftFunction(value=value, pair_value=kernel)
+        model = scalar_model(f=drift)
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((12, 1))
+        noise = rng.standard_normal((12, 1))
+        state = EnsembleState((pts,), 0.0, 0)
+        a = em_step(model, state, None, 0.1, FixedNoise([noise]), coupling="leave_one_out")
+        assert loo_calls == []
+        b = em_step(without_kernels(model), state, None, 0.1, FixedNoise([noise]), coupling="leave_one_out")
+        assert len(loo_calls) == 12
+        np.testing.assert_allclose(a.positions[0], b.positions[0], rtol=0.0, atol=1e-12)
+
+    def test_single_particle_is_rejected_with_a_kernel(self):
+        state = EnsembleState((np.zeros((1, 1)),), 0.0, 0)
+        with pytest.raises(ValueError, match="leave-one-out"):
+            em_step(mean_coupling_model(), state, None, 0.1, np.random.default_rng(0), coupling="leave_one_out")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cloud=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=25),
+        query=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+        strength=st.floats(0.01, 5.0),
+    )
+    def test_declared_kernels_match_their_closures(self, cloud, query, strength):
+        pts = np.asarray(cloud)[:, None]
+        x = np.asarray(query)[:, None]
+        m = EmpiricalMeasure(pts)
+        h = mean_coupling_model(strength=strength).population(0).running_cost
+        zero_cost, zero_drift = CostFunction.zero(1), DriftFunction.zero(1)
+        declared = [
+            (h.gradient, h.pair_gradient),
+            (zero_cost.gradient, zero_cost.pair_gradient),
+            (zero_drift.value, zero_drift.pair_value),
+        ]
+        for closure, kernel in declared:
+            want = kernel(x[:, None, :], pts[None, :, :]).mean(axis=1)
+            np.testing.assert_allclose(closure(x, m), want, rtol=1e-12, atol=1e-12)
+
+    def test_opaque_callables_take_the_generic_path(self, loo_calls):
+        model = build_wealth_model(WealthParams())
+        n, dt, t = 6, 0.01, 0.0
+        rng = np.random.default_rng(17)
+        pts = model.population(0).initial_law.sample(rng, n)
+        noise = rng.standard_normal((n, 2))
+        state = EnsembleState(positions=(pts,), t=t, seed=0)
+        mpc = MpcConfig(dt=dt)
+        out = particle_sim._brs_step(model, state, mpc, dt, FixedNoise([noise]), "leave_one_out")
+        assert loo_calls == list(range(n))
+        pmod = model.population(0)
+        sig = pmod.diffusion.value(t, pts)
+        for i in range(n):
+            f = pmod.drift.value(pts[i], leave_one_out(EmpiricalMeasure(pts), i))
+            u = brs_control_finite(model, 0, i, state, t, mpc)
+            want = pts[i] + (f + u) * dt + sig[i] * np.sqrt(dt) * noise[i]
+            np.testing.assert_allclose(out.positions[0][i], want, rtol=1e-13, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
