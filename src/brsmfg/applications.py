@@ -10,6 +10,12 @@ the pairwise trading cost
 whose z-gradient is the trading drift. Only the wealth axis is controlled and
 its multiplicative diffusion sqrt(2 kappa) z keeps z positive in law; particle
 runs reflect z at a small floor and grid runs place the no-flux wall there.
+Psi and xi depend only on (y, y') and phi only on z - z', so with
+m = sum_ab W[a, b] delta(y_a, z_b) every term is a contraction
+sum_ab A[q, a] W[a, b] B[q, b] of a (queries x y nodes) factor A and a
+(queries x z nodes) factor B. On an ny x nz grid that costs O(Q (ny + nz))
+kernel evaluations plus one Q x ny x nz matrix product, never a
+(queries x cells) array; particles are the diagonal case W = diag(w), O(Q N).
 
 ``build_crowd_model`` assembles two 2-d populations whose running cost is the
 own-group density plus ``lam`` times the other group's density (the aversion
@@ -113,12 +119,21 @@ class WealthParams:
             raise ValueError("phi must be an even function")
 
 
-def _support(m) -> tuple[np.ndarray, np.ndarray]:
-    """(points, integration weights) of a measure for pairwise kernel sums."""
+def _product_support(m):
+    """(y nodes, z nodes, y-marginal, contraction) of m = sum_ab W[a, b] delta(y_a, z_b).
+
+    ``contract(A, B)`` returns sum_ab A[q, a] W[a, b] B[q, b] for A of shape
+    (queries, y nodes) and B of shape (queries, z nodes). A grid carries the
+    full ny x nz weight matrix (one matrix product); particles carry the
+    diagonal W = diag(w).
+    """
     if isinstance(m, EmpiricalMeasure):
-        return m.points, m.weights
+        w = m.weights
+        return m.points[:, 0], m.points[:, 1], w, lambda A, B: (A * B) @ w
     if isinstance(m, GridDensity):
-        return m.grid.flat_midpoints(), m.values.reshape(-1) * m.grid.cell_volume
+        W = m.values * m.grid.cell_volume
+        contract = lambda A, B: ((A @ W) * B).sum(axis=1)
+        return m.grid.midpoints(0), m.grid.midpoints(1), W.sum(axis=1), contract
     raise TypeError(f"unsupported measure type {type(m).__name__}")
 
 
@@ -134,30 +149,28 @@ def build_wealth_model(params: WealthParams) -> ModelSpec:
     def _pairwise(x, m):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, 2)
-        pts, w = _support(m)
-        yq, zq = flat[:, 0], flat[:, 1]
-        yp, zp = pts[:, 0], pts[:, 1]
-        dy = yq[:, None] - yp[None, :]
-        dz = zq[:, None] - zp[None, :]
-        psi_qp = psi(np.abs(dy))
-        rho_q = psi_qp @ w
-        rho_p = psi(np.abs(yp[:, None] - yp[None, :])) @ w
-        arg = 0.5 * (rho_q[:, None] + rho_p[None, :])
-        return x.shape, dy, dz, psi_qp, arg, w
+        yp, zp, wy, contract = _product_support(m)
+        dy = flat[:, 0, None] - yp[None, :]
+        dz = flat[:, 1, None] - zp[None, :]
+        psi_qa = psi(np.abs(dy))
+        rho_q = psi_qa @ wy
+        rho_a = psi(np.abs(yp[:, None] - yp[None, :])) @ wy
+        arg = 0.5 * (rho_q[:, None] + rho_a[None, :])
+        return x.shape, dy, dz, psi_qa, arg, wy, contract
 
     def value(x, m):
-        shape, dy, dz, psi_qp, arg, w = _pairwise(x, m)
-        out = (xi(arg) * psi_qp * phi(dz)) @ w
-        return out.reshape(shape[:-1])
+        shape, dy, dz, psi_qa, arg, wy, contract = _pairwise(x, m)
+        return contract(xi(arg) * psi_qa, phi(dz)).reshape(shape[:-1])
 
     def gradient(x, m):
-        shape, dy, dz, psi_qp, arg, w = _pairwise(x, m)
+        shape, dy, dz, psi_qa, arg, wy, contract = _pairwise(x, m)
         xia = xi(arg)
-        gz = (xia * psi_qp * phi_prime(dz)) @ w
+        phi_dz = phi(dz)
+        gz = contract(xia * psi_qa, phi_prime(dz))
         # d/dy of rho(y) feeds the xi argument; the Psi factor contributes directly
-        drho_q = (psi_prime(np.abs(dy)) * np.sign(dy)) @ w
-        gy = 0.5 * drho_q * ((xi_prime(arg) * psi_qp * phi(dz)) @ w)
-        gy = gy + (xia * psi_prime(np.abs(dy)) * np.sign(dy) * phi(dz)) @ w
+        dpsi = psi_prime(np.abs(dy)) * np.sign(dy)
+        gy = 0.5 * (dpsi @ wy) * contract(xi_prime(arg) * psi_qa, phi_dz)
+        gy = gy + contract(xia * dpsi, phi_dz)
         return np.stack([gy, gz], axis=-1).reshape(shape)
 
     def drift_value(x, m):

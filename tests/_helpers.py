@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from brsmfg.measures import Grid
+from brsmfg.applications import WealthParams
+from brsmfg.measures import EmpiricalMeasure, Grid
 from brsmfg.model import (
     ControlPenalty,
     CostFunction,
@@ -133,3 +134,32 @@ class FixedNoise:
         self.k += 1
         assert block.shape == tuple(shape)
         return block
+
+
+def wealth_cost_oracle(params: WealthParams, x, m):
+    """Brute-force wealth trading cost and its gradient, (value, gradient).
+
+    Sums the kernel over every (query point, support point) pair of the flat
+    support, building the full (queries x support) arrays; the reference the
+    factored kernel of ``build_wealth_model`` is checked against.
+    """
+    k = params.resolved()
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1, 2)
+    if isinstance(m, EmpiricalMeasure):
+        pts, w = m.points, m.weights
+    else:
+        pts, w = m.grid.flat_midpoints(), m.values.reshape(-1) * m.grid.cell_volume
+    dy = flat[:, 0, None] - pts[None, :, 0]
+    dz = flat[:, 1, None] - pts[None, :, 1]
+    psi_qp = k["psi"](np.abs(dy))
+    rho_q = psi_qp @ w
+    rho_p = k["psi"](np.abs(pts[:, 0, None] - pts[None, :, 0])) @ w
+    arg = 0.5 * (rho_q[:, None] + rho_p[None, :])
+    xia = k["xi"](arg)
+    dpsi = k["psi_prime"](np.abs(dy)) * np.sign(dy)
+    value = (xia * psi_qp * k["phi"](dz)) @ w
+    gz = (xia * psi_qp * k["phi_prime"](dz)) @ w
+    gy = 0.5 * (dpsi @ w) * ((k["xi_prime"](arg) * psi_qp * k["phi"](dz)) @ w)
+    gy = gy + (xia * dpsi * k["phi"](dz)) @ w
+    return value.reshape(x.shape[:-1]), np.stack([gy, gz], axis=-1).reshape(x.shape)

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from brsmfg.brs import MpcConfig, brs_control_finite
-from brsmfg.fokker_planck import FpkConfig, solve_fpk
-from brsmfg.measures import EmpiricalMeasure, Grid
+from brsmfg.fokker_planck import FpkConfig, _face_points, solve_fpk
+from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity
 from brsmfg.model import brs_drift
 from brsmfg.particle_sim import EnsembleState, SimConfig, simulate_brs_nplayer
+
+from _helpers import wealth_cost_oracle
 
 
 def trivial_kernels():
@@ -103,6 +107,80 @@ class TestWealthModel:
         m0 = model.population(0).initial_law.grid_density(grid)
         path = solve_fpk(model, m0, FpkConfig(t_final=0.1, record_times=(0.0, 0.1)))
         assert path.report["mass_drift_max"] <= 1e-10
+
+
+def random_grid_density(grid, rng, mirror_y=False):
+    """A positive, non-uniform density of unit mass on ``grid``."""
+    vals = rng.uniform(0.1, 1.0, grid.cells)
+    if mirror_y:
+        vals = 0.5 * (vals + vals[::-1, :])
+    return GridDensity(grid, vals / (vals.sum() * grid.cell_volume))
+
+
+def random_wealth_points(rng, n):
+    return np.column_stack([rng.standard_normal(n), rng.lognormal(0, 0.3, n)])
+
+
+WEALTH_GRID = Grid((-3.0, 1e-6), (3.0, 4.0), (12, 16))
+
+
+class TestWealthKernel:
+    """The factored trading kernel against the brute-force pairwise oracle."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [WealthParams(), trivial_kernels(), WealthParams(psi_width=0.5)],
+        ids=["default", "trivial", "narrow_psi"],
+    )
+    @pytest.mark.parametrize("measure", ["grid", "particles"])
+    def test_matches_pairwise_oracle(self, params, measure):
+        rng = np.random.default_rng(31)
+        if measure == "grid":
+            m = random_grid_density(WEALTH_GRID, rng)
+        else:
+            w = rng.uniform(0.5, 1.5, 50)
+            m = EmpiricalMeasure(random_wealth_points(rng, 50), w / w.sum())
+        queries = [
+            _face_points(WEALTH_GRID, 0),
+            _face_points(WEALTH_GRID, 1),
+            np.column_stack([rng.uniform(-3.5, 3.5, 64), rng.uniform(0.0, 4.5, 64)]),
+        ]
+        cost = build_wealth_model(params).population(0).running_cost
+        for x in queries:
+            ref_value, ref_grad = wealth_cost_oracle(params, x, m)
+            value, grad = cost.value(x, m), cost.gradient(x, m)
+            assert value.shape == ref_value.shape and grad.shape == ref_grad.shape
+            assert np.all(np.abs(value - ref_value) <= 1e-12 * (1 + np.abs(ref_value)))
+            assert np.all(np.abs(grad - ref_grad) <= 1e-12 * (1 + np.abs(ref_grad)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ny=st.integers(2, 20),
+        nz=st.integers(2, 20),
+        psi_width=st.floats(0.2, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mirror_symmetric_density_gives_mirrored_gradient(self, ny, nz, psi_width, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid((-2.5, 0.05), (2.5, 3.0), (ny, nz))
+        m = random_grid_density(grid, rng, mirror_y=True)
+        x = np.column_stack([rng.uniform(-3.0, 3.0, 16), rng.uniform(0.0, 3.5, 16)])
+        mirrored = x * np.array([-1.0, 1.0])
+        gradient = build_wealth_model(WealthParams(psi_width=psi_width)).population(0).running_cost.gradient
+        g, gm = gradient(x, m), gradient(mirrored, m)
+        assert np.abs(g[:, 1] - gm[:, 1]).max() <= 1e-12
+        assert np.abs(g[:, 0] + gm[:, 0]).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_permuting_particles_permutes_gradient_rows(self, n, seed):
+        rng = np.random.default_rng(seed)
+        pts = random_wealth_points(rng, n)
+        perm = rng.permutation(n)
+        gradient = build_wealth_model(WealthParams()).population(0).running_cost.gradient
+        g = gradient(pts, EmpiricalMeasure(pts))
+        gp = gradient(pts[perm], EmpiricalMeasure(pts[perm]))
+        assert np.abs(gp - g[perm]).max() <= 1e-12
 
 
 CROWD_GRID = Grid((-2.0, -2.0), (2.0, 2.0), (48, 48))

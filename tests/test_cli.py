@@ -190,3 +190,6 @@ class TestRuns:
         assert code == 0
         rep = read_report(out)
         assert float(rep["mass_drift_max"]) <= 1e-10
+        # the law and the kernel are symmetric in y, so the mean configuration stays at 0
+        assert abs(float(rep["terminal_mean_y"])) <= 1e-12
+        assert float(rep["min_density"]) >= -1e-13
