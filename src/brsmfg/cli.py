@@ -25,6 +25,7 @@ from .fokker_planck import FpkConfig, NumericalError, solve_fpk
 from .measures import (
     Grid,
     format_float,
+    format_value,
     moments,
     write_csv,
     write_empirical_csv,
@@ -309,14 +310,7 @@ def _write_manifest(out: Path, subcommand: str, cfg: RunConfig) -> None:
 
 
 def _write_report(out: Path, entries: list[tuple[str, object]]) -> None:
-    lines = []
-    for key, val in entries:
-        if isinstance(val, str):
-            lines.append(f"{key}={val}")
-        elif isinstance(val, (int, np.integer)):
-            lines.append(f"{key}={int(val)}")
-        else:
-            lines.append(f"{key}={format_float(val)}")
+    lines = [f"{key}={format_value(val)}" for key, val in entries]
     (out / "report.txt").write_text("\n".join(lines) + "\n")
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import Grid, GridDensity
+from .measures import Grid, GridDensity, write_grid_csv
 from .model import ModelSpec, brs_drift
 
 __all__ = [
@@ -68,7 +68,8 @@ class FpkConfig:
             raise ValueError("t_final must exceed t0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        _normalize_boundary(self.boundary, 1)  # validates the labels
+        # validates the labels; solve_fpk checks the axis count against the grid
+        _normalize_boundary(self.boundary, 1 if isinstance(self.boundary, str) else len(self.boundary))
 
 
 def _normalize_boundary(boundary, dim: int) -> list[tuple[str, str]]:
@@ -105,22 +106,14 @@ def _sg_weight(b: np.ndarray, D: np.ndarray, dx: float) -> np.ndarray:
     return G
 
 
-def _face_points(grid: Grid, axis: int) -> np.ndarray:
-    """Coordinates of the face centers normal to ``axis``, shape (faces..., d)."""
-    coords = [grid.midpoints(k) for k in range(grid.dim)]
-    coords[axis] = grid.edges(axis)
-    mesh = np.meshgrid(*coords, indexing="ij")
-    return np.stack(mesh, axis=-1)
-
-
 @dataclass
 class _Assembled:
     """Per-population face coefficients for one frozen step."""
 
-    b: list[np.ndarray]  # per axis, face-normal velocity (axis moved to front)
+    b: list[np.ndarray]  # per axis, face-normal velocity (axis swapped to the front)
     G: list[np.ndarray]
+    drain: np.ndarray  # per cell, the rate at which the explicit step drains it
     max_drain: float
-    drain_info: str
 
 
 def _assemble(
@@ -128,20 +121,17 @@ def _assemble(
     fields: Sequence[GridDensity],
     t: float,
     velocity: Callable | None,
-    boundary,
+    bpairs: list[tuple[str, str]],
 ) -> list[_Assembled]:
     grid = fields[0].grid
-    bpairs = _normalize_boundary(boundary, grid.dim)
     measures = fields[0] if model.n_populations == 1 else tuple(fields)
     out = []
     for pop in range(model.n_populations):
         pmod = model.population(pop)
         bs, Gs = [], []
-        max_drain = 0.0
-        info = ""
         drain = None
         for k in range(grid.dim):
-            pts = _face_points(grid, k)
+            pts = grid.face_points(k)
             flat = pts.reshape(-1, grid.dim)
             if velocity is None:
                 vel = brs_drift(model, pop, t, flat, measures)
@@ -151,11 +141,9 @@ def _assemble(
             if not np.all(np.isfinite(vel)):
                 raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
             shape = pts.shape[:-1]
-            b = vel[:, k].reshape(shape)
-            D = 0.5 * sig[:, k].reshape(shape) ** 2
+            b = vel[:, k].reshape(shape).swapaxes(0, k)
+            D = (0.5 * sig[:, k].reshape(shape) ** 2).swapaxes(0, k)
             dx = grid.widths[k]
-            b = np.moveaxis(b, k, 0)
-            D = np.moveaxis(D, k, 0)
             G = _sg_weight(b, D, dx)
             # no-flux faces carry zero flux and therefore zero drain
             lo, hi = bpairs[k]
@@ -168,15 +156,10 @@ def _assemble(
             bs.append(b)
             Gs.append(G)
             # positivity drain of each cell: (b + G) from its upper face, G from lower
-            cell_drain = ((b + G)[1:] + G[:-1]) / dx
-            d = np.moveaxis(cell_drain, 0, k)
+            d = (((b + G)[1:] + G[:-1]) / dx).swapaxes(0, k)
             drain = d if drain is None else drain + d
-        mx = float(drain.max()) if drain.size else 0.0
-        if mx > max_drain:
-            idx = np.unravel_index(int(np.argmax(drain)), drain.shape)
-            info = f"pop {pop}, cell {tuple(int(i) for i in idx)}"
-            max_drain = mx
-        out.append(_Assembled(b=bs, G=Gs, max_drain=max_drain, drain_info=info))
+        mx = float(drain.max())
+        out.append(_Assembled(b=bs, G=Gs, drain=drain, max_drain=mx if mx > 0.0 else 0.0))
     return out
 
 
@@ -186,22 +169,23 @@ def _apply(
     grid = fields[0].grid
     new_fields = []
     for f, asm in zip(fields, assembled):
-        vals = f.values.copy()
+        vals = f.values
         for k in range(grid.dim):
             dx = grid.widths[k]
-            m = np.moveaxis(f.values, k, 0)
-            zeros = np.zeros_like(m[:1])
-            mL = np.concatenate([zeros, m], axis=0)
-            mR = np.concatenate([m, zeros], axis=0)
+            m = f.values.swapaxes(0, k)
+            # zero-padded copy: mL = (0, m) and mR = (m, 0) are its two shifted views
+            padded = np.zeros((m.shape[0] + 2,) + m.shape[1:])
+            padded[1:-1] = m
+            mL, mR = padded[:-1], padded[1:]
             F = asm.b[k] * mL + asm.G[k] * (mL - mR)
             dvals = -(dt / dx) * (F[1:] - F[:-1])
-            vals += np.moveaxis(dvals, 0, k)
-        lo = float(vals.min())
-        if lo < -1e-13:
+            vals = vals + dvals.swapaxes(0, k)
+        try:
+            new_fields.append(GridDensity(grid, vals))
+        except ValueError:  # the shape is the grid's, so only the negativity check fails
             raise NumericalError(
-                f"negative density {lo:.3e} after step (upwinding should prevent it)"
-            )
-        new_fields.append(GridDensity(grid, vals))
+                f"negative density {float(vals.min()):.3e} after step (upwinding should prevent it)"
+            ) from None
     return tuple(new_fields)
 
 
@@ -217,7 +201,7 @@ def stable_dt(
     This per-cell bound implies the coarser componentwise bound
     ``min(dx/max|a|, dx^2/max sigma^2)`` on every axis.
     """
-    asm = _assemble(model, fields, t, velocity, boundary)
+    asm = _assemble(model, fields, t, velocity, _normalize_boundary(boundary, fields[0].grid.dim))
     drain = max(a.max_drain for a in asm)
     return float("inf") if drain <= 0.0 else 1.0 / drain
 
@@ -245,13 +229,14 @@ def fpk_step(
     for f in fields:
         if f.grid != grid:
             raise ValueError("all populations must share one grid")
-    asm = _assemble(model, fields, t, velocity, boundary)
+    asm = _assemble(model, fields, t, velocity, _normalize_boundary(boundary, grid.dim))
     drain = max(a.max_drain for a in asm)
     if dt * drain > 1.0 + 1e-9:
-        worst = max(asm, key=lambda a: a.max_drain)
+        pop, worst = max(enumerate(asm), key=lambda pa: pa[1].max_drain)
+        cell = np.unravel_index(int(np.argmax(worst.drain)), worst.drain.shape)
         raise NumericalError(
             f"CFL violation: dt={dt:.3e} exceeds stable bound {1.0 / drain:.3e} "
-            f"(worst drain at {worst.drain_info})"
+            f"(worst drain at pop {pop}, cell {tuple(int(i) for i in cell)})"
         )
     return _apply(fields, asm, dt)
 
@@ -293,29 +278,12 @@ class DensityPath:
 
     def write_csv(self, path, preamble: Sequence[str] = ()) -> None:
         """Rows ``t,pop,cell...,midpoint...,value`` with a key=value header block."""
-        from .measures import write_csv
-
-        d = self.grid.dim
-        header = (
-            ["t", "pop"]
-            + [f"i{k}" for k in range(d)]
-            + [f"x{k}" for k in range(d)]
-            + ["value"]
+        records = (
+            ((t, pop), self.values[ik, pop])
+            for ik, t in enumerate(self.times.tolist())
+            for pop in range(self.n_populations)
         )
-        mids = self.grid.flat_midpoints()
-        index = np.stack(
-            np.meshgrid(*[np.arange(nc) for nc in self.grid.cells], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, d)
-
-        def rows():
-            for ik, t in enumerate(self.times):
-                for pop in range(self.n_populations):
-                    vals = self.values[ik, pop].reshape(-1)
-                    for j in range(vals.size):
-                        yield [t, pop, *index[j], *mids[j], vals[j]]
-
-        write_csv(path, header, rows(), preamble=preamble)
+        write_grid_csv(path, self.grid, ["t", "pop"], records, preamble=preamble)
 
 
 def _boundary_mass_fraction(values: np.ndarray, grid: Grid) -> float:
@@ -323,9 +291,7 @@ def _boundary_mass_fraction(values: np.ndarray, grid: Grid) -> float:
     total = values.sum()
     if total <= 0:
         return 0.0
-    interior = values
-    for k in range(grid.dim):
-        interior = np.moveaxis(np.moveaxis(interior, k, 0)[1:-1], 0, k)
+    interior = values[(slice(1, -1),) * grid.dim]
     return float((total - interior.sum()) / total)
 
 
@@ -359,12 +325,13 @@ def solve_fpk(
     else:
         record = None
 
+    bpairs = _normalize_boundary(cfg.boundary, grid.dim)
     t = cfg.t0
     times = [t]
     values = [np.stack([f.values for f in fields])]
-    mass0 = np.array([f.mass for f in fields])
+    mass0 = [f.mass for f in fields]
     mass_drift = 0.0
-    min_density = min(float(f.values.min()) for f in fields)
+    min_density = min(f.min_value for f in fields)
     boundary_mass = _boundary_mass_fraction(fields[0].values, grid)
     next_record_idx = 0
     if record is not None and abs(record[0] - t) <= 1e-12:
@@ -372,7 +339,7 @@ def solve_fpk(
 
     steps = 0
     while t < cfg.t_final - 1e-13:
-        asm = _assemble(model, fields, t, velocity, cfg.boundary)
+        asm = _assemble(model, fields, t, velocity, bpairs)
         drain = max(a.max_drain for a in asm)
         dt = cfg.t_final - t if drain <= 0.0 else cfg.cfl_safety / drain
         dt = min(dt, cfg.t_final - t)
@@ -383,9 +350,8 @@ def solve_fpk(
         steps += 1
         if steps > cfg.max_steps:
             raise NumericalError(f"exceeded max_steps={cfg.max_steps} before t_final")
-        min_density = min(min_density, min(float(f.values.min()) for f in fields))
-        mass = np.array([f.mass for f in fields])
-        mass_drift = max(mass_drift, float(np.abs(mass - mass0).max()))
+        min_density = min(min_density, min(f.min_value for f in fields))
+        mass_drift = max(mass_drift, max(abs(f.mass - m) for f, m in zip(fields, mass0)))
         do_record = False
         if record is not None:
             if next_record_idx < record.size and abs(t - record[next_record_idx]) <= 1e-12:

@@ -34,6 +34,7 @@ __all__ = [
     "wasserstein_1d",
     "wasserstein_small_nd",
     "format_float",
+    "format_value",
     "write_csv",
     "write_empirical_csv",
     "write_grid_csv",
@@ -74,22 +75,46 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.widths))
 
+    # Geometry is built once per grid and shared by every caller, hence read-only.
+
+    @cached_property
+    def _axes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(edges, midpoints) per axis."""
+        axes = []
+        for lo, hi, nc in zip(self.mins, self.maxs, self.cells):
+            e = np.linspace(lo, hi, nc + 1)
+            axes.append((_frozen(e), _frozen(0.5 * (e[:-1] + e[1:]))))
+        return tuple(axes)
+
+    @cached_property
+    def _meshes(self) -> tuple[np.ndarray, ...]:
+        """The midpoint mesh, then per axis the mesh of the faces normal to it."""
+        mids = [m for _, m in self._axes]
+        coords = [mids] + [mids[:k] + [e] + mids[k + 1 :] for k, (e, _) in enumerate(self._axes)]
+        return tuple(_frozen(np.stack(np.meshgrid(*c, indexing="ij"), axis=-1)) for c in coords)
+
     def edges(self, axis: int) -> np.ndarray:
-        return np.linspace(self.mins[axis], self.maxs[axis], self.cells[axis] + 1)
+        return self._axes[axis][0]
 
     def midpoints(self, axis: int) -> np.ndarray:
-        e = self.edges(axis)
-        return 0.5 * (e[:-1] + e[1:])
+        return self._axes[axis][1]
 
     def midpoint_mesh(self) -> np.ndarray:
         """All cell midpoints, shape ``cells + (dim,)``."""
-        axes = [self.midpoints(k) for k in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return self._meshes[0]
 
     def flat_midpoints(self) -> np.ndarray:
         """Cell midpoints flattened to shape (n_cells_total, dim)."""
-        return self.midpoint_mesh().reshape(-1, self.dim)
+        return self._meshes[0].reshape(-1, self.dim)
+
+    def face_points(self, axis: int) -> np.ndarray:
+        """Centres of the faces normal to ``axis``, shape (faces..., dim)."""
+        return self._meshes[1:][axis]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -136,8 +161,9 @@ class EmpiricalMeasure:
     def mean(self) -> np.ndarray:
         return self.weights @ self.points
 
-    def variance(self) -> np.ndarray:
-        mu = self.mean()
+    def variance(self, mean: np.ndarray | None = None) -> np.ndarray:
+        """Per-axis variance; ``mean``, when the caller holds it, is not recomputed."""
+        mu = self.mean() if mean is None else mean
         return self.weights @ (self.points - mu) ** 2
 
     def translate(self, shift) -> "EmpiricalMeasure":
@@ -149,21 +175,24 @@ class GridDensity:
     """Cell-averaged nonnegative density on a :class:`Grid`.
 
     ``values`` has shape ``grid.cells``; the total mass
-    ``sum(values) * cell_volume`` is cached at construction and kept in sync
-    because instances are never mutated in place (solvers build new ones).
+    ``sum(values) * cell_volume`` and the smallest value ``min_value`` (after
+    the clip of round-off negatives) are cached at construction and kept in
+    sync because instances are never mutated in place (solvers build new ones).
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.cells:
             raise ValueError(f"values shape {values.shape} != grid cells {grid.cells}")
-        lo = values.min() if values.size else 0.0
+        lo = values.min()
         if lo < _NEG_TOL:
             raise ValueError(f"negative density {lo:.3e} beyond {_NEG_TOL:.0e}")
         if lo < 0.0:
             values = np.maximum(values, 0.0)
+            lo = values.min()
         self.grid = grid
         self.values = values
+        self.min_value = float(lo)
         self.mass = float(values.sum() * grid.cell_volume)
 
     @property
@@ -178,9 +207,10 @@ class GridDensity:
         w = self.values[..., None] * self.grid.cell_volume
         return (w * mids).reshape(-1, self.dim).sum(axis=0) / self.mass
 
-    def variance(self) -> np.ndarray:
+    def variance(self, mean: np.ndarray | None = None) -> np.ndarray:
+        """Per-axis variance; ``mean``, when the caller holds it, is not recomputed."""
         mids = self.grid.midpoint_mesh()
-        mu = self.mean()
+        mu = self.mean() if mean is None else mean
         w = self.values[..., None] * self.grid.cell_volume
         return (w * (mids - mu) ** 2).reshape(-1, self.dim).sum(axis=0) / self.mass
 
@@ -294,7 +324,7 @@ def moments(m: MeasureView, order: int = 2) -> Moments:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     mu = m.mean()
-    var = m.variance() if order == 2 else None
+    var = m.variance(mu) if order == 2 else None
     return Moments(mean=np.atleast_1d(mu), variance=None if var is None else np.atleast_1d(var))
 
 
@@ -503,22 +533,32 @@ def format_float(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def write_csv(path, header: Sequence[str], rows, preamble: Sequence[str] = ()) -> None:
-    """Write rows of numbers/strings as CSV; floats printed with 17 digits."""
+def format_value(v) -> str:
+    """A string verbatim, an integer in decimal, anything else as a 17-digit float."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format_float(v)
 
-    def fmt(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return format_float(v)
 
+def write_csv(
+    path, header: Sequence[str], rows, preamble: Sequence[str] = (), row_format: str | None = None
+) -> None:
+    """Write rows of numbers/strings as CSV with :func:`format_value`.
+
+    ``row_format``, the printf template of a whole line, formats each row (a
+    tuple) in one operation instead; its ``%.17g`` and ``%d`` print the same
+    bytes as :func:`format_value`.
+    """
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        if row_format is None:
+            fh.writelines(",".join(map(format_value, row)) + "\n" for row in rows)
+        else:
+            fh.writelines(map(row_format.__mod__, rows))
 
 
 def write_empirical_csv(path, measures: Sequence[EmpiricalMeasure]) -> None:
@@ -528,26 +568,29 @@ def write_empirical_csv(path, measures: Sequence[EmpiricalMeasure]) -> None:
 
     def rows():
         for pop, m in enumerate(measures):
-            for idx in range(m.n):
-                yield [pop, idx, *m.points[idx], m.weights[idx]]
+            yield from zip(itertools.repeat(pop), range(m.n), *m.points.T.tolist(), m.weights.tolist())
 
-    write_csv(path, header, rows())
+    write_csv(path, header, rows(), row_format="%d,%d," + "%.17g," * d + "%.17g\n")
 
 
-def write_grid_csv(path, fields: Sequence[GridDensity], preamble: Sequence[str] = ()) -> None:
-    """Rows ``pop,cell indices...,midpoint coords...,value`` per population."""
-    grid = fields[0].grid
+def write_grid_csv(
+    path, grid: Grid, keys: Sequence[str], records, value: str = "value", preamble: Sequence[str] = ()
+) -> None:
+    """Rows ``keys...,cell indices...,midpoint coords...,value``, one per cell of each record.
+
+    ``records`` yields ``(key values, cell values)`` pairs; the key values
+    lead every row of their record. Each record is formatted from column
+    lists with one row template.
+    """
     d = grid.dim
-    header = ["pop"] + [f"i{k}" for k in range(d)] + [f"x{k}" for k in range(d)] + ["value"]
-    mids = grid.flat_midpoints()
-    index = np.stack(
-        np.meshgrid(*[np.arange(nc) for nc in grid.cells], indexing="ij"), axis=-1
-    ).reshape(-1, d)
+    header = [*keys, *(f"i{k}" for k in range(d)), *(f"x{k}" for k in range(d)), value]
+    index = [ix.reshape(-1).tolist() for ix in np.indices(grid.cells)]
+    mids = grid.flat_midpoints().T.tolist()
 
     def rows():
-        for pop, f in enumerate(fields):
-            vals = f.values.reshape(-1)
-            for j in range(vals.size):
-                yield [pop, *index[j], *mids[j], vals[j]]
+        for key_values, cells in records:
+            prefix = "".join(format_value(v) + "," for v in key_values)
+            yield from zip(itertools.repeat(prefix), *index, *mids, cells.reshape(-1).tolist())
 
-    write_csv(path, header, rows(), preamble=preamble)
+    row_format = "%s" + "%d," * d + "%.17g," * d + "%.17g\n"
+    write_csv(path, header, rows(), preamble=preamble, row_format=row_format)

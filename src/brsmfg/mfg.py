@@ -32,7 +32,7 @@ from .fokker_planck import (
     NumericalError,
     solve_fpk,
 )
-from .measures import Grid, GridDensity, wasserstein_1d, write_csv
+from .measures import Grid, GridDensity, wasserstein_1d, write_csv, write_grid_csv
 from .model import ModelSpec, PopulationModel, CostFunction
 
 __all__ = [
@@ -80,9 +80,12 @@ class ValueField:
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)  # (n_t+1, cells)
+        # slice gradients, computed once; read-only since every caller shares them
+        self._gradients = np.stack([_gradient_and_laplacian(w, grid.widths[0])[0] for w in self.values])
+        self._gradients.flags.writeable = False
 
     def gradient(self, k: int) -> np.ndarray:
-        return _central_gradient(self.values[k], self.grid.widths[0])
+        return self._gradients[k]
 
     def gradient_at(self, t: float) -> np.ndarray:
         """Spatial gradient at midpoints, linearly interpolated in time."""
@@ -97,14 +100,8 @@ class ValueField:
 
     def write_csv(self, path, preamble: Sequence[str] = ()) -> None:
         """Rows ``t,cell,midpoint,w``."""
-        mids = self.grid.midpoints(0)
-
-        def rows():
-            for k, t in enumerate(self.times):
-                for j in range(mids.size):
-                    yield [t, j, mids[j], self.values[k, j]]
-
-        write_csv(path, ["t", "i0", "x0", "w"], rows(), preamble=preamble)
+        records = (((t,), w) for t, w in zip(self.times.tolist(), self.values))
+        write_grid_csv(path, self.grid, ["t"], records, value="w", preamble=preamble)
 
 
 def _extend(w: np.ndarray) -> np.ndarray:
@@ -114,14 +111,10 @@ def _extend(w: np.ndarray) -> np.ndarray:
     return np.concatenate([[lo], w, [hi]])
 
 
-def _central_gradient(w: np.ndarray, dx: float) -> np.ndarray:
+def _gradient_and_laplacian(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central first and second differences from one ghost-cell extension."""
     we = _extend(w)
-    return (we[2:] - we[:-2]) / (2.0 * dx)
-
-
-def _second_difference(w: np.ndarray, dx: float) -> np.ndarray:
-    we = _extend(w)
-    return (we[2:] - 2.0 * we[1:-1] + we[:-2]) / dx**2
+    return (we[2:] - we[:-2]) / (2.0 * dx), (we[2:] - 2.0 * we[1:-1] + we[:-2]) / dx**2
 
 
 def _require_scalar_1d(model: ModelSpec, grid: Grid) -> PopulationModel:
@@ -180,8 +173,7 @@ def hjb_backward(
         while tau > t_lo + 1e-13:
             m = density_path.at_time(tau)
             alpha = pmod.penalty.alpha(tau)
-            grad = _central_gradient(w, dx)
-            lap = _second_difference(w, dx)
+            grad, lap = _gradient_and_laplacian(w, dx)
             f = np.asarray(pmod.drift.value(pts, m), dtype=float)[:, 0]
             h = np.asarray(pmod.running_cost.value(pts, m), dtype=float)
             sig2 = np.asarray(pmod.diffusion.value(tau, pts), dtype=float)[:, 0] ** 2

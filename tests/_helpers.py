@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from brsmfg.applications import WealthParams
-from brsmfg.measures import EmpiricalMeasure, Grid
+from brsmfg.fokker_planck import NumericalError, _normalize_boundary
+from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity
 from brsmfg.model import (
     ControlPenalty,
     CostFunction,
@@ -15,6 +16,7 @@ from brsmfg.model import (
     InitialLaw,
     ModelSpec,
     PopulationModel,
+    brs_drift,
     product_law,
 )
 
@@ -163,3 +165,131 @@ def wealth_cost_oracle(params: WealthParams, x, m):
     gy = 0.5 * (dpsi @ w) * ((k["xi_prime"](arg) * psi_qp * k["phi"](dz)) @ w)
     gy = gy + (xia * dpsi * k["phi"](dz)) @ w
     return value.reshape(x.shape[:-1]), np.stack([gy, gz], axis=-1).reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
+# Reference explicit FPK step: the straightforward form of the solver's step,
+# which rebuilds the face points and pads with concatenations every step.
+# ``fpk_step`` and ``solve_fpk`` must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_sg_weight(b, D, dx):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        P = np.where(D > 0.0, b * dx / np.where(D > 0.0, D, 1.0), np.inf * np.sign(b))
+        P = np.where((D <= 0.0) & (b == 0.0), 0.0, P)
+        small = np.abs(P) < 1e-8
+        em1 = np.expm1(np.where(small, 1.0, P))
+        G = np.where(small, D / dx - 0.5 * b, b / em1)
+    return G
+
+
+def _oracle_face_points(grid, axis):
+    coords = [np.linspace(grid.mins[k], grid.maxs[k], grid.cells[k] + 1) for k in range(grid.dim)]
+    coords = [0.5 * (e[:-1] + e[1:]) for e in coords]
+    coords[axis] = np.linspace(grid.mins[axis], grid.maxs[axis], grid.cells[axis] + 1)
+    return np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+
+
+def fpk_assemble_oracle(model, fields, t, velocity, boundary):
+    """Per population: (face velocities per axis, SG weights per axis, max drain, drain message)."""
+    grid = fields[0].grid
+    bpairs = _normalize_boundary(boundary, grid.dim)
+    measures = fields[0] if model.n_populations == 1 else tuple(fields)
+    out = []
+    for pop in range(model.n_populations):
+        pmod = model.population(pop)
+        bs, Gs = [], []
+        max_drain = 0.0
+        info = ""
+        drain = None
+        for k in range(grid.dim):
+            pts = _oracle_face_points(grid, k)
+            flat = pts.reshape(-1, grid.dim)
+            if velocity is None:
+                vel = brs_drift(model, pop, t, flat, measures)
+            else:
+                vel = np.asarray(velocity(pop, t, flat, measures), dtype=float)
+            sig = np.asarray(pmod.diffusion.value(t, flat), dtype=float)
+            if not np.all(np.isfinite(vel)):
+                raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
+            shape = pts.shape[:-1]
+            b = vel[:, k].reshape(shape)
+            D = 0.5 * sig[:, k].reshape(shape) ** 2
+            dx = grid.widths[k]
+            b = np.moveaxis(b, k, 0)
+            D = np.moveaxis(D, k, 0)
+            G = _oracle_sg_weight(b, D, dx)
+            lo, hi = bpairs[k]
+            if lo == "no_flux":
+                b[0] = 0.0
+                G[0] = 0.0
+            if hi == "no_flux":
+                b[-1] = 0.0
+                G[-1] = 0.0
+            bs.append(b)
+            Gs.append(G)
+            cell_drain = ((b + G)[1:] + G[:-1]) / dx
+            d = np.moveaxis(cell_drain, 0, k)
+            drain = d if drain is None else drain + d
+        mx = float(drain.max()) if drain.size else 0.0
+        if mx > max_drain:
+            idx = np.unravel_index(int(np.argmax(drain)), drain.shape)
+            info = f"pop {pop}, cell {tuple(int(i) for i in idx)}"
+            max_drain = mx
+        out.append((bs, Gs, max_drain, info))
+    return out
+
+
+def fpk_apply_oracle(fields, assembled, dt):
+    grid = fields[0].grid
+    new_fields = []
+    for f, (bs, Gs, _, _) in zip(fields, assembled):
+        vals = f.values.copy()
+        for k in range(grid.dim):
+            dx = grid.widths[k]
+            m = np.moveaxis(f.values, k, 0)
+            zeros = np.zeros_like(m[:1])
+            mL = np.concatenate([zeros, m], axis=0)
+            mR = np.concatenate([m, zeros], axis=0)
+            F = bs[k] * mL + Gs[k] * (mL - mR)
+            dvals = -(dt / dx) * (F[1:] - F[:-1])
+            vals += np.moveaxis(dvals, 0, k)
+        lo = float(vals.min())
+        if lo < -1e-13:
+            raise NumericalError(f"negative density {lo:.3e} after step (upwinding should prevent it)")
+        new_fields.append(GridDensity(grid, vals))
+    return tuple(new_fields)
+
+
+def fpk_solve_oracle(model, fields, t_final, record_times, boundary="no_flux", velocity=None, cfl_safety=0.9):
+    """(times, values (K, P, cells...), report) of the reference time loop from t = 0."""
+    grid = fields[0].grid
+    record = np.asarray(record_times, dtype=float)
+    t = 0.0
+    times = [t]
+    values = [np.stack([f.values for f in fields])]
+    mass0 = np.array([f.mass for f in fields])
+    mass_drift = 0.0
+    min_density = min(float(f.values.min()) for f in fields)
+    next_record_idx = 1 if abs(record[0] - t) <= 1e-12 else 0
+    steps = 0
+    while t < t_final - 1e-13:
+        asm = fpk_assemble_oracle(model, fields, t, velocity, boundary)
+        drain = max(a[2] for a in asm)
+        dt = t_final - t if drain <= 0.0 else cfl_safety / drain
+        dt = min(dt, t_final - t)
+        if next_record_idx < record.size:
+            dt = min(dt, record[next_record_idx] - t)
+        fields = fpk_apply_oracle(fields, asm, dt)
+        t += dt
+        steps += 1
+        min_density = min(min_density, min(float(f.values.min()) for f in fields))
+        mass = np.array([f.mass for f in fields])
+        mass_drift = max(mass_drift, float(np.abs(mass - mass0).max()))
+        if next_record_idx < record.size and abs(t - record[next_record_idx]) <= 1e-12:
+            next_record_idx += 1
+            times.append(t)
+            values.append(np.stack([f.values for f in fields]))
+    report = {"mass_drift_max": mass_drift, "min_density": min_density, "n_steps": float(steps)}
+    return np.asarray(times), np.asarray(values), report

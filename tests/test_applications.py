@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from brsmfg.brs import MpcConfig, brs_control_finite
-from brsmfg.fokker_planck import FpkConfig, _face_points, solve_fpk
+from brsmfg.fokker_planck import FpkConfig, solve_fpk
 from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity
 from brsmfg.model import brs_drift
 from brsmfg.particle_sim import EnsembleState, SimConfig, simulate_brs_nplayer
@@ -141,8 +141,8 @@ class TestWealthKernel:
             w = rng.uniform(0.5, 1.5, 50)
             m = EmpiricalMeasure(random_wealth_points(rng, 50), w / w.sum())
         queries = [
-            _face_points(WEALTH_GRID, 0),
-            _face_points(WEALTH_GRID, 1),
+            WEALTH_GRID.face_points(0),
+            WEALTH_GRID.face_points(1),
             np.column_stack([rng.uniform(-3.5, 3.5, 64), rng.uniform(0.0, 4.5, 64)]),
         ]
         cost = build_wealth_model(params).population(0).running_cost

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import wasserstein_distance as scipy_w1
 
@@ -15,7 +17,9 @@ from brsmfg.measures import (
     leave_one_out,
     moments,
     wasserstein_1d,
+    format_float,
     wasserstein_small_nd,
+    write_csv,
     write_empirical_csv,
     write_grid_csv,
 )
@@ -248,7 +252,7 @@ class TestCsv:
         grid = Grid((0.0,), (1.0,), (2,))
         g = GridDensity(grid, np.array([1.0 / 3.0, 5.0 / 3.0]))
         path = tmp_path / "grid.csv"
-        write_grid_csv(path, [g])
+        write_grid_csv(path, grid, ["pop"], [((0,), g.values)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "pop,i0,x0,value"
         # 17 significant digits round-trip exactly
@@ -259,3 +263,154 @@ class TestCsv:
         grid = Grid((0.0,), (1.0,), (4,))
         with pytest.raises(ValueError, match="negative density"):
             GridDensity(grid, np.array([1.0, -1e-3, 1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "values, low",
+        [([1.0, -1e-14, 2.0, 1.0], 0.0), ([1.0, 0.25, 2.0, 1.0], 0.25), ([1.0, -0.0, 2.0, 1.0], -0.0)],
+    )
+    def test_min_value_is_read_after_the_clip(self, values, low):
+        g = GridDensity(Grid((0.0,), (1.0,), (4,)), np.array(values))
+        assert g.min_value == low and np.signbit(g.min_value) == np.signbit(low)
+        assert g.min_value == float(g.values.min())
+
+
+@st.composite
+def grids(draw, max_dim=3):
+    dim = draw(st.integers(1, max_dim))
+    mins = tuple(draw(st.floats(-1e3, 1e3)) for _ in range(dim))
+    maxs = tuple(lo + draw(st.floats(1e-3, 1e3)) for lo in mins)
+    cells = tuple(draw(st.integers(1, 12)) for _ in range(dim))
+    return Grid(mins, maxs, cells)
+
+
+def _fresh_geometry(grid: Grid) -> dict:
+    """Every geometry array of ``grid`` built from scratch with linspace/meshgrid."""
+    edges = [np.linspace(lo, hi, nc + 1) for lo, hi, nc in zip(grid.mins, grid.maxs, grid.cells)]
+    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
+    mesh = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
+    faces = []
+    for axis in range(grid.dim):
+        coords = list(mids)
+        coords[axis] = edges[axis]
+        faces.append(np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1))
+    return {"edges": edges, "midpoints": mids, "mesh": mesh, "flat": mesh.reshape(-1, grid.dim), "faces": faces}
+
+
+def _cached_geometry(grid: Grid) -> dict:
+    return {
+        "edges": [grid.edges(k) for k in range(grid.dim)],
+        "midpoints": [grid.midpoints(k) for k in range(grid.dim)],
+        "mesh": grid.midpoint_mesh(),
+        "flat": grid.flat_midpoints(),
+        "faces": [grid.face_points(k) for k in range(grid.dim)],
+    }
+
+
+def _arrays(geometry: dict) -> list[np.ndarray]:
+    return [a for v in geometry.values() for a in (v if isinstance(v, list) else [v])]
+
+
+class TestGridGeometryCache:
+    @settings(max_examples=60, deadline=None)
+    @given(grid=grids())
+    def test_cached_arrays_equal_fresh_ones_bit_for_bit(self, grid):
+        for got, want in zip(_arrays(_cached_geometry(grid)), _arrays(_fresh_geometry(grid))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid=grids())
+    def test_cached_arrays_are_read_only(self, grid):
+        for arr in _arrays(_cached_geometry(grid)):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        for got, want in zip(_arrays(_cached_geometry(grid)), _arrays(_fresh_geometry(grid))):
+            assert np.array_equal(got, want)
+
+    def test_arrays_are_built_once_per_grid(self):
+        grid = Grid((0.0, -1.0), (1.0, 1.0), (4, 6))
+        assert grid.edges(1) is grid.edges(1)
+        assert grid.face_points(0) is grid.face_points(0)
+        assert grid.midpoint_mesh() is grid.midpoint_mesh()
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid=grids())
+    def test_equal_grids_give_equal_arrays(self, grid):
+        twin = Grid(tuple(grid.mins), tuple(grid.maxs), tuple(grid.cells))
+        assert twin == grid and hash(twin) == hash(grid)
+        for a, b in zip(_arrays(_cached_geometry(twin)), _arrays(_cached_geometry(grid))):
+            assert np.array_equal(a, b)
+
+
+def _reference_csv(header, rows, preamble=()) -> str:
+    """The row-by-row writer: one format call per value."""
+
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format_float(v)
+
+    lines = [f"# {line}\n" for line in preamble] + [",".join(header) + "\n"]
+    return "".join(lines + [",".join(fmt(v) for v in row) + "\n" for row in rows])
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, -1.0 / 3.0])
+
+
+class TestMomentsShareTheMean:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_moments_equal_mean_and_variance_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        grid = Grid((-1.0,) * dim, (2.0,) * dim, (7,) * dim)
+        vals = rng.uniform(0.1, 1.0, grid.cells)
+        density = GridDensity(grid, vals / (vals.sum() * grid.cell_volume))
+        for m in (density, EmpiricalMeasure(rng.standard_normal((9, dim)))):
+            mom = moments(m, order=2)
+            assert np.array_equal(mom.mean, m.mean()) and np.array_equal(mom.variance, m.variance())
+            assert moments(m, order=1).variance is None
+
+
+class TestCsvBytes:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids(max_dim=2), n_records=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_grid_records_equal_the_row_by_row_writer(self, tmp_path_factory, grid, n_records, seed):
+        rng = np.random.default_rng(seed)
+        records = []
+        for r in range(n_records):
+            cells = rng.standard_normal(grid.cells) * 10.0 ** rng.integers(-300, 300)
+            cells.reshape(-1)[rng.integers(0, cells.size)] = rng.choice(SPECIAL)
+            records.append(((float(rng.choice(SPECIAL)), r), cells))
+        path = tmp_path_factory.mktemp("csv") / "grid.csv"
+        write_grid_csv(path, grid, ["t", "pop"], iter(records), preamble=["preset=x"])
+        d = grid.dim
+        header = ["t", "pop"] + [f"i{k}" for k in range(d)] + [f"x{k}" for k in range(d)] + ["value"]
+        index = np.stack(np.meshgrid(*[np.arange(nc) for nc in grid.cells], indexing="ij"), -1).reshape(-1, d)
+        mids = grid.flat_midpoints()
+        rows = [
+            [*keys, *index[j], *mids[j], cells.reshape(-1)[j]] for keys, cells in records for j in range(len(index))
+        ]
+        assert path.read_text() == _reference_csv(header, rows, ["preset=x"])
+
+    def test_generic_rows_equal_the_row_by_row_writer(self, tmp_path):
+        rows = [
+            [np.float64(0.5), "pop0_mean_x0", np.float64(-0.0)],
+            [1, "name", np.inf],
+            [np.int64(-7), "", np.nan],
+            (True, "x", np.float32(0.1)),
+            [2**70, "big", -np.inf],
+        ]
+        write_csv(tmp_path / "g.csv", ["a", "b", "c"], rows)
+        assert (tmp_path / "g.csv").read_text() == _reference_csv(["a", "b", "c"], rows)
+
+    def test_empirical_equals_the_row_by_row_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((7, 2))
+        pts[0] = [-0.0, 1e-310]
+        w = rng.uniform(size=7)
+        ms = [EmpiricalMeasure(pts, w / w.sum()), EmpiricalMeasure(rng.standard_normal((3, 2)))]
+        write_empirical_csv(tmp_path / "e.csv", ms)
+        rows = [[pop, i, *m.points[i], m.weights[i]] for pop, m in enumerate(ms) for i in range(m.n)]
+        expected = _reference_csv(["pop", "idx", "x0", "x1", "weight"], rows)
+        assert (tmp_path / "e.csv").read_text() == expected
