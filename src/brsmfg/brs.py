@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, leave_one_out
-from .model import ModelSpec, cost_gradient_sum
+from .model import ModelSpec, cost_gradient_sum, coupling_measure
 
 __all__ = [
     "MpcConfig",
@@ -75,8 +75,7 @@ def brs_control_finite(model: ModelSpec, pop: int, i: int, state, t: float, cfg:
     for p in range(model.n_populations):
         emp = EmpiricalMeasure(state.positions[p])
         views.append(leave_one_out(emp, i) if p == pop else emp)
-    m = views[0] if model.n_populations == 1 else tuple(views)
-    return control_batch(model, pop, t, positions[i], m, denom)
+    return control_batch(model, pop, t, positions[i], coupling_measure(views), denom)
 
 
 def brs_control_limit(model: ModelSpec, pop: int, t: float, x: np.ndarray, m) -> np.ndarray:

@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -22,16 +24,9 @@ from . import __version__
 from .applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from .brs import MpcConfig
 from .fokker_planck import FpkConfig, NumericalError, solve_fpk
-from .measures import (
-    Grid,
-    format_float,
-    format_value,
-    moments,
-    write_csv,
-    write_empirical_csv,
-)
+from .measures import Grid, format_float, format_value, moments, write_csv, write_empirical_csv
 from .mfg import PicardConfig, compare_brs_mfg, mpc_reduction_check, solve_mfg_picard
-from .model import ModelSpec
+from .model import ModelSpec, coupling_measure
 from .particle_sim import SimConfig, propagation_of_chaos_study, simulate_brs_nplayer
 from .presets import lq_model, mean_coupling_model, ou_model
 
@@ -107,43 +102,6 @@ _MFG = {
     "mfg.tol": "1e-4",
 }
 
-DEFAULTS: dict[str, dict[str, str]] = {
-    "simulate": {**_COMMON, **_WEALTH_MODEL, **_CROWD_MODEL, **_SIM},
-    "fpk": {**_COMMON, **_FPK_1D},
-    "mfg": {**_COMMON, **_FPK_1D, **_MFG},
-    "compare": {**_COMMON, **_FPK_1D, **_MFG},
-    "chaos-study": {
-        **_COMMON,
-        **_SIM,
-        **_FPK_1D,
-        "chaos.n_values": "250,1000,4000",
-        "chaos.n_seeds": "20",
-        "chaos.seed0": "0",
-    },
-    "mpc-order": {**_COMMON, **_FPK_1D, "mpc.dt_values": "0.1,0.05,0.025,0.0125"},
-    "wealth": {
-        **_COMMON,
-        **_WEALTH_MODEL,
-        "wealth.ymin": "-3.0",
-        "wealth.ymax": "3.0",
-        "wealth.ycells": "40",
-        "wealth.zmax": "4.0",
-        "wealth.zcells": "40",
-        "wealth.t_final": "0.25",
-        "wealth.n_records": "4",
-        "wealth.cfl_safety": "0.9",
-    },
-    "crowd": {
-        **_COMMON,
-        **_CROWD_MODEL,
-        "crowd.cells": "48",
-        "crowd.t_final": "auto",
-        "crowd.n_records": "4",
-        "crowd.cfl_safety": "0.9",
-    },
-}
-
-
 class RunConfig:
     """Resolved flat configuration: canonical string values keyed by dotted names."""
 
@@ -151,27 +109,31 @@ class RunConfig:
         self.values = dict(values)
 
     def str_(self, key: str) -> str:
-        return self.values[key]
+        try:
+            return self.values[key]
+        except KeyError:
+            raise ConfigError(f"key {key} is not a key of this subcommand") from None
 
     def float_(self, key: str) -> float:
         try:
-            return float(self.values[key])
+            return float(self.str_(key))
         except ValueError as exc:
             raise ConfigError(f"key {key}: expected a number, got {self.values[key]!r}") from exc
 
-    def auto_float(self, key: str) -> float | None:
-        if self.values[key].strip().lower() == "auto":
-            return None
+    def auto_float(self, key: str, default: float) -> float:
+        """The key's number, or ``default`` when it is ``auto``."""
+        if self.str_(key).strip().lower() == "auto":
+            return default
         return self.float_(key)
 
     def int_(self, key: str) -> int:
         try:
-            return int(self.values[key])
+            return int(self.str_(key))
         except ValueError as exc:
             raise ConfigError(f"key {key}: expected an integer, got {self.values[key]!r}") from exc
 
     def bool_(self, key: str) -> bool:
-        v = self.values[key].strip().lower()
+        v = self.str_(key).strip().lower()
         if v in ("true", "1", "yes"):
             return True
         if v in ("false", "0", "no"):
@@ -180,13 +142,13 @@ class RunConfig:
 
     def floats(self, key: str) -> list[float]:
         try:
-            return [float(tok) for tok in self.values[key].split(",") if tok.strip()]
+            return [float(tok) for tok in self.str_(key).split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"key {key}: expected comma-separated numbers") from exc
 
     def ints(self, key: str) -> list[int]:
         try:
-            return [int(tok) for tok in self.values[key].split(",") if tok.strip()]
+            return [int(tok) for tok in self.str_(key).split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"key {key}: expected comma-separated integers") from exc
 
@@ -208,7 +170,7 @@ def _parse_config_text(text: str, source: str) -> dict[str, str]:
 
 
 def resolve_config(subcommand: str, config_path: str | None, overrides: list[str]) -> RunConfig:
-    defaults = DEFAULTS[subcommand]
+    defaults = SUBCOMMANDS[subcommand][0]
     values = dict(defaults)
     if config_path is not None:
         path = Path(config_path)
@@ -230,19 +192,27 @@ def resolve_config(subcommand: str, config_path: str | None, overrides: list[str
     return RunConfig(values)
 
 
-def _build_model(cfg: RunConfig) -> ModelSpec:
+@contextmanager
+def _building():
+    """A value that a config object rejects (``ValueError``) is a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _model(cfg: RunConfig) -> ModelSpec:
     preset = cfg.str_("model.preset")
-    T = cfg.auto_float("model.T")
     sigma = cfg.float_("model.sigma")
     alpha = cfg.float_("model.alpha")
     init_var = cfg.float_("model.init_var")
     if preset == "ou":
-        return ou_model(T=T if T is not None else 8.0, sigma=sigma, init_var=init_var, alpha=alpha)
+        return ou_model(T=cfg.auto_float("model.T", 8.0), sigma=sigma, init_var=init_var, alpha=alpha)
     if preset == "lq":
-        return lq_model(T=T if T is not None else 1.0, sigma=sigma, init_var=init_var, alpha=alpha)
+        return lq_model(T=cfg.auto_float("model.T", 1.0), sigma=sigma, init_var=init_var, alpha=alpha)
     if preset == "mean_coupling":
         return mean_coupling_model(
-            T=T if T is not None else 1.0,
+            T=cfg.auto_float("model.T", 1.0),
             sigma=sigma,
             strength=cfg.float_("model.coupling_strength"),
             init_var=init_var,
@@ -250,9 +220,9 @@ def _build_model(cfg: RunConfig) -> ModelSpec:
         )
     if preset == "wealth":
         model = build_wealth_model(_wealth_params(cfg))
-        return model.with_horizon(T) if T is not None else model
+        return model.with_horizon(cfg.auto_float("model.T", model.T))
     if preset == "crowd":
-        return build_crowd_model(_crowd_params(cfg, T))
+        return build_crowd_model(_crowd_params(cfg, cfg.auto_float("model.T", 0.5)))
     raise ConfigError(f"unknown model preset {preset!r}")
 
 
@@ -267,7 +237,7 @@ def _wealth_params(cfg: RunConfig) -> WealthParams:
     )
 
 
-def _crowd_params(cfg: RunConfig, T: float | None) -> CrowdParams:
+def _crowd_params(cfg: RunConfig, T: float) -> CrowdParams:
     def pair(key):
         vals = cfg.floats(key)
         if len(vals) != 2:
@@ -283,7 +253,7 @@ def _crowd_params(cfg: RunConfig, T: float | None) -> CrowdParams:
             (cfg.float_("crowd.ymin"), cfg.float_("crowd.ymax")),
         ),
         kde_bandwidth=cfg.float_("crowd.bandwidth"),
-        horizon=T if T is not None else 0.5,
+        horizon=T,
         psi_weight=cfg.float_("crowd.psi_weight"),
         targets=(pair("crowd.target1"), pair("crowd.target2")),
         ic_centers=(pair("crowd.center1"), pair("crowd.center2")),
@@ -291,16 +261,53 @@ def _crowd_params(cfg: RunConfig, T: float | None) -> CrowdParams:
     )
 
 
-def _grid_1d(cfg: RunConfig) -> Grid:
-    return Grid(
+def _model_1d(cfg: RunConfig, subcommand: str) -> tuple[ModelSpec, Grid]:
+    """The model and its ``fpk.*`` grid, for the one-dimensional subcommands."""
+    model = _model(cfg)
+    if model.d != 1:
+        raise ConfigError(f"the {subcommand} subcommand is one-dimensional")
+    grid = Grid(
         mins=(cfg.float_("fpk.xmin"),),
         maxs=(cfg.float_("fpk.xmax"),),
         cells=(cfg.int_("fpk.cells"),),
     )
+    return model, grid
 
 
-def _record_times(t0: float, t_final: float, n_records: int) -> tuple[float, ...]:
-    return tuple(np.linspace(t0, t_final, n_records + 1))
+def _initial_density(model: ModelSpec, grid: Grid):
+    return coupling_measure(
+        tuple(model.population(p).initial_law.grid_density(grid) for p in range(model.n_populations))
+    )
+
+
+def _fpk_config(cfg: RunConfig, section: str, t_final: float) -> FpkConfig:
+    """The ``<section>.*`` time-stepping keys; a section without a boundary key has no-flux walls."""
+    return FpkConfig(
+        t_final=t_final,
+        cfl_safety=cfg.float_(f"{section}.cfl_safety"),
+        boundary=cfg.values.get(f"{section}.boundary", "no_flux"),
+        record_times=tuple(np.linspace(0.0, t_final, cfg.int_(f"{section}.n_records") + 1)),
+    )
+
+
+def _picard_config(cfg: RunConfig) -> PicardConfig:
+    return PicardConfig(
+        max_iters=cfg.int_("mfg.max_iters"),
+        damping=cfg.float_("mfg.damping"),
+        tol=cfg.float_("mfg.tol"),
+    )
+
+
+def _sim_config(cfg: RunConfig, model: ModelSpec) -> SimConfig:
+    return SimConfig(
+        dt=cfg.float_("sim.dt"),
+        t_final=cfg.auto_float("sim.t_final", model.T),
+        n_particles=cfg.int_("sim.n_particles"),
+        seed=cfg.int_("sim.seed"),
+        record_every=cfg.int_("sim.record_every"),
+        coupling=cfg.str_("sim.coupling"),
+        workers=cfg.int_("run.workers"),
+    )
 
 
 def _write_manifest(out: Path, subcommand: str, cfg: RunConfig) -> None:
@@ -329,20 +336,16 @@ def _fpk_report_entries(path) -> list[tuple[str, object]]:
 # subcommand implementations, each returning (exit_code, report entries)
 # ---------------------------------------------------------------------------
 
+Report = tuple[int, list[tuple[str, object]]]
 
-def _run_simulate(cfg: RunConfig, out: Path) -> int:
-    model = _build_model(cfg)
-    t_final = cfg.auto_float("sim.t_final")
-    sim = SimConfig(
-        dt=cfg.float_("sim.dt"),
-        t_final=t_final if t_final is not None else model.T,
-        n_particles=cfg.int_("sim.n_particles"),
-        seed=cfg.int_("sim.seed"),
-        record_every=cfg.int_("sim.record_every"),
-        coupling=cfg.str_("sim.coupling"),
-        workers=cfg.int_("run.workers"),
-    )
-    rec = simulate_brs_nplayer(model, sim, MpcConfig(dt=sim.dt, use_alpha_dot=cfg.bool_("sim.use_alpha_dot")))
+
+def _run_simulate(cfg: RunConfig, out: Path) -> Report:
+    with _building():
+        model = _model(cfg)
+        sim = _sim_config(cfg, model)
+        mpc = MpcConfig(dt=sim.dt, use_alpha_dot=cfg.bool_("sim.use_alpha_dot"))
+        mpc.validate(model.T)
+    rec = simulate_brs_nplayer(model, sim, mpc)
     final = rec.final()
     write_empirical_csv(out / "particles_final.csv", [final.empirical(p) for p in range(model.n_populations)])
     rows = []
@@ -360,114 +363,66 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         for ax in range(model.d):
             entries.append((f"pop{pop}_terminal_mean_x{ax}", mom.mean[ax]))
             entries.append((f"pop{pop}_terminal_var_x{ax}", mom.variance[ax]))
-    _write_report(out, entries)
-    return 0
+    return 0, entries
 
 
-def _fpk_1d_solve(cfg: RunConfig, model: ModelSpec):
-    if model.d != 1:
-        raise ConfigError("the fpk subcommand is one-dimensional; use wealth/crowd")
-    grid = _grid_1d(cfg)
-    t_final = cfg.auto_float("fpk.t_final")
-    t_final = t_final if t_final is not None else model.T
-    fpk_cfg = FpkConfig(
-        t_final=t_final,
-        cfl_safety=cfg.float_("fpk.cfl_safety"),
-        boundary=cfg.str_("fpk.boundary"),
-        record_times=_record_times(0.0, t_final, cfg.int_("fpk.n_records")),
-    )
-    m0 = model.population(0).initial_law.grid_density(grid)
-    return grid, solve_fpk(model, m0, fpk_cfg)
-
-
-def _run_fpk(cfg: RunConfig, out: Path) -> int:
-    model = _build_model(cfg)
-    grid, path = _fpk_1d_solve(cfg, model)
+def _run_fpk(cfg: RunConfig, out: Path) -> Report:
+    with _building():
+        model, grid = _model_1d(cfg, "fpk")
+        fpk = _fpk_config(cfg, "fpk", cfg.auto_float("fpk.t_final", model.T))
+        m0 = _initial_density(model, grid)
+    path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=[f"preset={cfg.str_('model.preset')}"])
-    final = path.final(0)
-    mom = moments(final, order=2)
-    entries = [
+    mom = moments(path.final(0), order=2)
+    return 0, [
         ("t_final", path.times[-1]),
         ("terminal_mean", mom.mean[0]),
         ("terminal_variance", mom.variance[0]),
     ] + _fpk_report_entries(path)
-    _write_report(out, entries)
-    return 0
 
 
-def _run_mfg(cfg: RunConfig, out: Path) -> int:
-    model = _build_model(cfg)
-    if model.d != 1:
-        raise ConfigError("the mfg subcommand is one-dimensional")
-    grid = _grid_1d(cfg)
-    picard = PicardConfig(
-        max_iters=cfg.int_("mfg.max_iters"),
-        damping=cfg.float_("mfg.damping"),
-        tol=cfg.float_("mfg.tol"),
-    )
-    m0 = model.population(0).initial_law.grid_density(grid)
+def _run_mfg(cfg: RunConfig, out: Path) -> Report:
+    with _building():
+        model, grid = _model_1d(cfg, "mfg")
+        picard = _picard_config(cfg)
+        m0 = _initial_density(model, grid)
     sol = solve_mfg_picard(model, m0, grid, cfg.int_("mfg.n_t"), cfg=picard)
     sol.value.write_csv(out / "values.csv")
     sol.density_path.write_csv(out / "density.csv")
     sol.write_iteration_csv(out / "iterations.csv")
     mom = moments(sol.density_path.final(0), order=2)
-    entries = [
+    return 0 if sol.converged else 4, [
         ("converged", "yes" if sol.converged else "no"),
         ("n_iterations", sol.n_iterations),
         ("last_residual", sol.residuals[-1]),
         ("terminal_variance", mom.variance[0]),
     ] + _fpk_report_entries(sol.density_path)
-    _write_report(out, entries)
-    return 0 if sol.converged else 4
 
 
-def _run_compare(cfg: RunConfig, out: Path) -> int:
-    model = _build_model(cfg)
-    if model.d != 1:
-        raise ConfigError("the compare subcommand is one-dimensional")
-    grid = _grid_1d(cfg)
-    picard = PicardConfig(
-        max_iters=cfg.int_("mfg.max_iters"),
-        damping=cfg.float_("mfg.damping"),
-        tol=cfg.float_("mfg.tol"),
-    )
-    m0 = model.population(0).initial_law.grid_density(grid)
+def _run_compare(cfg: RunConfig, out: Path) -> Report:
+    with _building():
+        model, grid = _model_1d(cfg, "compare")
+        picard = _picard_config(cfg)
+        m0 = _initial_density(model, grid)
     res = compare_brs_mfg(model, m0, grid, cfg.int_("mfg.n_t"), cfg=picard)
     res.write_csv(out / "compare.csv")
     res.brs_path.write_csv(out / "density_brs.csv")
     res.mfg.density_path.write_csv(out / "density_mfg.csv")
-    entries = [
+    return 0 if res.mfg.converged else 4, [
         ("max_w1", res.max_w1),
         ("terminal_w1", res.w1[-1]),
         ("mfg_converged", "yes" if res.mfg.converged else "no"),
     ]
-    _write_report(out, entries)
-    return 0 if res.mfg.converged else 4
 
 
-def _run_chaos(cfg: RunConfig, out: Path) -> int:
-    model = _build_model(cfg)
-    if model.d != 1:
-        raise ConfigError("the chaos-study subcommand is one-dimensional")
-    t_final = cfg.auto_float("sim.t_final")
-    t_final = t_final if t_final is not None else model.T
-    grid = _grid_1d(cfg)
-    fpk_cfg = FpkConfig(
-        t_final=t_final,
-        cfl_safety=cfg.float_("fpk.cfl_safety"),
-        record_times=_record_times(0.0, t_final, cfg.int_("fpk.n_records")),
-    )
-    m0 = model.population(0).initial_law.grid_density(grid)
-    reference = solve_fpk(model, m0, fpk_cfg)
-    sim = SimConfig(
-        dt=cfg.float_("sim.dt"),
-        t_final=t_final,
-        n_particles=2,
-        seed=0,
-        record_every=max(cfg.int_("sim.record_every"), 1),
-        coupling=cfg.str_("sim.coupling"),
-        workers=cfg.int_("run.workers"),
-    )
+def _run_chaos(cfg: RunConfig, out: Path) -> Report:
+    with _building():
+        model, grid = _model_1d(cfg, "chaos-study")
+        # the study sets each run's particle count and seed
+        sim = _sim_config(cfg, model)
+        fpk = _fpk_config(cfg, "fpk", sim.t_final)
+        m0 = _initial_density(model, grid)
+    reference = solve_fpk(model, m0, fpk)
     seed0 = cfg.int_("chaos.seed0")
     seeds = [seed0 + k for k in range(cfg.int_("chaos.n_seeds"))]
     rows = propagation_of_chaos_study(model, sim, cfg.ints("chaos.n_values"), reference, seeds)
@@ -483,91 +438,110 @@ def _run_chaos(cfg: RunConfig, out: Path) -> int:
         entries.append(("w1_ratio_first_last", rows[0].mean_w1 / rows[-1].mean_w1))
     decreasing = all(a.mean_w1 > b.mean_w1 for a, b in zip(rows, rows[1:]))
     entries.append(("strictly_decreasing", "yes" if decreasing else "no"))
-    _write_report(out, entries + _fpk_report_entries(reference))
-    return 0
+    return 0, entries + _fpk_report_entries(reference)
 
 
-def _run_mpc_order(cfg: RunConfig, out: Path) -> int:
-    model = _build_model(cfg)
-    if model.d != 1:
-        raise ConfigError("the mpc-order subcommand is one-dimensional")
-    grid = _grid_1d(cfg)
+def _run_mpc_order(cfg: RunConfig, out: Path) -> Report:
+    with _building():
+        model, grid = _model_1d(cfg, "mpc-order")
     res = mpc_reduction_check(model, grid, cfg.floats("mpc.dt_values"))
     res.write_csv(out / "orders.csv")
     entries: list[tuple[str, object]] = [("fitted_order", res.fitted_order)]
     for dt, err in res.rows:
         entries.append((f"sup_error_dt_{format_float(dt)}", err))
-    _write_report(out, entries)
-    return 0
+    return 0, entries
 
 
-def _run_wealth(cfg: RunConfig, out: Path) -> int:
-    params = _wealth_params(cfg)
-    model = build_wealth_model(params)
-    grid = Grid(
-        mins=(cfg.float_("wealth.ymin"), params.z_min),
-        maxs=(cfg.float_("wealth.ymax"), cfg.float_("wealth.zmax")),
-        cells=(cfg.int_("wealth.ycells"), cfg.int_("wealth.zcells")),
-    )
-    t_final = cfg.float_("wealth.t_final")
-    fpk_cfg = FpkConfig(
-        t_final=t_final,
-        cfl_safety=cfg.float_("wealth.cfl_safety"),
-        record_times=_record_times(0.0, t_final, cfg.int_("wealth.n_records")),
-    )
-    m0 = model.population(0).initial_law.grid_density(grid)
-    path = solve_fpk(model, m0, fpk_cfg)
+def _run_wealth(cfg: RunConfig, out: Path) -> Report:
+    with _building():
+        params = _wealth_params(cfg)
+        model = build_wealth_model(params)
+        grid = Grid(
+            mins=(cfg.float_("wealth.ymin"), params.z_min),
+            maxs=(cfg.float_("wealth.ymax"), cfg.float_("wealth.zmax")),
+            cells=(cfg.int_("wealth.ycells"), cfg.int_("wealth.zcells")),
+        )
+        fpk = _fpk_config(cfg, "wealth", cfg.float_("wealth.t_final"))
+        m0 = _initial_density(model, grid)
+    path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=["preset=wealth"])
     mom = moments(path.final(0), order=2)
-    entries = [
+    return 0, [
         ("t_final", path.times[-1]),
         ("terminal_mean_y", mom.mean[0]),
         ("terminal_mean_z", mom.mean[1]),
         ("terminal_var_z", mom.variance[1]),
     ] + _fpk_report_entries(path)
-    _write_report(out, entries)
-    return 0
 
 
-def _run_crowd(cfg: RunConfig, out: Path) -> int:
-    T = cfg.auto_float("crowd.t_final")
-    params = _crowd_params(cfg, T)
-    model = build_crowd_model(params)
-    nc = cfg.int_("crowd.cells")
-    grid = Grid(
-        mins=(params.domain[0][0], params.domain[1][0]),
-        maxs=(params.domain[0][1], params.domain[1][1]),
-        cells=(nc, nc),
-    )
-    fpk_cfg = FpkConfig(
-        t_final=model.T,
-        cfl_safety=cfg.float_("crowd.cfl_safety"),
-        record_times=_record_times(0.0, model.T, cfg.int_("crowd.n_records")),
-    )
-    m0 = tuple(model.population(p).initial_law.grid_density(grid) for p in range(2))
-    path = solve_fpk(model, m0, fpk_cfg)
+def _run_crowd(cfg: RunConfig, out: Path) -> Report:
+    with _building():
+        params = _crowd_params(cfg, cfg.auto_float("crowd.t_final", 0.5))
+        model = build_crowd_model(params)
+        nc = cfg.int_("crowd.cells")
+        grid = Grid(
+            mins=(params.domain[0][0], params.domain[1][0]),
+            maxs=(params.domain[0][1], params.domain[1][1]),
+            cells=(nc, nc),
+        )
+        fpk = _fpk_config(cfg, "crowd", model.T)
+        m0 = _initial_density(model, grid)
+    path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=["preset=crowd"])
     vol = grid.cell_volume
     overlap0 = float(np.minimum(path.values[0, 0], path.values[0, 1]).sum() * vol)
     overlap1 = float(np.minimum(path.values[-1, 0], path.values[-1, 1]).sum() * vol)
-    entries = [
+    return 0, [
         ("t_final", path.times[-1]),
         ("overlap_initial", overlap0),
         ("overlap_final", overlap1),
     ] + _fpk_report_entries(path)
-    _write_report(out, entries)
-    return 0
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "fpk": _run_fpk,
-    "mfg": _run_mfg,
-    "compare": _run_compare,
-    "chaos-study": _run_chaos,
-    "mpc-order": _run_mpc_order,
-    "wealth": _run_wealth,
-    "crowd": _run_crowd,
+# subcommand -> (config defaults, runner)
+SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]]] = {
+    "simulate": ({**_COMMON, **_WEALTH_MODEL, **_CROWD_MODEL, **_SIM}, _run_simulate),
+    "fpk": ({**_COMMON, **_FPK_1D}, _run_fpk),
+    "mfg": ({**_COMMON, **_FPK_1D, **_MFG}, _run_mfg),
+    "compare": ({**_COMMON, **_FPK_1D, **_MFG}, _run_compare),
+    "chaos-study": (
+        {
+            **_COMMON,
+            **_SIM,
+            **_FPK_1D,
+            "chaos.n_values": "250,1000,4000",
+            "chaos.n_seeds": "20",
+            "chaos.seed0": "0",
+        },
+        _run_chaos,
+    ),
+    "mpc-order": ({**_COMMON, **_FPK_1D, "mpc.dt_values": "0.1,0.05,0.025,0.0125"}, _run_mpc_order),
+    "wealth": (
+        {
+            **_COMMON,
+            **_WEALTH_MODEL,
+            "wealth.ymin": "-3.0",
+            "wealth.ymax": "3.0",
+            "wealth.ycells": "40",
+            "wealth.zmax": "4.0",
+            "wealth.zcells": "40",
+            "wealth.t_final": "0.25",
+            "wealth.n_records": "4",
+            "wealth.cfl_safety": "0.9",
+        },
+        _run_wealth,
+    ),
+    "crowd": (
+        {
+            **_COMMON,
+            **_CROWD_MODEL,
+            "crowd.cells": "48",
+            "crowd.t_final": "auto",
+            "crowd.n_records": "4",
+            "crowd.cfl_safety": "0.9",
+        },
+        _run_crowd,
+    ),
 }
 
 
@@ -577,7 +551,7 @@ def run(subcommand: str, config_path: str | None, overrides: list[str], out_dir:
     0 = success, 2 = config error, 3 = numerical failure,
     4 = completed with a non-convergence warning.
     """
-    if subcommand not in _RUNNERS:
+    if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = resolve_config(subcommand, config_path, list(overrides))
     if workers is not None:
@@ -586,7 +560,9 @@ def run(subcommand: str, config_path: str | None, overrides: list[str], out_dir:
     out = Path(resolved_out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, subcommand, cfg)
-    return _RUNNERS[subcommand](cfg, out)
+    code, entries = SUBCOMMANDS[subcommand][1](cfg, out)
+    _write_report(out, entries)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -595,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Best-reply-strategy and mean-field-game experiment runner",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _RUNNERS:
+    for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument(

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import Grid, GridDensity, write_grid_csv
-from .model import ModelSpec, brs_drift
+from .model import ModelSpec, brs_drift, coupling_measure
 
 __all__ = [
     "NumericalError",
@@ -96,14 +96,16 @@ def _normalize_boundary(boundary, dim: int) -> list[tuple[str, str]]:
 
 
 def _sg_weight(b: np.ndarray, D: np.ndarray, dx: float) -> np.ndarray:
-    """G = (D/dx) * B(P) with B the Bernoulli function; stable in all limits."""
+    """G = (D/dx) * B(P) with B the Bernoulli function; stable in all limits.
+
+    Where D = 0 the weight is its donor-cell limit max(-b, 0).
+    """
+    diffusive = D > 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        P = np.where(D > 0.0, b * dx / np.where(D > 0.0, D, 1.0), np.inf * np.sign(b))
-        P = np.where((D <= 0.0) & (b == 0.0), 0.0, P)
+        P = b * dx / np.where(diffusive, D, 1.0)
         small = np.abs(P) < 1e-8
-        em1 = np.expm1(np.where(small, 1.0, P))
-        G = np.where(small, D / dx - 0.5 * b, b / em1)
-    return G
+        G = np.where(small, D / dx - 0.5 * b, b / np.expm1(np.where(small, 1.0, P)))
+    return np.where(diffusive, G, np.maximum(-b, 0.0))
 
 
 @dataclass
@@ -124,7 +126,7 @@ def _assemble(
     bpairs: list[tuple[str, str]],
 ) -> list[_Assembled]:
     grid = fields[0].grid
-    measures = fields[0] if model.n_populations == 1 else tuple(fields)
+    measures = coupling_measure(fields)
     out = []
     for pop in range(model.n_populations):
         pmod = model.population(pop)

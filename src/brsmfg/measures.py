@@ -402,7 +402,7 @@ def _require_1d(m: MeasureView, name: str) -> None:
     if dim != 1:
         raise ValueError(
             f"{name} is one-dimensional only (got d={dim}); "
-            "use wasserstein_small_nd for small multi-dimensional clouds"
+            "use wasserstein_small_nd for equal-size uniform multi-dimensional clouds"
         )
 
 
@@ -491,36 +491,27 @@ def wasserstein_1d(mu: MeasureView, nu: MeasureView, p: int = 1) -> float:
 
 
 def wasserstein_small_nd(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int = 1) -> float:
-    """Exact W_p between equal-size uniform clouds by assignment enumeration.
+    """Exact W_p between equal-size uniform clouds by optimal assignment.
 
-    Brute force over all N! pairings; for uniform marginals the optimum of the
-    transport problem is attained at a permutation, so this is exact. Intended
-    as a test oracle, hence the N <= 10 cap.
+    For uniform marginals the optimum of the transport problem is attained at
+    a permutation (Birkhoff), so the linear assignment of the N x N cost
+    matrix is exact in any dimension.
     """
+    # imported here: at module level it would add to every import of the package
+    from scipy.optimize import linear_sum_assignment
+
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     if mu.n != nu.n:
         raise ValueError("wasserstein_small_nd requires equal point counts")
     if not (mu.is_uniform and nu.is_uniform):
         raise ValueError("wasserstein_small_nd requires uniform weights")
-    n = mu.n
-    if n > 10:
-        raise ValueError(f"oracle scale exceeded: N={n} > 10")
     diff = mu.points[:, None, :] - nu.points[None, :, :]
     cost = np.linalg.norm(diff, axis=2)
     if p == 2:
         cost = cost**2
-    best = np.inf
-    rows = np.arange(n)
-    chunk: list[tuple[int, ...]] = []
-    for perm in itertools.permutations(range(n)):
-        chunk.append(perm)
-        if len(chunk) == 100_000:
-            best = min(best, float(cost[rows, np.array(chunk)].sum(axis=1).min()))
-            chunk = []
-    if chunk:
-        best = min(best, float(cost[rows, np.array(chunk)].sum(axis=1).min()))
-    best /= n
+    rows, cols = linear_sum_assignment(cost)
+    best = float(cost[rows, cols].sum()) / mu.n
     return float(best if p == 1 else np.sqrt(best))
 
 

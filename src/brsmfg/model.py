@@ -35,6 +35,7 @@ __all__ = [
     "ModelSpec",
     "brs_drift",
     "cost_gradient_sum",
+    "coupling_measure",
     "validate_assumptions",
     "AssumptionReport",
     "PopulationQuotients",
@@ -255,6 +256,11 @@ class ModelSpec:
         return replace(self, T=horizon)
 
 
+def coupling_measure(views: Sequence):
+    """The measure argument for per-population ``views``: one population's bare view, else the tuple."""
+    return views[0] if len(views) == 1 else tuple(views)
+
+
 def _check_finite(arr: np.ndarray, ingredient: str, context: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -330,10 +336,6 @@ def _measure_tuple(model: ModelSpec, rng: np.random.Generator, n_support: int):
     return views
 
 
-def _coupling_arg(model: ModelSpec, views):
-    return views[0] if model.n_populations == 1 else views
-
-
 def _translate_views(views, shift):
     return tuple(v.translate(shift) for v in views)
 
@@ -367,7 +369,7 @@ def validate_assumptions(
         used = 0
         for _ in range(sample_count):
             views = _measure_tuple(model, rng, n_support)
-            marg = _coupling_arg(model, views)
+            marg = coupling_measure(views)
             x1 = p.initial_law.sample(rng, 1)[0]
             step = 10.0 ** rng.uniform(-3, 0)
             direction = rng.standard_normal(model.d)
@@ -395,7 +397,7 @@ def validate_assumptions(
             shift = step * rng.standard_normal(model.d)
             w1 = float(np.linalg.norm(shift))
             if w1 > 0.0:
-                marg2 = _coupling_arg(model, _translate_views(views, shift))
+                marg2 = coupling_measure(_translate_views(views, shift))
                 if model.d == 1:
                     # cross-check the translation distance through the 1-d solver
                     w1 = wasserstein_1d(views[0], views[0].translate(shift), p=1)

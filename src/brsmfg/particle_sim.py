@@ -20,7 +20,7 @@ import numpy as np
 
 from .brs import MpcConfig, control_batch, penalty_denominator
 from .measures import EmpiricalMeasure, GridDensity, leave_one_out, wasserstein_1d
-from .model import ModelSpec, _check_finite
+from .model import DriftFunction, ModelSpec, _check_finite, coupling_measure
 
 __all__ = [
     "EnsembleState",
@@ -28,6 +28,7 @@ __all__ = [
     "TrajectoryRecord",
     "ChaosRow",
     "em_step",
+    "best_reply",
     "simulate_brs_nplayer",
     "propagation_of_chaos_study",
 ]
@@ -107,10 +108,6 @@ def _measure_views(state: EnsembleState):
     return tuple(EmpiricalMeasure(p) for p in state.positions)
 
 
-def _coupling_arg(views, n_pop: int):
-    return views[0] if n_pop == 1 else views
-
-
 def _reflect(positions: np.ndarray, floors) -> np.ndarray:
     if floors is None:
         return positions
@@ -146,108 +143,58 @@ def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarra
     for i in range(n):
         vi = tuple(leave_one_out(v, i) if p == pop else v for p, v in enumerate(views))
         try:
-            out[i] = fn(pts[i], _coupling_arg(vi, len(vi)))
+            out[i] = fn(pts[i], coupling_measure(vi))
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} (particle {i})") from exc
     return out
 
 
-def em_step(model: ModelSpec, state: EnsembleState, control, dt: float, rng, coupling: str = "full_empirical") -> EnsembleState:
+def _step_drift(f: DriftFunction, u: DriftFunction | None, pop: int) -> DriftFunction:
+    """f + u as one drift; its pairwise kernel exists when both declare theirs."""
+
+    def value(x, m):
+        total = _check_finite(f.value(x, m), "drift f", f"step pop {pop}")
+        return total if u is None else total + u.value(x, m)
+
+    if u is None:
+        return DriftFunction(value, f.pair_value)
+    kf, ku = f.pair_value, u.pair_value
+    pair = None if kf is None or ku is None else (lambda x, y: kf(x, y) + ku(x, y))
+    return DriftFunction(value, pair)
+
+
+def em_step(
+    model: ModelSpec,
+    state: EnsembleState,
+    dt: float,
+    rng,
+    coupling: str = "full_empirical",
+    control=None,
+) -> EnsembleState:
     """One Euler-Maruyama step X += (f + u) dt + sigma(t, X) sqrt(dt) xi.
 
-    ``control`` is ``None`` or a per-player callable ``(pop, i, t, state) ->
-    control vector``. The coupling measure for the drift is the full empirical
-    measure or the leave-one-out measure per player. Noise is drawn in particle
-    order, one block per population.
+    ``control`` is ``None`` (u = 0) or ``control(pop, t)``, returning
+    population pop's feedback u at time t as a :class:`DriftFunction`
+    (``value(x, m)`` plus an optional pairwise kernel). f + u is evaluated
+    against the full empirical measure, or per player against its
+    leave-one-out measure. Noise is drawn in particle order, one block per
+    population, before any update runs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be one of {COUPLINGS}")
-    n_pop = model.n_populations
     views = _measure_views(state)
     noises = [rng.standard_normal(p.shape) for p in state.positions]
     new_positions = []
-    for pop in range(n_pop):
+    for pop in range(model.n_populations):
         pmod = model.population(pop)
         pts = state.positions[pop]
-        n = pts.shape[0]
-
-        def drift(x, m):
-            return _check_finite(pmod.drift.value(x, m), "drift f", f"em_step pop {pop}")
-
+        drift = _step_drift(pmod.drift, None if control is None else control(pop, state.t), pop)
         if coupling == "full_empirical":
-            f = drift(pts, _coupling_arg(views, n_pop))
+            total = drift.value(pts, coupling_measure(views))
         else:
-            f = _leave_one_out_eval(drift, pmod.drift.pair_value, pts, views, pop)
-        total = f.copy()
-        if control is not None:
-            for i in range(n):
-                ui = np.asarray(control(pop, i, state.t, state), dtype=float)
-                if not np.all(np.isfinite(ui)):
-                    raise FloatingPointError(
-                        f"control produced non-finite value for pop {pop} particle {i}"
-                    )
-                total[i] += ui
-        sig = _check_finite(
-            pmod.diffusion.value(state.t, pts), "diffusion sigma", f"em_step pop {pop}"
-        )
-        new = pts + total * dt + sig * np.sqrt(dt) * noises[pop]
-        if not np.all(np.isfinite(new)):
-            bad = int(np.argwhere(~np.isfinite(new).all(axis=1))[0, 0])
-            raise FloatingPointError(f"non-finite update for pop {pop} particle {bad}")
-        new_positions.append(_reflect(new, pmod.reflect_lower))
-    return EnsembleState(
-        positions=tuple(new_positions),
-        t=state.t + dt,
-        seed=state.seed,
-        step_index=state.step_index + 1,
-        t0=state.t0,
-    )
-
-
-def _brs_kernel(model: ModelSpec, pop: int, denom: float):
-    """Pairwise kernel of f + u, the best-reply step drift, or ``None``.
-
-    Exists only when the drift f and both costs h and g declare their kernels;
-    it mirrors ``f - mask * (grad h + grad g / T) / denom``.
-    """
-    p = model.population(pop)
-    kf, kh, kg = p.drift.pair_value, p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
-    if kf is None or kh is None or kg is None:
-        return None
-    mask = model.mask(pop)
-    return lambda x, y: kf(x, y) - mask * (kh(x, y) + kg(x, y) / model.T) / denom
-
-
-def _brs_step(
-    model: ModelSpec,
-    state: EnsembleState,
-    mpc: MpcConfig,
-    dt: float,
-    rng,
-    coupling: str,
-) -> EnsembleState:
-    """BRS-controlled step; one vectorized evaluation per population where possible."""
-    n_pop = model.n_populations
-    views = _measure_views(state)
-    noises = [rng.standard_normal(p.shape) for p in state.positions]
-    new_positions = []
-    for pop in range(n_pop):
-        pmod = model.population(pop)
-        pts = state.positions[pop]
-        denom = penalty_denominator(model, pop, state.t, mpc)
-
-        def step_drift(x, m):
-            f = _check_finite(pmod.drift.value(x, m), "drift f", f"step pop {pop}")
-            return f + control_batch(model, pop, state.t, x, m, denom)
-
-        if coupling == "full_empirical":
-            total = step_drift(pts, _coupling_arg(views, n_pop))
-        else:
-            total = _leave_one_out_eval(
-                step_drift, _brs_kernel(model, pop, denom), pts, views, pop
-            )
+            total = _leave_one_out_eval(drift.value, drift.pair_value, pts, views, pop)
         sig = _check_finite(
             pmod.diffusion.value(state.t, pts), "diffusion sigma", f"step pop {pop}"
         )
@@ -263,6 +210,30 @@ def _brs_step(
         step_index=state.step_index + 1,
         t0=state.t0,
     )
+
+
+def best_reply(model: ModelSpec, mpc: MpcConfig):
+    """The finite-window best reply as an :func:`em_step` control.
+
+    u = -mask * grad(h + g/T) / (alpha + dt * alpha_dot), with the pairwise
+    kernel of u when both costs h and g declare theirs.
+    """
+
+    def control(pop: int, t: float) -> DriftFunction:
+        denom = penalty_denominator(model, pop, t, mpc)
+        p = model.population(pop)
+        kh, kg = p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
+        mask = model.mask(pop)
+
+        def pair(x, y):
+            return -(mask * (kh(x, y) + kg(x, y) / model.T)) / denom
+
+        return DriftFunction(
+            lambda x, m: control_batch(model, pop, t, x, m, denom),
+            None if kh is None or kg is None else pair,
+        )
+
+    return control
 
 
 def initial_state(model: ModelSpec, cfg: SimConfig) -> EnsembleState:
@@ -288,6 +259,7 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig, mpc: MpcConfig | None
     if mpc is None:
         mpc = MpcConfig(dt=cfg.dt)
     mpc.validate(model.T)
+    control = best_reply(model, mpc)
     state = initial_state(model, cfg)
     # noise generator is separate from the initial-condition draws but derived
     # from the same seed, so one integer pins the whole run
@@ -296,7 +268,7 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig, mpc: MpcConfig | None
     times = [state.t]
     snaps = [state]
     for k in range(n_steps):
-        state = _brs_step(model, state, mpc, cfg.dt, rng, cfg.coupling)
+        state = em_step(model, state, cfg.dt, rng, cfg.coupling, control)
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
             times.append(state.t)
             snaps.append(state)

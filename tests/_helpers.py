@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from brsmfg.applications import WealthParams
@@ -165,6 +167,16 @@ def wealth_cost_oracle(params: WealthParams, x, m):
     gy = 0.5 * (dpsi @ w) * ((k["xi_prime"](arg) * psi_qp * k["phi"](dz)) @ w)
     gy = gy + (xia * dpsi * k["phi"](dz)) @ w
     return value.reshape(x.shape[:-1]), np.stack([gy, gz], axis=-1).reshape(x.shape)
+
+
+def wasserstein_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int) -> float:
+    """W_p between equal-size uniform clouds as the minimum over all N! pairings."""
+    n = mu.n
+    cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=2) ** p
+    rows = np.arange(n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    best = float(cost[rows, perms].sum(axis=1).min()) / n
+    return best ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from brsmfg.cli import ConfigError, main, resolve_config, run
+from brsmfg.cli import SUBCOMMANDS, ConfigError, main, resolve_config, run
 
 
 def read_report(out: Path) -> dict[str, str]:
@@ -50,6 +50,21 @@ class TestConfig:
     def test_exit_codes(self, tmp_path):
         assert main(["fpk", "--set", "bogus=1", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "subcommand, override, message",
+        [
+            ("fpk", "model.alpha=0", "penalty must be positive"),
+            ("fpk", "fpk.cfl_safety=2", "cfl_safety"),
+            ("simulate", "sim.n_particles=1", "two particles"),
+            ("simulate", "sim.dt=10", "MPC window"),
+            ("fpk", "model.preset=crowd", "crowd.sigma"),
+        ],
+    )
+    def test_rejected_value_is_a_config_error(self, tmp_path, capsys, subcommand, override, message):
+        assert main([subcommand, "--set", override, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
 
 SMALL_FPK = [
     "model.T=1.0",
@@ -59,22 +74,44 @@ SMALL_FPK = [
 ]
 
 
+# one small, fast config per subcommand
+TINY = {
+    "simulate": ["model.T=0.1", "sim.dt=0.02", "sim.n_particles=20", "sim.record_every=2"],
+    "fpk": SMALL_FPK,
+    "mfg": ["model.preset=lq", "model.T=0.5", "fpk.cells=64", "mfg.n_t=4"],
+    "compare": ["model.preset=mean_coupling", "model.T=0.25", "fpk.cells=64", "mfg.n_t=4"],
+    "chaos-study": ["model.T=0.2", "sim.dt=0.02", "fpk.cells=64", "chaos.n_values=10,40", "chaos.n_seeds=2"],
+    "mpc-order": ["model.preset=lq", "model.T=1.0", "fpk.cells=64", "mpc.dt_values=0.1,0.05"],
+    "wealth": ["wealth.ycells=8", "wealth.zcells=8", "wealth.t_final=0.02", "wealth.n_records=1"],
+    "crowd": ["crowd.cells=12", "crowd.t_final=0.02", "crowd.n_records=1"],
+}
+
+
+def output_names(out: Path) -> list[str]:
+    return sorted(p.name for p in out.iterdir())
+
+
 class TestRuns:
-    def test_fpk_determinism(self, tmp_path):
+    @pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+    def test_fpk_determinism(self, tmp_path, subcommand):
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / tag
-            code = run("fpk", None, SMALL_FPK, str(out))
+            code = run(subcommand, None, TINY[subcommand], str(out))
             assert code == 0
             outs.append(out)
-        assert_same_files(outs[0], outs[1], ["density.csv", "report.txt", "manifest.txt"])
+        assert "report.txt" in output_names(outs[0])
+        assert output_names(outs[0]) == output_names(outs[1])
+        assert_same_files(outs[0], outs[1], output_names(outs[0]))
 
-    def test_manifest_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+    def test_manifest_round_trip(self, tmp_path, subcommand):
         first = tmp_path / "first"
-        assert run("fpk", None, SMALL_FPK, str(first)) == 0
+        assert run(subcommand, None, TINY[subcommand], str(first)) == 0
         second = tmp_path / "second"
-        assert run("fpk", str(first / "manifest.txt"), [], str(second)) == 0
-        assert_same_files(first, second, ["density.csv", "report.txt", "manifest.txt"])
+        assert run(subcommand, str(first / "manifest.txt"), [], str(second)) == 0
+        assert output_names(first) == output_names(second)
+        assert_same_files(first, second, output_names(first))
 
     def test_fpk_report_has_variance_and_flags(self, tmp_path):
         out = tmp_path / "ou"

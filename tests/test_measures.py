@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import wasserstein_distance as scipy_w1
 
+from _helpers import wasserstein_bruteforce
+
 from brsmfg.measures import (
     EmpiricalMeasure,
     Grid,
@@ -233,10 +235,27 @@ class TestWassersteinSmallNd:
                 wasserstein_1d(a, b, p), abs=1e-12
             )
 
-    def test_oracle_scale_cap(self):
-        m = EmpiricalMeasure(np.zeros((11, 2)))
-        with pytest.raises(ValueError, match="oracle scale exceeded"):
-            wasserstein_small_nd(m, m)
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_large_cloud_agrees_with_quantile_formula_in_1d(self, p):
+        rng = np.random.default_rng(29)
+        a = EmpiricalMeasure(rng.standard_normal(200))
+        b = EmpiricalMeasure(0.5 + 2.0 * rng.standard_normal(200))
+        assert wasserstein_small_nd(a, b, p) == pytest.approx(wasserstein_1d(a, b, p), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        d=st.integers(1, 3),
+        p=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_bruteforce_oracle(self, n, d, p, seed):
+        rng = np.random.default_rng(seed)
+        a = EmpiricalMeasure(rng.standard_normal((n, d)))
+        b = EmpiricalMeasure(rng.standard_normal((n, d)))
+        assert wasserstein_small_nd(a, b, p) == pytest.approx(
+            wasserstein_bruteforce(a, b, p), rel=1e-12, abs=1e-12
+        )
 
 
 class TestCsv:

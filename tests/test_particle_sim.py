@@ -18,6 +18,7 @@ from brsmfg.model import CostFunction, DriftFunction
 from brsmfg.particle_sim import (
     EnsembleState,
     SimConfig,
+    best_reply,
     em_step,
     propagation_of_chaos_study,
     simulate_brs_nplayer,
@@ -35,9 +36,9 @@ class TestEmStep:
         out = em_step(
             model,
             state_of([1.0, 1.0]),
-            control=lambda pop, i, t, s: np.array([2.0]),
             dt=0.1,
             rng=np.random.default_rng(0),
+            control=lambda pop, t: DriftFunction(lambda x, m: np.full(np.shape(x), 2.0)),
         )
         assert np.allclose(out.positions[0], 1.2)
         assert out.step_index == 1 and out.t == pytest.approx(0.1)
@@ -45,14 +46,14 @@ class TestEmStep:
     def test_linear_drift(self):
         drift = DriftFunction(value=lambda x, m: -np.asarray(x, dtype=float))
         model = scalar_model(f=drift, sigma=0.0)
-        out = em_step(model, state_of([1.0, 2.0]), None, 0.1, np.random.default_rng(0))
+        out = em_step(model, state_of([1.0, 2.0]), 0.1, np.random.default_rng(0))
         assert np.allclose(out.positions[0][:, 0], [0.9, 1.8])
 
     def test_noise_matches_replayed_generator(self):
         model = scalar_model(sigma=1.0)
         x0 = np.array([[0.3], [-0.7], [1.1]])
         state = EnsembleState(positions=(x0,), t=0.0, seed=5)
-        out = em_step(model, state, None, 0.04, np.random.default_rng(99))
+        out = em_step(model, state, 0.04, np.random.default_rng(99))
         draw = np.random.default_rng(99).standard_normal((3, 1))
         assert np.array_equal(out.positions[0], x0 + np.sqrt(0.04) * draw)
 
@@ -62,9 +63,9 @@ class TestEmStep:
             em_step(
                 model,
                 state_of([0.0, 0.0]),
-                control=lambda pop, i, t, s: np.array([np.inf if i == 1 else 0.0]),
                 dt=0.1,
                 rng=np.random.default_rng(0),
+                control=lambda pop, t: DriftFunction(lambda x, m: np.array([[0.0], [np.inf]])),
             )
 
     def test_exchangeability(self):
@@ -73,8 +74,8 @@ class TestEmStep:
         pts = rng.standard_normal((6, 1))
         perm = rng.permutation(6)
         noise = rng.standard_normal((6, 1))
-        a = em_step(model, EnsembleState((pts,), 0.0, 0), None, 0.1, FixedNoise([noise]))
-        b = em_step(model, EnsembleState((pts[perm],), 0.0, 0), None, 0.1, FixedNoise([noise[perm]]))
+        a = em_step(model, EnsembleState((pts,), 0.0, 0), 0.1, FixedNoise([noise]))
+        b = em_step(model, EnsembleState((pts[perm],), 0.0, 0), 0.1, FixedNoise([noise[perm]]))
         assert np.array_equal(a.positions[0][perm], b.positions[0])
 
 
@@ -213,16 +214,16 @@ class TestLeaveOneOutKernel:
         pts = rng.standard_normal((12, 1))
         noise = rng.standard_normal((12, 1))
         state = EnsembleState((pts,), 0.0, 0)
-        a = em_step(model, state, None, 0.1, FixedNoise([noise]), coupling="leave_one_out")
+        a = em_step(model, state, 0.1, FixedNoise([noise]), coupling="leave_one_out")
         assert loo_calls == []
-        b = em_step(without_kernels(model), state, None, 0.1, FixedNoise([noise]), coupling="leave_one_out")
+        b = em_step(without_kernels(model), state, 0.1, FixedNoise([noise]), coupling="leave_one_out")
         assert len(loo_calls) == 12
         np.testing.assert_allclose(a.positions[0], b.positions[0], rtol=0.0, atol=1e-12)
 
     def test_single_particle_is_rejected_with_a_kernel(self):
         state = EnsembleState((np.zeros((1, 1)),), 0.0, 0)
         with pytest.raises(ValueError, match="leave-one-out"):
-            em_step(mean_coupling_model(), state, None, 0.1, np.random.default_rng(0), coupling="leave_one_out")
+            em_step(mean_coupling_model(), state, 0.1, np.random.default_rng(0), coupling="leave_one_out")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -253,7 +254,7 @@ class TestLeaveOneOutKernel:
         noise = rng.standard_normal((n, 2))
         state = EnsembleState(positions=(pts,), t=t, seed=0)
         mpc = MpcConfig(dt=dt)
-        out = particle_sim._brs_step(model, state, mpc, dt, FixedNoise([noise]), "leave_one_out")
+        out = em_step(model, state, dt, FixedNoise([noise]), "leave_one_out", best_reply(model, mpc))
         assert loo_calls == list(range(n))
         pmod = model.population(0)
         sig = pmod.diffusion.value(t, pts)
