@@ -39,13 +39,16 @@ class ConfigError(Exception):
     """Bad config file, unknown key, or unusable value."""
 
 
-_COMMON = {
+_MODEL = {
     "model.preset": "ou",
     "model.T": "auto",
     "model.sigma": "1.0",
     "model.alpha": "1.0",
     "model.init_var": "0.25",
     "model.coupling_strength": "1.0",
+}
+
+_RUN = {
     "run.workers": "1",
     "run.out": "",
 }
@@ -78,11 +81,15 @@ _CROWD_MODEL = {
 _SIM = {
     "sim.dt": "0.001",
     "sim.t_final": "auto",
-    "sim.n_particles": "1000",
-    "sim.seed": "0",
     "sim.record_every": "100",
     "sim.coupling": "full_empirical",
     "sim.use_alpha_dot": "true",
+}
+
+# one particle run's size and seed; chaos-study sets them per run
+_SIM_RUN = {
+    "sim.n_particles": "1000",
+    "sim.seed": "0",
 }
 
 _FPK_1D = {
@@ -298,16 +305,20 @@ def _picard_config(cfg: RunConfig) -> PicardConfig:
     )
 
 
-def _sim_config(cfg: RunConfig, model: ModelSpec) -> SimConfig:
-    return SimConfig(
+def _sim_config(cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int) -> tuple[SimConfig, MpcConfig]:
+    """The ``sim.*`` keys as a particle run and its best-reply window."""
+    sim = SimConfig(
         dt=cfg.float_("sim.dt"),
         t_final=cfg.auto_float("sim.t_final", model.T),
-        n_particles=cfg.int_("sim.n_particles"),
-        seed=cfg.int_("sim.seed"),
+        n_particles=n_particles,
+        seed=seed,
         record_every=cfg.int_("sim.record_every"),
         coupling=cfg.str_("sim.coupling"),
         workers=cfg.int_("run.workers"),
     )
+    mpc = MpcConfig(dt=sim.dt, use_alpha_dot=cfg.bool_("sim.use_alpha_dot"))
+    mpc.validate(model.T)
+    return sim, mpc
 
 
 def _write_manifest(out: Path, subcommand: str, cfg: RunConfig) -> None:
@@ -342,9 +353,7 @@ Report = tuple[int, list[tuple[str, object]]]
 def _run_simulate(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model = _model(cfg)
-        sim = _sim_config(cfg, model)
-        mpc = MpcConfig(dt=sim.dt, use_alpha_dot=cfg.bool_("sim.use_alpha_dot"))
-        mpc.validate(model.T)
+        sim, mpc = _sim_config(cfg, model, cfg.int_("sim.n_particles"), cfg.int_("sim.seed"))
     rec = simulate_brs_nplayer(model, sim, mpc)
     final = rec.final()
     write_empirical_csv(out / "particles_final.csv", [final.empirical(p) for p in range(model.n_populations)])
@@ -418,14 +427,15 @@ def _run_compare(cfg: RunConfig, out: Path) -> Report:
 def _run_chaos(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model, grid = _model_1d(cfg, "chaos-study")
-        # the study sets each run's particle count and seed
-        sim = _sim_config(cfg, model)
+        n_values = cfg.ints("chaos.n_values")
+        seed0 = cfg.int_("chaos.seed0")
+        # the study sets each run's particle count and seed; the smallest count is checked here
+        sim, mpc = _sim_config(cfg, model, min(n_values, default=2), seed0)
         fpk = _fpk_config(cfg, "fpk", sim.t_final)
         m0 = _initial_density(model, grid)
     reference = solve_fpk(model, m0, fpk)
-    seed0 = cfg.int_("chaos.seed0")
     seeds = [seed0 + k for k in range(cfg.int_("chaos.n_seeds"))]
-    rows = propagation_of_chaos_study(model, sim, cfg.ints("chaos.n_values"), reference, seeds)
+    rows = propagation_of_chaos_study(model, sim, n_values, reference, seeds, mpc)
     write_csv(
         out / "chaos.csv",
         ["n_particles", "mean_w1", "std_w1"],
@@ -500,13 +510,14 @@ def _run_crowd(cfg: RunConfig, out: Path) -> Report:
 
 # subcommand -> (config defaults, runner)
 SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]]] = {
-    "simulate": ({**_COMMON, **_WEALTH_MODEL, **_CROWD_MODEL, **_SIM}, _run_simulate),
-    "fpk": ({**_COMMON, **_FPK_1D}, _run_fpk),
-    "mfg": ({**_COMMON, **_FPK_1D, **_MFG}, _run_mfg),
-    "compare": ({**_COMMON, **_FPK_1D, **_MFG}, _run_compare),
+    "simulate": ({**_MODEL, **_RUN, **_WEALTH_MODEL, **_CROWD_MODEL, **_SIM, **_SIM_RUN}, _run_simulate),
+    "fpk": ({**_MODEL, **_RUN, **_FPK_1D}, _run_fpk),
+    "mfg": ({**_MODEL, **_RUN, **_FPK_1D, **_MFG}, _run_mfg),
+    "compare": ({**_MODEL, **_RUN, **_FPK_1D, **_MFG}, _run_compare),
     "chaos-study": (
         {
-            **_COMMON,
+            **_MODEL,
+            **_RUN,
             **_SIM,
             **_FPK_1D,
             "chaos.n_values": "250,1000,4000",
@@ -515,10 +526,10 @@ SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]
         },
         _run_chaos,
     ),
-    "mpc-order": ({**_COMMON, **_FPK_1D, "mpc.dt_values": "0.1,0.05,0.025,0.0125"}, _run_mpc_order),
+    "mpc-order": ({**_MODEL, **_RUN, **_FPK_1D, "mpc.dt_values": "0.1,0.05,0.025,0.0125"}, _run_mpc_order),
     "wealth": (
         {
-            **_COMMON,
+            **_RUN,
             **_WEALTH_MODEL,
             "wealth.ymin": "-3.0",
             "wealth.ymax": "3.0",
@@ -533,7 +544,7 @@ SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]
     ),
     "crowd": (
         {
-            **_COMMON,
+            **_RUN,
             **_CROWD_MODEL,
             "crowd.cells": "48",
             "crowd.t_final": "auto",

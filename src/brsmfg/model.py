@@ -36,6 +36,7 @@ __all__ = [
     "brs_drift",
     "cost_gradient_sum",
     "coupling_measure",
+    "is_zero",
     "validate_assumptions",
     "AssumptionReport",
     "PopulationQuotients",
@@ -124,9 +125,13 @@ class DiffusionFunction:
         diag = np.atleast_1d(np.asarray(diag, dtype=float))
         if np.any(diag < 0):
             raise ValueError("diffusion entries must be nonnegative")
-        return DiffusionFunction(
-            value=lambda t, x: np.broadcast_to(diag, np.shape(x)).copy()
-        )
+        return DiffusionFunction(value=lambda t, x: np.full(np.shape(x), diag, dtype=float))
+
+
+def is_zero(fn: CostFunction | DriftFunction) -> bool:
+    """Whether the ingredient is declared identically zero (``CostFunction.zero``, ``DriftFunction.zero``)."""
+    kernel = fn.pair_value if isinstance(fn, DriftFunction) else fn.pair_gradient
+    return kernel is _zero_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +237,7 @@ class ModelSpec:
     d: int
     T: float
     populations: tuple[PopulationModel, ...]
+    _masks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -240,6 +246,13 @@ class ModelSpec:
             raise ValueError("horizon must be positive")
         if len(self.populations) < 1:
             raise ValueError("need at least one population")
+        masks = tuple(
+            np.ones(self.d) if p.control_mask is None else np.array(p.control_mask, dtype=float)
+            for p in self.populations
+        )
+        for mask in masks:
+            mask.flags.writeable = False
+        object.__setattr__(self, "_masks", masks)
 
     @property
     def n_populations(self) -> int:
@@ -249,8 +262,8 @@ class ModelSpec:
         return self.populations[pop]
 
     def mask(self, pop: int) -> np.ndarray:
-        cm = self.populations[pop].control_mask
-        return np.ones(self.d) if cm is None else np.asarray(cm, dtype=float)
+        """Population pop's control mask as a read-only array (ones when the control acts on every axis)."""
+        return self._masks[pop]
 
     def with_horizon(self, horizon: float) -> "ModelSpec":
         return replace(self, T=horizon)
@@ -263,21 +276,27 @@ def coupling_measure(views: Sequence):
 
 def _check_finite(arr: np.ndarray, ingredient: str, context: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         flat = arr.reshape(-1)
         j = int(np.argmin(np.isfinite(flat)))
         raise FloatingPointError(
-            f"{ingredient} produced non-finite value ({flat[j]!r}) in {context}"
+            f"{ingredient} produced non-finite value ({float(flat[j])!r}) in {context}"
         )
     return arr
 
 
 def cost_gradient_sum(model: ModelSpec, pop: int, x: np.ndarray, m) -> np.ndarray:
-    """Masked gradient of h + g/T at x, the quantity the best reply descends."""
+    """Masked gradient of h + g/T at x, the quantity the best reply descends.
+
+    A zero terminal cost and an all-ones mask are skipped: adding 0 can change
+    only the sign of a zero, and multiplying by 1 is exact.
+    """
     p = model.population(pop)
-    gh = _check_finite(p.running_cost.gradient(x, m), "grad h", "cost_gradient_sum")
-    gg = _check_finite(p.terminal_cost.gradient(x, m), "grad g", "cost_gradient_sum")
-    return model.mask(pop) * (gh + gg / model.T)
+    grad = _check_finite(p.running_cost.gradient(x, m), "grad h", "cost_gradient_sum")
+    if not is_zero(p.terminal_cost):
+        gg = _check_finite(p.terminal_cost.gradient(x, m), "grad g", "cost_gradient_sum")
+        grad = grad + gg / model.T
+    return grad if p.control_mask is None else model.mask(pop) * grad
 
 
 def brs_drift(model: ModelSpec, pop: int, t: float, x: np.ndarray, m) -> np.ndarray:

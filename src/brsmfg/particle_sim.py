@@ -20,7 +20,7 @@ import numpy as np
 
 from .brs import MpcConfig, control_batch, penalty_denominator
 from .measures import EmpiricalMeasure, GridDensity, leave_one_out, wasserstein_1d
-from .model import DriftFunction, ModelSpec, _check_finite, coupling_measure
+from .model import DriftFunction, ModelSpec, _check_finite, coupling_measure, is_zero
 
 __all__ = [
     "EnsembleState",
@@ -150,7 +150,12 @@ def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarra
 
 
 def _step_drift(f: DriftFunction, u: DriftFunction | None, pop: int) -> DriftFunction:
-    """f + u as one drift; its pairwise kernel exists when both declare theirs."""
+    """f + u as one drift; its pairwise kernel exists when both declare theirs.
+
+    A zero f is skipped: adding it can change only the sign of a zero.
+    """
+    if u is not None and is_zero(f):
+        return u
 
     def value(x, m):
         total = _check_finite(f.value(x, m), "drift f", f"step pop {pop}")
@@ -186,6 +191,7 @@ def em_step(
         raise ValueError(f"coupling must be one of {COUPLINGS}")
     views = _measure_views(state)
     noises = [rng.standard_normal(p.shape) for p in state.positions]
+    sqrt_dt = np.sqrt(dt)
     new_positions = []
     for pop in range(model.n_populations):
         pmod = model.population(pop)
@@ -198,8 +204,8 @@ def em_step(
         sig = _check_finite(
             pmod.diffusion.value(state.t, pts), "diffusion sigma", f"step pop {pop}"
         )
-        new = pts + total * dt + sig * np.sqrt(dt) * noises[pop]
-        if not np.all(np.isfinite(new)):
+        new = pts + total * dt + sig * sqrt_dt * noises[pop]
+        if not np.isfinite(new).all():
             bad = int(np.argwhere(~np.isfinite(new).all(axis=1))[0, 0])
             raise FloatingPointError(f"non-finite update for pop {pop} particle {bad}")
         new_positions.append(_reflect(new, pmod.reflect_lower))
@@ -216,21 +222,24 @@ def best_reply(model: ModelSpec, mpc: MpcConfig):
     """The finite-window best reply as an :func:`em_step` control.
 
     u = -mask * grad(h + g/T) / (alpha + dt * alpha_dot), with the pairwise
-    kernel of u when both costs h and g declare theirs.
+    kernel of u when both costs h and g declare theirs. Only the denominator
+    depends on t; the kernels of mask * grad(h + g/T) are built once.
     """
+
+    def kernel(p, mask):
+        kh, kg = p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
+        if kh is None or kg is None:
+            return None
+        return lambda x, y: mask * (kh(x, y) + kg(x, y) / model.T)
+
+    kernels = [kernel(model.population(pop), model.mask(pop)) for pop in range(model.n_populations)]
 
     def control(pop: int, t: float) -> DriftFunction:
         denom = penalty_denominator(model, pop, t, mpc)
-        p = model.population(pop)
-        kh, kg = p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
-        mask = model.mask(pop)
-
-        def pair(x, y):
-            return -(mask * (kh(x, y) + kg(x, y) / model.T)) / denom
-
+        k = kernels[pop]
         return DriftFunction(
             lambda x, m: control_batch(model, pop, t, x, m, denom),
-            None if kh is None or kg is None else pair,
+            None if k is None else (lambda x, y: -k(x, y) / denom),
         )
 
     return control
@@ -289,6 +298,7 @@ def propagation_of_chaos_study(
     n_list,
     reference,
     seeds,
+    mpc: MpcConfig | None = None,
 ) -> list[ChaosRow]:
     """Terminal 1-Wasserstein gap between particle clouds and a PDE reference.
 
@@ -296,6 +306,7 @@ def propagation_of_chaos_study(
     ``density(k, pop)`` accessor, e.g. the finite-volume solver's output) that
     must contain the simulation's final time on its own grid of record times.
     Returns one row per N with the mean and standard deviation over seeds.
+    ``mpc`` is the best reply's window, as for :func:`simulate_brs_nplayer`.
     """
     if model.d != 1:
         raise ValueError("the W1 study metric is one-dimensional")
@@ -310,7 +321,7 @@ def propagation_of_chaos_study(
         vals = []
         for seed in seeds:
             cfg = replace(cfg_base, n_particles=int(n), seed=int(seed))
-            rec = simulate_brs_nplayer(model, cfg)
+            rec = simulate_brs_nplayer(model, cfg, mpc)
             emp = rec.final().empirical(0)
             vals.append(wasserstein_1d(emp, ref_density, p=1))
         vals = np.asarray(vals)

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from brsmfg.applications import WealthParams
+from brsmfg.brs import penalty_denominator
 from brsmfg.fokker_planck import NumericalError, _normalize_boundary
 from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity
 from brsmfg.model import (
@@ -19,8 +20,10 @@ from brsmfg.model import (
     ModelSpec,
     PopulationModel,
     brs_drift,
+    coupling_measure,
     product_law,
 )
+from brsmfg.particle_sim import _leave_one_out_eval, _reflect
 
 
 def gaussian_law(mean: float = 0.0, std: float = 0.5) -> InitialLaw:
@@ -305,3 +308,45 @@ def fpk_solve_oracle(model, fields, t_final, record_times, boundary="no_flux", v
             values.append(np.stack([f.values for f in fields]))
     report = {"mass_drift_max": mass_drift, "min_density": min_density, "n_steps": float(steps)}
     return np.asarray(times), np.asarray(values), report
+
+
+# ---------------------------------------------------------------------------
+# Reference particle step: the straightforward composition of the best-reply
+# drift, which evaluates every ingredient (zero ones included), multiplies by
+# the control mask even when it is all ones, and rebuilds the mask and the
+# pairwise kernel every step. ``em_step`` under ``best_reply`` must reproduce
+# it exactly.
+# ---------------------------------------------------------------------------
+
+
+def em_step_oracle(model, state, dt, noises, coupling, mpc):
+    """Positions per population after one best-reply Euler-Maruyama step with the given noise blocks."""
+    views = tuple(EmpiricalMeasure(p) for p in state.positions)
+    new_positions = []
+    for pop in range(model.n_populations):
+        p = model.population(pop)
+        pts = state.positions[pop]
+        denom = penalty_denominator(model, pop, state.t, mpc)
+        cm = p.control_mask
+        mask = np.ones(model.d) if cm is None else np.asarray(cm, dtype=float)
+        h, g, f = p.running_cost, p.terminal_cost, p.drift
+
+        def value(x, m, f=f, h=h, g=g, mask=mask, denom=denom):
+            grad = mask * (np.asarray(h.gradient(x, m), dtype=float) + np.asarray(g.gradient(x, m), dtype=float) / model.T)
+            return np.asarray(f.value(x, m), dtype=float) + -grad / denom
+
+        kf, kh, kg = f.pair_value, h.pair_gradient, g.pair_gradient
+        pair = None
+        if kf is not None and kh is not None and kg is not None:
+
+            def pair(x, y, kf=kf, kh=kh, kg=kg, mask=mask, denom=denom):
+                return kf(x, y) + -(mask * (kh(x, y) + kg(x, y) / model.T)) / denom
+
+        if coupling == "full_empirical":
+            total = value(pts, coupling_measure(views))
+        else:
+            total = _leave_one_out_eval(value, pair, pts, views, pop)
+        sig = np.asarray(p.diffusion.value(state.t, pts), dtype=float)
+        new = pts + total * dt + sig * np.sqrt(dt) * noises[pop]
+        new_positions.append(_reflect(new, p.reflect_lower))
+    return tuple(new_positions)

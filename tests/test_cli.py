@@ -58,12 +58,28 @@ class TestConfig:
             ("simulate", "sim.n_particles=1", "two particles"),
             ("simulate", "sim.dt=10", "MPC window"),
             ("fpk", "model.preset=crowd", "crowd.sigma"),
+            ("chaos-study", "chaos.n_values=1,10", "two particles"),
+            ("chaos-study", "sim.dt=10", "MPC window"),
         ],
     )
     def test_rejected_value_is_a_config_error(self, tmp_path, capsys, subcommand, override, message):
         assert main([subcommand, "--set", override, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+
+    @pytest.mark.parametrize(
+        "subcommand, key",
+        [
+            ("wealth", "model.sigma=2"),
+            ("crowd", "model.T=1"),
+            ("chaos-study", "sim.seed=3"),
+            ("chaos-study", "sim.n_particles=10"),
+        ],
+    )
+    def test_keys_the_run_does_not_read_are_unknown(self, tmp_path, capsys, subcommand, key):
+        assert main([subcommand, "--set", key, "--out", str(tmp_path / "x")]) == 2
+        assert f"unknown config key: {key.partition('=')[0]}" in capsys.readouterr().err
 
 
 SMALL_FPK = [

@@ -10,8 +10,10 @@ from brsmfg.measures import EmpiricalMeasure
 from brsmfg.model import (
     ControlPenalty,
     CostFunction,
+    DiffusionFunction,
     DriftFunction,
     brs_drift,
+    is_zero,
     validate_assumptions,
 )
 from brsmfg.presets import lq_model, mean_coupling_model, ou_model
@@ -33,6 +35,30 @@ def preset_models():
         "wealth": build_wealth_model(WealthParams()),
         "crowd": build_crowd_model(CrowdParams()),
     }
+
+
+class TestDeclaredStructure:
+    def test_zero_ingredients_are_declared(self):
+        assert is_zero(CostFunction.zero(1)) and is_zero(DriftFunction.zero(2))
+        assert not is_zero(quadratic_cost())
+        assert not is_zero(CostFunction(CostFunction.zero(1).value, CostFunction.zero(1).gradient))
+
+    def test_constant_diffusion_returns_fresh_writable_arrays(self):
+        fn = DiffusionFunction.constant([0.5, 2.0])
+        x = np.zeros((3, 2))
+        a, b = fn.value(0.0, x), fn.value(0.0, x)
+        assert np.array_equal(a, np.broadcast_to([0.5, 2.0], (3, 2)))
+        a[0, 0] = 7.0
+        assert b[0, 0] == 0.5
+        assert np.array_equal(fn.value(0.0, x[0]), [0.5, 2.0])
+
+    def test_masks_are_built_once_and_read_only(self):
+        model = build_wealth_model(WealthParams())
+        mask = model.mask(0)
+        assert mask is model.mask(0) and not mask.flags.writeable
+        assert np.array_equal(mask, [0.0, 1.0])
+        assert np.array_equal(ou_model().mask(0), [1.0])
+        assert np.array_equal(ou_model().with_horizon(2.0).mask(0), [1.0])
 
 
 class TestGradientConsistency:

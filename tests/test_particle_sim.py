@@ -1,5 +1,7 @@
 """Particle system: integrator contract, determinism, couplings, chaos metrics."""
 
+import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,15 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import FixedNoise, point_law, quadratic_cost, rk4, scalar_model
+from _helpers import FixedNoise, em_step_oracle, gaussian_law, point_law, quadratic_cost, rk4, scalar_model
 
 import brsmfg.particle_sim as particle_sim
 from brsmfg.applications import WealthParams, build_wealth_model
 from brsmfg.brs import MpcConfig, brs_control_finite
 from brsmfg.fokker_planck import FpkConfig, solve_fpk
 from brsmfg.measures import EmpiricalMeasure, Grid, leave_one_out, wasserstein_1d
-from brsmfg.model import CostFunction, DriftFunction
+from brsmfg.model import (
+    ControlPenalty,
+    CostFunction,
+    DiffusionFunction,
+    DriftFunction,
+    ModelSpec,
+    PopulationModel,
+)
 from brsmfg.particle_sim import (
+    COUPLINGS,
     EnsembleState,
     SimConfig,
     best_reply,
@@ -77,6 +87,183 @@ class TestEmStep:
         a = em_step(model, EnsembleState((pts,), 0.0, 0), 0.1, FixedNoise([noise]))
         b = em_step(model, EnsembleState((pts[perm],), 0.0, 0), 0.1, FixedNoise([noise[perm]]))
         assert np.array_equal(a.positions[0][perm], b.positions[0])
+
+
+def without_kernels(model):
+    """The same model with every pairwise-kernel declaration removed."""
+    pops = tuple(
+        replace(
+            p,
+            drift=replace(p.drift, pair_value=None),
+            running_cost=replace(p.running_cost, pair_gradient=None),
+            terminal_cost=replace(p.terminal_cost, pair_gradient=None),
+        )
+        for p in model.populations
+    )
+    return replace(model, populations=pops)
+
+
+def pull(coef: float):
+    """coef * (x - mean of population 0's measure) + x / 2, with its pairwise kernel coef * (x - y) + x / 2.
+
+    The local term x / 2 makes the kernel's self-interaction k(x, x) non-zero.
+    """
+
+    def value(x, m):
+        x = np.asarray(x, dtype=float)
+        m0 = m[0] if isinstance(m, tuple) else m
+        return coef * (x - m0.mean()) + 0.5 * x
+
+    def kernel(x, y):
+        x = np.asarray(x, dtype=float)
+        return coef * (x - np.asarray(y, dtype=float)) + 0.5 * x
+
+    return value, kernel
+
+
+def pull_cost(coef: float, d: int) -> CostFunction:
+    if coef == 0.0:
+        return CostFunction.zero(d)
+    grad, kernel = pull(coef)
+    return CostFunction(value=lambda x, m: np.zeros(np.shape(x)[:-1]), gradient=grad, pair_gradient=kernel)
+
+
+def pull_drift(coef: float, d: int) -> DriftFunction:
+    if coef == 0.0:
+        return DriftFunction.zero(d)
+    return DriftFunction(*pull(coef))
+
+
+def step_model(d, n_pops, f_coef, g_coef, mask, floors, T=0.7):
+    pop = PopulationModel(
+        drift=pull_drift(f_coef, d),
+        running_cost=pull_cost(1.1, d),
+        terminal_cost=pull_cost(g_coef, d),
+        penalty=ControlPenalty(alpha=lambda t: 1.5 + t, alpha_dot=lambda t: 1.0),
+        diffusion=DiffusionFunction.constant([0.4] * d),
+        initial_law=gaussian_law(),
+        control_mask=mask,
+        reflect_lower=(-0.1,) + (None,) * (d - 1) if floors else None,
+    )
+    return ModelSpec(d=d, T=T, populations=(pop,) * n_pops)
+
+
+class TestStepOracle:
+    # every combination is run on each drawn cloud: (d, control mask), populations,
+    # zero or non-zero f and g, reflection floors, coupling, declared kernels or not
+    STRUCTURES = list(
+        itertools.product(
+            [(1, None), (2, None), (2, (1.0, 0.0))],
+            [1, 2],
+            [0.0, -0.7],
+            [0.0, 1.3],
+            [False, True],
+            COUPLINGS,
+            [True, False],
+        )
+    )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        t=st.floats(0.0, 0.5),
+        use_alpha_dot=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_best_reply_step_matches_reference_composition(self, n, t, use_alpha_dot, seed):
+        mpc = MpcConfig(dt=0.05, use_alpha_dot=use_alpha_dot)
+        rng = np.random.default_rng(seed)
+        for (d, mask), n_pops, f_coef, g_coef, floors, coupling, kernels in self.STRUCTURES:
+            model = step_model(d, n_pops, f_coef, g_coef, mask, floors)
+            if not kernels:
+                model = without_kernels(model)
+            state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), t, 0)
+            noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
+            out = em_step(model, state, 0.05, FixedNoise(noises), coupling, best_reply(model, mpc))
+            want = em_step_oracle(model, state, 0.05, noises, coupling, mpc)
+            for got, ref in zip(out.positions, want):
+                assert np.array_equal(got, ref)
+
+
+def nonfinite_at(row: int, bad: float = np.inf):
+    """An ingredient value (x, m) -> x, with ``bad`` in the given row."""
+
+    def value(x, m):
+        out = np.array(x, dtype=float)
+        out[row] = bad
+        return out
+
+    return value
+
+
+class TestNamedStepFailures:
+    def two_pop_step(self, pop1, dt=0.1):
+        """One best-reply step of a two-population model whose population 1 is ``pop1``."""
+        pop0 = step_model(1, 1, 0.0, 0.0, None, False).population(0)
+        model = ModelSpec(d=1, T=1.0, populations=(pop0, pop1))
+        pts = np.array([[0.1], [0.2], [0.3]])
+        state = EnsembleState((pts, pts.copy()), 0.0, 0)
+        em_step(model, state, dt, np.random.default_rng(0), "full_empirical", best_reply(model, MpcConfig(dt=0.01)))
+
+    @pytest.mark.parametrize(
+        "field, ingredient, message",
+        [
+            ("drift", DriftFunction(nonfinite_at(2)), "drift f produced non-finite value (inf) in step pop 1"),
+            (
+                "running_cost",
+                CostFunction(value=None, gradient=nonfinite_at(2, np.nan)),
+                "grad h produced non-finite value (nan) in cost_gradient_sum",
+            ),
+            (
+                "terminal_cost",
+                CostFunction(value=None, gradient=nonfinite_at(2)),
+                "grad g produced non-finite value (inf) in cost_gradient_sum",
+            ),
+            (
+                "diffusion",
+                DiffusionFunction(lambda t, x: nonfinite_at(2, -np.inf)(x, None)),
+                "diffusion sigma produced non-finite value (-inf) in step pop 1",
+            ),
+        ],
+    )
+    def test_ingredient_is_named(self, field, ingredient, message):
+        pop1 = replace(step_model(1, 1, 0.0, 0.0, None, False).population(0), **{field: ingredient})
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            self.two_pop_step(pop1)
+
+    def test_nonfinite_update_names_population_and_particle(self):
+        def huge(x, m):
+            out = np.zeros(np.shape(x))
+            out[2] = 1e308
+            return out
+
+        pop1 = replace(step_model(1, 1, 0.0, 0.0, None, False).population(0), drift=DriftFunction(huge))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="^non-finite update for pop 1 particle 2$"):
+            self.two_pop_step(pop1, dt=10.0)
+
+
+class TestPermutationEquivariance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        preset=st.sampled_from(["ou", "mean_coupling"]),
+        coupling=st.sampled_from(COUPLINGS),
+        kernels=st.booleans(),
+        n=st.integers(2, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuting_particles_permutes_the_step(self, preset, coupling, kernels, n, seed):
+        model = ou_model(T=1.0) if preset == "ou" else mean_coupling_model(strength=2.0)
+        if not kernels:
+            model = without_kernels(model)
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-5.0, 5.0, (n, 1))
+        noise = rng.standard_normal((n, 1))
+        perm = rng.permutation(n)
+        control = best_reply(model, MpcConfig(dt=0.1))
+        a = em_step(model, EnsembleState((pts,), 0.0, 0), 0.1, FixedNoise([noise]), coupling, control)
+        b = em_step(model, EnsembleState((pts[perm],), 0.0, 0), 0.1, FixedNoise([noise[perm]]), coupling, control)
+        # the measure's mean sums the points in another order: a few ulps of |x| <= 5
+        np.testing.assert_allclose(b.positions[0], a.positions[0][perm], rtol=0.0, atol=1e-12)
 
 
 class TestSimulate:
@@ -160,20 +347,6 @@ class TestSimulate:
         bad = EnsembleState(positions=(np.array([[np.nan]]),), t=0.0, seed=0)
         with pytest.raises(FloatingPointError, match="non-finite"):
             bad.check()
-
-
-def without_kernels(model):
-    """The same model with every pairwise-kernel declaration removed."""
-    pops = tuple(
-        replace(
-            p,
-            drift=replace(p.drift, pair_value=None),
-            running_cost=replace(p.running_cost, pair_gradient=None),
-            terminal_cost=replace(p.terminal_cost, pair_gradient=None),
-        )
-        for p in model.populations
-    )
-    return replace(model, populations=pops)
 
 
 @pytest.fixture
@@ -294,6 +467,22 @@ class TestChaosStudy:
         sem10 = vals[:10].std(ddof=1) / np.sqrt(10)
         sem40 = vals.std(ddof=1) / np.sqrt(40)
         assert sem10 / sem40 == pytest.approx(2.0, rel=0.3)
+
+    def test_window_config_reaches_every_run(self, reference):
+        _, path = reference
+        # alpha_dot != 0, so dropping the dt * alpha_dot term changes the control
+        model = scalar_model(h=quadratic_cost(), alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0)
+        cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=30, seed=4, record_every=1000)
+        values = {}
+        for use_alpha_dot in (True, False):
+            mpc = MpcConfig(dt=0.05, use_alpha_dot=use_alpha_dot)
+            rows = propagation_of_chaos_study(model, cfg, [30], path, seeds=[4], mpc=mpc)
+            emp = simulate_brs_nplayer(model, cfg, mpc).final().empirical(0)
+            assert rows[0].values[0] == wasserstein_1d(emp, path.final(0), p=1)
+            values[use_alpha_dot] = rows[0].values[0]
+        assert values[True] != values[False]
+        default = propagation_of_chaos_study(model, cfg, [30], path, seeds=[4])
+        assert default[0].values[0] == values[True]
 
     def test_mismatched_time_grid_rejected(self, reference):
         model, path = reference
