@@ -81,22 +81,27 @@ _CROWD_MODEL = {
 _SIM = {
     "sim.dt": "0.001",
     "sim.t_final": "auto",
-    "sim.record_every": "100",
     "sim.coupling": "full_empirical",
-    "sim.use_alpha_dot": "true",
 }
 
-# one particle run's size and seed; chaos-study sets them per run
+# one particle run's size, seed and snapshots; chaos-study sets the size and
+# seed per run and reads only the final snapshot
 _SIM_RUN = {
     "sim.n_particles": "1000",
     "sim.seed": "0",
+    "sim.record_every": "100",
 }
 
-_FPK_1D = {
+# the grid of every one-dimensional subcommand
+_GRID_1D = {
     "fpk.xmin": "-6.0",
     "fpk.xmax": "6.0",
     "fpk.cells": "400",
-    "fpk.t_final": "auto",
+}
+
+# the time stepping of a forward solve to the run's horizon; the MFG solvers
+# step on their own
+_FPK_STEPPING = {
     "fpk.cfl_safety": "0.9",
     "fpk.n_records": "8",
     "fpk.boundary": "no_flux",
@@ -138,14 +143,6 @@ class RunConfig:
             return int(self.str_(key))
         except ValueError as exc:
             raise ConfigError(f"key {key}: expected an integer, got {self.values[key]!r}") from exc
-
-    def bool_(self, key: str) -> bool:
-        v = self.str_(key).strip().lower()
-        if v in ("true", "1", "yes"):
-            return True
-        if v in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key {key}: expected true/false, got {self.values[key]!r}")
 
     def floats(self, key: str) -> list[float]:
         try:
@@ -305,18 +302,20 @@ def _picard_config(cfg: RunConfig) -> PicardConfig:
     )
 
 
-def _sim_config(cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int) -> tuple[SimConfig, MpcConfig]:
+def _sim_config(
+    cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int, record_every: int
+) -> tuple[SimConfig, MpcConfig]:
     """The ``sim.*`` keys as a particle run and its best-reply window."""
     sim = SimConfig(
         dt=cfg.float_("sim.dt"),
         t_final=cfg.auto_float("sim.t_final", model.T),
         n_particles=n_particles,
         seed=seed,
-        record_every=cfg.int_("sim.record_every"),
+        record_every=record_every,
         coupling=cfg.str_("sim.coupling"),
         workers=cfg.int_("run.workers"),
     )
-    mpc = MpcConfig(dt=sim.dt, use_alpha_dot=cfg.bool_("sim.use_alpha_dot"))
+    mpc = MpcConfig(dt=sim.dt)
     mpc.validate(model.T)
     return sim, mpc
 
@@ -353,7 +352,9 @@ Report = tuple[int, list[tuple[str, object]]]
 def _run_simulate(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model = _model(cfg)
-        sim, mpc = _sim_config(cfg, model, cfg.int_("sim.n_particles"), cfg.int_("sim.seed"))
+        sim, mpc = _sim_config(
+            cfg, model, cfg.int_("sim.n_particles"), cfg.int_("sim.seed"), cfg.int_("sim.record_every")
+        )
     rec = simulate_brs_nplayer(model, sim, mpc)
     final = rec.final()
     write_empirical_csv(out / "particles_final.csv", [final.empirical(p) for p in range(model.n_populations)])
@@ -428,14 +429,18 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model, grid = _model_1d(cfg, "chaos-study")
         n_values = cfg.ints("chaos.n_values")
+        if len(n_values) < 2:
+            raise ConfigError("key chaos.n_values: strictly_decreasing needs at least two particle counts")
         seed0 = cfg.int_("chaos.seed0")
-        # the study sets each run's particle count and seed; the smallest count is checked here
-        sim, mpc = _sim_config(cfg, model, min(n_values, default=2), seed0)
+        # the study sets each run's particle count and seed, and reads only its
+        # final snapshot; the smallest count is checked here
+        sim, mpc = _sim_config(cfg, model, min(n_values), seed0, record_every=sys.maxsize)
         fpk = _fpk_config(cfg, "fpk", sim.t_final)
         m0 = _initial_density(model, grid)
     reference = solve_fpk(model, m0, fpk)
     seeds = [seed0 + k for k in range(cfg.int_("chaos.n_seeds"))]
-    rows = propagation_of_chaos_study(model, sim, n_values, reference, seeds, mpc)
+    with _building():
+        rows = propagation_of_chaos_study(model, sim, n_values, reference, seeds, mpc)
     write_csv(
         out / "chaos.csv",
         ["n_particles", "mean_w1", "std_w1"],
@@ -454,7 +459,7 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
 def _run_mpc_order(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model, grid = _model_1d(cfg, "mpc-order")
-    res = mpc_reduction_check(model, grid, cfg.floats("mpc.dt_values"))
+        res = mpc_reduction_check(model, grid, cfg.floats("mpc.dt_values"))
     res.write_csv(out / "orders.csv")
     entries: list[tuple[str, object]] = [("fitted_order", res.fitted_order)]
     for dt, err in res.rows:
@@ -511,22 +516,23 @@ def _run_crowd(cfg: RunConfig, out: Path) -> Report:
 # subcommand -> (config defaults, runner)
 SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]]] = {
     "simulate": ({**_MODEL, **_RUN, **_WEALTH_MODEL, **_CROWD_MODEL, **_SIM, **_SIM_RUN}, _run_simulate),
-    "fpk": ({**_MODEL, **_RUN, **_FPK_1D}, _run_fpk),
-    "mfg": ({**_MODEL, **_RUN, **_FPK_1D, **_MFG}, _run_mfg),
-    "compare": ({**_MODEL, **_RUN, **_FPK_1D, **_MFG}, _run_compare),
+    "fpk": ({**_MODEL, **_RUN, **_GRID_1D, **_FPK_STEPPING, "fpk.t_final": "auto"}, _run_fpk),
+    "mfg": ({**_MODEL, **_RUN, **_GRID_1D, **_MFG}, _run_mfg),
+    "compare": ({**_MODEL, **_RUN, **_GRID_1D, **_MFG}, _run_compare),
     "chaos-study": (
         {
             **_MODEL,
             **_RUN,
             **_SIM,
-            **_FPK_1D,
+            **_GRID_1D,
+            **_FPK_STEPPING,
             "chaos.n_values": "250,1000,4000",
             "chaos.n_seeds": "20",
             "chaos.seed0": "0",
         },
         _run_chaos,
     ),
-    "mpc-order": ({**_MODEL, **_RUN, **_FPK_1D, "mpc.dt_values": "0.1,0.05,0.025,0.0125"}, _run_mpc_order),
+    "mpc-order": ({**_MODEL, **_RUN, **_GRID_1D, "mpc.dt_values": "0.1,0.05,0.025,0.0125"}, _run_mpc_order),
     "wealth": (
         {
             **_RUN,

@@ -36,6 +36,7 @@ __all__ = [
 
 BOUNDARIES = ("no_flux", "absorbing")
 MIN_CELLS = 8
+MAX_STEPS = 5_000_000
 
 
 class NumericalError(RuntimeError):
@@ -46,28 +47,27 @@ class NumericalError(RuntimeError):
 class FpkConfig:
     """Time-stepping controls for :func:`solve_fpk`.
 
-    The internal step is re-bounded every step by the positivity/CFL limit of
-    the current drift and diffusion (see :func:`stable_dt`), scaled by
-    ``cfl_safety``, and chopped so snapshots land exactly on the requested
-    record times (``record_times`` if given, else every ``record_every``-th
-    internal step plus the final time).
+    The solve runs from t = 0 to ``t_final``. The internal step is re-bounded
+    every step by the positivity/CFL limit of the current drift and diffusion
+    (see :func:`stable_dt`), scaled by ``cfl_safety``, and chopped so snapshots
+    land exactly on ``record_times``: strictly increasing times in
+    [0, t_final] that end at ``t_final``. ``None`` records (0, t_final).
     """
 
     t_final: float
     cfl_safety: float = 0.9
     boundary: str | Sequence = "no_flux"
-    t0: float = 0.0
     record_times: tuple[float, ...] | None = None
-    record_every: int = 1
-    max_steps: int = 5_000_000
 
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.t_final <= self.t0:
-            raise ValueError("t_final must exceed t0")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if self.t_final <= 0.0:
+            raise ValueError("t_final must be positive")
+        if self.record_times is not None:
+            r = np.asarray(self.record_times, dtype=float)
+            if not (r.size and r[0] >= -1e-12 and abs(r[-1] - self.t_final) <= 1e-12 and np.all(np.diff(r) > 0)):
+                raise ValueError("record_times must increase strictly within [0, t_final] and end at t_final")
         # validates the labels; solve_fpk checks the axis count against the grid
         _normalize_boundary(self.boundary, 1 if isinstance(self.boundary, str) else len(self.boundary))
 
@@ -320,56 +320,32 @@ def solve_fpk(
         if abs(f.mass - 1.0) > 1e-8:
             raise ValueError(f"initial density mass {f.mass} != 1")
 
-    if cfg.record_times is not None:
-        record = np.asarray(cfg.record_times, dtype=float)
-        if record[0] < cfg.t0 - 1e-12 or record[-1] > cfg.t_final + 1e-12:
-            raise ValueError("record_times must lie within [t0, t_final]")
-    else:
-        record = None
-
+    record = np.asarray((0.0, cfg.t_final) if cfg.record_times is None else cfg.record_times, dtype=float)
     bpairs = _normalize_boundary(cfg.boundary, grid.dim)
-    t = cfg.t0
+    t = 0.0
     times = [t]
     values = [np.stack([f.values for f in fields])]
     mass0 = [f.mass for f in fields]
     mass_drift = 0.0
     min_density = min(f.min_value for f in fields)
     boundary_mass = _boundary_mass_fraction(fields[0].values, grid)
-    next_record_idx = 0
-    if record is not None and abs(record[0] - t) <= 1e-12:
-        next_record_idx = 1
 
     steps = 0
-    while t < cfg.t_final - 1e-13:
-        asm = _assemble(model, fields, t, velocity, bpairs)
-        drain = max(a.max_drain for a in asm)
-        dt = cfg.t_final - t if drain <= 0.0 else cfg.cfl_safety / drain
-        dt = min(dt, cfg.t_final - t)
-        if record is not None and next_record_idx < record.size:
-            dt = min(dt, record[next_record_idx] - t)
-        fields = _apply(fields, asm, dt)
-        t += dt
-        steps += 1
-        if steps > cfg.max_steps:
-            raise NumericalError(f"exceeded max_steps={cfg.max_steps} before t_final")
-        min_density = min(min_density, min(f.min_value for f in fields))
-        mass_drift = max(mass_drift, max(abs(f.mass - m) for f, m in zip(fields, mass0)))
-        do_record = False
-        if record is not None:
-            if next_record_idx < record.size and abs(t - record[next_record_idx]) <= 1e-12:
-                do_record = True
-                next_record_idx += 1
-        else:
-            do_record = steps % cfg.record_every == 0 or t >= cfg.t_final - 1e-13
-        if do_record:
-            times.append(t)
-            values.append(np.stack([f.values for f in fields]))
-            boundary_mass = max(
-                boundary_mass, max(_boundary_mass_fraction(f.values, grid) for f in fields)
-            )
-    if abs(times[-1] - cfg.t_final) > 1e-12 and (record is None or record[-1] >= cfg.t_final - 1e-12):
+    for target in record[1:] if record[0] <= 1e-12 else record:
+        while t < target - 1e-12:
+            asm = _assemble(model, fields, t, velocity, bpairs)
+            drain = max(a.max_drain for a in asm)
+            dt = target - t if drain <= 0.0 else min(cfg.cfl_safety / drain, target - t)
+            fields = _apply(fields, asm, dt)
+            t += dt
+            steps += 1
+            if steps > MAX_STEPS:
+                raise NumericalError(f"exceeded max_steps={MAX_STEPS} before t_final")
+            min_density = min(min_density, min(f.min_value for f in fields))
+            mass_drift = max(mass_drift, max(abs(f.mass - m) for f, m in zip(fields, mass0)))
         times.append(t)
         values.append(np.stack([f.values for f in fields]))
+        boundary_mass = max(boundary_mass, max(_boundary_mass_fraction(f.values, grid) for f in fields))
     report = {
         "mass_drift_max": mass_drift,
         "min_density": min_density,

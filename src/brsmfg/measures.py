@@ -199,9 +199,6 @@ class GridDensity:
     def dim(self) -> int:
         return self.grid.dim
 
-    def with_values(self, values: np.ndarray) -> "GridDensity":
-        return GridDensity(self.grid, values)
-
     def mean(self) -> np.ndarray:
         mids = self.grid.midpoint_mesh()
         w = self.values[..., None] * self.grid.cell_volume

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _BLOWUP_FACTOR = 1e6
+# fraction of the HJB substep bound taken per substep
+_CFL_SAFETY = 0.9
+# HJB time slices per window in mpc_reduction_check
+_WINDOW_SLICES = 4
 
 
 @dataclass(frozen=True)
@@ -144,14 +148,14 @@ def hjb_backward(
     density_path: DensityPath,
     grid: Grid,
     n_t: int,
-    cfl_safety: float = 0.9,
 ) -> ValueField:
     """March the value function from w(T) = g back to t = 0.
 
-    Explicit in time with internal substeps bounded by the parabolic limit of
-    sigma^2 and an advective limit from |f| + |grad w|/alpha; the stored
-    slices live on the uniform grid of ``n_t + 1`` times. The density path
-    must cover [0, T]; it is interpolated linearly at substep times.
+    Explicit in time with internal substeps of 0.9 times the stable bound from
+    the parabolic limit of sigma^2 and an advective limit from
+    |f| + |grad w|/alpha; the stored slices live on the uniform grid of
+    ``n_t + 1`` times. The density path must cover [0, T]; it is interpolated
+    linearly at substep times.
     """
     pmod = _require_scalar_1d(model, grid)
     if density_path.grid != grid:
@@ -180,7 +184,7 @@ def hjb_backward(
             rhs = h + f * grad + 0.5 * sig2 * lap - grad**2 / (2.0 * alpha)
             speed = float(np.abs(f).max() + np.abs(grad).max() / alpha)
             denom = speed / dx + float(sig2.max()) / dx**2
-            delta = (tau - t_lo) if denom <= 0.0 else min(cfl_safety / denom, tau - t_lo)
+            delta = (tau - t_lo) if denom <= 0.0 else min(_CFL_SAFETY / denom, tau - t_lo)
             w = w + delta * rhs
             tau -= delta
             if not np.all(np.isfinite(w)) or np.abs(w).max() > _BLOWUP_FACTOR * scale:
@@ -226,7 +230,6 @@ def solve_mfg_picard(
     grid: Grid,
     n_t: int,
     cfg: PicardConfig | None = None,
-    cfl_safety: float = 0.9,
 ) -> MfgSolution:
     """Damped Picard alternation of the backward HJB and forward continuity PDE.
 
@@ -238,7 +241,7 @@ def solve_mfg_picard(
     if abs(m0.mass - 1.0) > 1e-8:
         raise ValueError(f"initial density mass {m0.mass} != 1")
     times = np.linspace(0.0, model.T, n_t + 1)
-    fpk_cfg = FpkConfig(t_final=model.T, record_times=tuple(times), cfl_safety=cfl_safety)
+    fpk_cfg = FpkConfig(t_final=model.T, record_times=tuple(times))
     input_path = constant_path(grid, m0, times)
     prev_new: DensityPath | None = None
     residuals: list[float] = []
@@ -247,7 +250,7 @@ def solve_mfg_picard(
     new_path = input_path
     vol = grid.cell_volume
     for _ in range(cfg.max_iters):
-        value = hjb_backward(model, input_path, grid, n_t, cfl_safety=cfl_safety)
+        value = hjb_backward(model, input_path, grid, n_t)
         new_path = solve_fpk(model, m0, fpk_cfg, velocity=_mfg_velocity(model, value, grid))
         ref = input_path if prev_new is None else prev_new
         res = float(
@@ -276,8 +279,6 @@ def mpc_reduction_check(
     model: ModelSpec,
     grid: Grid,
     dt_list: Sequence[float],
-    n_t_window: int = 4,
-    cfl_safety: float = 0.9,
 ) -> ReductionResult:
     """Error of the surrogate value (h + g/T) against the window HJB solve.
 
@@ -287,6 +288,8 @@ def mpc_reduction_check(
     reported together with the least-squares slope on the log-log points.
     """
     dt_list = list(dt_list)
+    if len(dt_list) < 2:
+        raise ValueError("dt_list needs at least two window sizes to fit an order")
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ValueError("dt_list must be strictly decreasing")
     pmod = _require_scalar_1d(model, grid)
@@ -315,7 +318,7 @@ def mpc_reduction_check(
         )
         window_model = ModelSpec(d=1, T=dt, populations=(window_pop,))
         frozen = constant_path(grid, m_ref, np.array([0.0, dt]))
-        w = hjb_backward(window_model, frozen, grid, n_t_window, cfl_safety=cfl_safety)
+        w = hjb_backward(window_model, frozen, grid, _WINDOW_SLICES)
         err = float(np.abs(w.values[0] - surrogate).max())
         rows.append((float(dt), err))
     errs = np.array([r[1] for r in rows])

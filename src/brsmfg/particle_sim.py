@@ -14,7 +14,7 @@ by player.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,14 +44,13 @@ class EnsembleState:
     t: float
     seed: int
     step_index: int = 0
-    t0: float = 0.0
 
     def check(self, dt: float | None = None) -> None:
         for pts in self.positions:
             if not np.all(np.isfinite(pts)):
                 raise FloatingPointError("ensemble contains non-finite positions")
         if dt is not None:
-            if abs(self.step_index * dt - (self.t - self.t0)) > 1e-12 * max(1.0, abs(self.t)):
+            if abs(self.step_index * dt - self.t) > 1e-12 * max(1.0, abs(self.t)):
                 raise ValueError("step_index * dt inconsistent with elapsed time")
 
     def empirical(self, pop: int = 0) -> EmpiricalMeasure:
@@ -60,21 +59,26 @@ class EnsembleState:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One particle run from t = 0 to ``t_final`` in steps of ``dt``.
+
+    Snapshots are kept every ``record_every`` steps, plus the initial and the
+    final state.
+    """
+
     dt: float
     t_final: float
     n_particles: int
     seed: int
     record_every: int = 1
     coupling: str = "full_empirical"
-    t0: float = 0.0
     # accepted for compatibility; has no effect (steps run serially)
     workers: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.t_final <= self.t0:
-            raise ValueError("t_final must exceed t0")
+        if self.t_final <= 0.0:
+            raise ValueError("t_final must be positive")
         if self.n_particles < 2:
             raise ValueError("need at least two particles")
         if self.record_every < 1:
@@ -83,12 +87,11 @@ class SimConfig:
             raise ValueError(f"coupling must be one of {COUPLINGS}")
 
     def n_steps(self) -> int:
-        span = self.t_final - self.t0
-        steps = span / self.dt
+        steps = self.t_final / self.dt
         rounded = round(steps)
         if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
             warnings.warn(
-                f"(t_final - t0)/dt = {steps} is not an integer; rounding to {rounded}",
+                f"t_final/dt = {steps} is not an integer; rounding to {rounded}",
                 stacklevel=2,
             )
         return max(int(rounded), 1)
@@ -98,7 +101,6 @@ class SimConfig:
 class TrajectoryRecord:
     times: np.ndarray
     snapshots: list[EnsembleState]
-    metrics: dict[str, np.ndarray] = field(default_factory=dict)
 
     def final(self) -> EnsembleState:
         return self.snapshots[-1]
@@ -214,7 +216,6 @@ def em_step(
         t=state.t + dt,
         seed=state.seed,
         step_index=state.step_index + 1,
-        t0=state.t0,
     )
 
 
@@ -254,7 +255,7 @@ def initial_state(model: ModelSpec, cfg: SimConfig) -> EnsembleState:
         )
         for p in range(model.n_populations)
     )
-    return EnsembleState(positions=positions, t=cfg.t0, seed=cfg.seed, t0=cfg.t0)
+    return EnsembleState(positions=positions, t=0.0, seed=cfg.seed)
 
 
 def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig, mpc: MpcConfig | None = None) -> TrajectoryRecord:
@@ -310,6 +311,9 @@ def propagation_of_chaos_study(
     """
     if model.d != 1:
         raise ValueError("the W1 study metric is one-dimensional")
+    n_list, seeds = list(n_list), list(seeds)
+    if not n_list or not seeds:
+        raise ValueError("the study needs at least one particle count and at least one seed")
     idx = np.nonzero(np.abs(np.asarray(reference.times) - cfg_base.t_final) <= 1e-9)[0]
     if idx.size == 0:
         raise ValueError(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from brsmfg import cli
 from brsmfg.cli import SUBCOMMANDS, ConfigError, main, resolve_config, run
 
 
@@ -60,6 +61,12 @@ class TestConfig:
             ("fpk", "model.preset=crowd", "crowd.sigma"),
             ("chaos-study", "chaos.n_values=1,10", "two particles"),
             ("chaos-study", "sim.dt=10", "MPC window"),
+            ("chaos-study", "chaos.n_values=10", "at least two particle counts"),
+            ("chaos-study", "chaos.n_values=", "at least two particle counts"),
+            ("chaos-study", "chaos.n_seeds=0", "at least one seed"),
+            ("mpc-order", "mpc.dt_values=0.1", "at least two window sizes"),
+            ("mpc-order", "mpc.dt_values=", "at least two window sizes"),
+            ("mpc-order", "mpc.dt_values=0.05,0.1", "strictly decreasing"),
         ],
     )
     def test_rejected_value_is_a_config_error(self, tmp_path, capsys, subcommand, override, message):
@@ -75,6 +82,12 @@ class TestConfig:
             ("crowd", "model.T=1"),
             ("chaos-study", "sim.seed=3"),
             ("chaos-study", "sim.n_particles=10"),
+            ("chaos-study", "sim.record_every=1"),
+            ("chaos-study", "fpk.t_final=0.05"),
+            ("simulate", "sim.use_alpha_dot=false"),
+            ("mfg", "fpk.t_final=0.05"),
+            ("compare", "fpk.cfl_safety=0.1"),
+            ("mpc-order", "fpk.n_records=1"),
         ],
     )
     def test_keys_the_run_does_not_read_are_unknown(self, tmp_path, capsys, subcommand, key):
@@ -101,6 +114,54 @@ TINY = {
     "wealth": ["wealth.ycells=8", "wealth.zcells=8", "wealth.t_final=0.02", "wealth.n_records=1"],
     "crowd": ["crowd.cells=12", "crowd.t_final=0.02", "crowd.n_records=1"],
 }
+
+
+# the model presets each subcommand accepts; wealth and crowd take no model.* key
+PRESETS = {
+    "simulate": ("ou", "lq", "mean_coupling", "wealth", "crowd"),
+    "wealth": (None,),
+    "crowd": (None,),
+}
+ONE_D_PRESETS = ("ou", "lq", "mean_coupling")
+
+# listed by every subcommand but changes no output; the benchmark still passes it
+UNREAD_KEYS = {"run.workers"}
+
+
+class _ReadRecorder(dict):
+    """Config values that note every key a run reads."""
+
+    def __init__(self, values, read: set[str]):
+        super().__init__(values)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_every_listed_key_is_read(tmp_path, monkeypatch, subcommand):
+    read: set[str] = set()
+    resolve = cli.resolve_config
+
+    def recording(*args):
+        cfg = resolve(*args)
+        cfg.values = _ReadRecorder(cfg.values, read)
+        return cfg
+
+    monkeypatch.setattr(cli, "resolve_config", recording)
+    # the manifest lists every key; writing it is not a read
+    monkeypatch.setattr(cli, "_write_manifest", lambda out, subcommand, cfg: None)
+    for k, preset in enumerate(PRESETS.get(subcommand, ONE_D_PRESETS)):
+        overrides = TINY[subcommand] + ([] if preset is None else [f"model.preset={preset}"])
+        # run.out is read only when no output directory is passed
+        assert run(subcommand, None, overrides + [f"run.out={tmp_path / str(k)}"], None) == 0
+    assert sorted(set(SUBCOMMANDS[subcommand][0]) - read - UNREAD_KEYS) == []
 
 
 def output_names(out: Path) -> list[str]:

@@ -208,13 +208,23 @@ class TestAccuracy:
         path = solve_fpk(model, m0, FpkConfig(t_final=1.0, record_times=times))
         assert np.array_equal(path.times, np.asarray(times))
 
-    def test_record_every_fallback(self):
+    def test_default_records_the_start_and_the_end(self):
         model = ou_model(T=1.0)
         m0 = gaussian_field(GRID, 0.5)
-        path = solve_fpk(model, m0, FpkConfig(t_final=0.05, record_every=10))
+        path = solve_fpk(model, m0, FpkConfig(t_final=0.05))
+        assert path.times.size == 2
         assert path.times[0] == 0.0
         assert path.times[-1] == pytest.approx(0.05, abs=1e-12)
         assert np.all(np.diff(path.times) > 0)
+
+    @pytest.mark.parametrize(
+        "times",
+        [(0.0, 0.5), (0.0, 0.5, 0.25, 1.0), (0.0, 0.5, 0.5, 1.0), (-0.1, 1.0), (0.0, 1.5), ()],
+        ids=["ends-before-t_final", "decreasing", "repeated", "before-0", "after-t_final", "empty"],
+    )
+    def test_bad_record_times_are_rejected_by_name(self, times):
+        with pytest.raises(ValueError, match="record_times"):
+            FpkConfig(t_final=1.0, record_times=times)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,10 @@ class TestReductionCheck:
         with pytest.raises(ValueError, match="decreasing"):
             mpc_reduction_check(model, GRID, [0.05, 0.1])
 
+    def test_one_window_fits_no_order(self):
+        with pytest.raises(ValueError, match="two window sizes"):
+            mpc_reduction_check(lq_model(T=1.0), GRID, [0.1])
+
     def test_order_bound_on_every_smooth_scalar_preset(self):
         from brsmfg.presets import ou_model
 

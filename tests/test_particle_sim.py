@@ -489,3 +489,10 @@ class TestChaosStudy:
         cfg = SimConfig(dt=0.01, t_final=0.5, n_particles=10, seed=0)
         with pytest.raises(ValueError, match="mismatched time grids"):
             propagation_of_chaos_study(model, cfg, [10], path, seeds=[0])
+
+    @pytest.mark.parametrize("n_list, seeds", [([], [0]), ([10], range(0))])
+    def test_empty_study_rejected(self, reference, n_list, seeds):
+        model, path = reference
+        cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=10, seed=0)
+        with pytest.raises(ValueError, match="at least one particle count and at least one seed"):
+            propagation_of_chaos_study(model, cfg, n_list, path, seeds)
