@@ -286,11 +286,15 @@ def _initial_density(model: ModelSpec, grid: Grid):
 
 def _fpk_config(cfg: RunConfig, section: str, t_final: float) -> FpkConfig:
     """The ``<section>.*`` time-stepping keys; a section without a boundary key has no-flux walls."""
+    key = f"{section}.n_records"
+    n_records = cfg.int_(key)
+    if n_records < 1:
+        raise ConfigError(f"key {key}: expected at least one record after t=0, got {n_records}")
     return FpkConfig(
         t_final=t_final,
         cfl_safety=cfg.float_(f"{section}.cfl_safety"),
         boundary=cfg.values.get(f"{section}.boundary", "no_flux"),
-        record_times=tuple(np.linspace(0.0, t_final, cfg.int_(f"{section}.n_records") + 1)),
+        record_times=tuple(np.linspace(0.0, t_final, n_records + 1)),
     )
 
 
@@ -437,8 +441,10 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
         sim, mpc = _sim_config(cfg, model, min(n_values), seed0, record_every=sys.maxsize)
         fpk = _fpk_config(cfg, "fpk", sim.t_final)
         m0 = _initial_density(model, grid)
+        seeds = [seed0 + k for k in range(cfg.int_("chaos.n_seeds"))]
+        if not seeds:
+            raise ConfigError("key chaos.n_seeds: the study needs at least one seed")
     reference = solve_fpk(model, m0, fpk)
-    seeds = [seed0 + k for k in range(cfg.int_("chaos.n_seeds"))]
     with _building():
         rows = propagation_of_chaos_study(model, sim, n_values, reference, seeds, mpc)
     write_csv(

@@ -14,11 +14,11 @@ threads; stored callables must be pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .measures import EmpiricalMeasure, Grid, GridDensity, wasserstein_1d
 
@@ -138,6 +138,10 @@ def is_zero(fn: CostFunction | DriftFunction) -> bool:
 # Initial laws
 # ---------------------------------------------------------------------------
 
+# elementwise erf from the C library; importing scipy.special for it alone
+# would cost most of the package's import time
+_erf = np.vectorize(math.erf, otypes=[float])
+
 
 @dataclass(frozen=True)
 class GaussianMarginal:
@@ -148,7 +152,7 @@ class GaussianMarginal:
         return self.mean + self.std * rng.standard_normal(n)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return 0.5 * (1.0 + erf((np.asarray(x) - self.mean) / (self.std * np.sqrt(2.0))))
+        return 0.5 * (1.0 + _erf((np.asarray(x) - self.mean) / (self.std * np.sqrt(2.0))))
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,7 @@ class LognormalMarginal:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         pos = x > 0
-        out[pos] = 0.5 * (1.0 + erf((np.log(x[pos]) - self.mu) / (self.sigma * np.sqrt(2.0))))
+        out[pos] = 0.5 * (1.0 + _erf((np.log(x[pos]) - self.mu) / (self.sigma * np.sqrt(2.0))))
         return out
 
 

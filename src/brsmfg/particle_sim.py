@@ -17,6 +17,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+# imported here, with the package: numpy loads numpy.random lazily, and the
+# first generator of a solve would otherwise pay for it
+from numpy.random import SeedSequence, default_rng
 
 from .brs import MpcConfig, control_batch, penalty_denominator
 from .measures import EmpiricalMeasure, GridDensity, leave_one_out, wasserstein_1d
@@ -247,7 +250,7 @@ def best_reply(model: ModelSpec, mpc: MpcConfig):
 
 
 def initial_state(model: ModelSpec, cfg: SimConfig) -> EnsembleState:
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     positions = tuple(
         _reflect(
             model.population(p).initial_law.sample(rng, cfg.n_particles),
@@ -273,7 +276,7 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig, mpc: MpcConfig | None
     state = initial_state(model, cfg)
     # noise generator is separate from the initial-condition draws but derived
     # from the same seed, so one integer pins the whole run
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    rng = default_rng(SeedSequence(cfg.seed).spawn(1)[0])
     n_steps = cfg.n_steps()
     times = [state.t]
     snaps = [state]

@@ -1,6 +1,10 @@
 """CLI runner: config handling, manifests, determinism, report contents."""
 
 import filecmp
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +68,9 @@ class TestConfig:
             ("chaos-study", "chaos.n_values=10", "at least two particle counts"),
             ("chaos-study", "chaos.n_values=", "at least two particle counts"),
             ("chaos-study", "chaos.n_seeds=0", "at least one seed"),
+            ("fpk", "fpk.n_records=0", "key fpk.n_records:"),
+            ("wealth", "wealth.n_records=0", "key wealth.n_records:"),
+            ("crowd", "crowd.n_records=0", "key crowd.n_records:"),
             ("mpc-order", "mpc.dt_values=0.1", "at least two window sizes"),
             ("mpc-order", "mpc.dt_values=", "at least two window sizes"),
             ("mpc-order", "mpc.dt_values=0.05,0.1", "strictly decreasing"),
@@ -74,6 +81,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 
+    def test_bad_seed_count_is_rejected_before_the_reference_solve(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        solve = cli.solve_fpk
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_fpk", spy)
+        assert main(["chaos-study", "--set", "chaos.n_seeds=0", "--out", str(tmp_path / "x")]) == 2
+        assert calls == []
+        assert "key chaos.n_seeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "subcommand, key",
@@ -307,3 +326,26 @@ class TestRuns:
         # the law and the kernel are symmetric in y, so the mean configuration stays at 0
         assert abs(float(rep["terminal_mean_y"])) <= 1e-12
         assert float(rep["min_density"]) >= -1e-13
+
+
+def test_runs_load_no_scipy(tmp_path):
+    """The package and every subcommand's run import no scipy module.
+
+    A fresh interpreter, since this one has scipy loaded by the tests.
+    """
+    script = """
+import json, sys
+import brsmfg, brsmfg.cli as cli
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+for sub, overrides in sorted(configs.items()):
+    assert cli.run(sub, None, overrides, f"{out}/{sub}") == 0, sub
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(TINY), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=600, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from _helpers import quadratic_cost, scalar_model
 
 from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
-from brsmfg.measures import EmpiricalMeasure
+from brsmfg.measures import EmpiricalMeasure, Grid
 from brsmfg.model import (
     ControlPenalty,
     CostFunction,
     DiffusionFunction,
     DriftFunction,
+    GaussianMarginal,
+    LognormalMarginal,
     brs_drift,
     is_zero,
+    product_law,
     validate_assumptions,
 )
 from brsmfg.presets import lq_model, mean_coupling_model, ou_model
@@ -218,11 +222,56 @@ class TestValidateAssumptions:
         assert any("running_grad_x" in f for f in rep.flagged)
 
 
+def scipy_normal_cdf(z, loc, scale):
+    """The marginal CDFs' formula with scipy's erf, the reference for the library's own."""
+    return 0.5 * (1.0 + erf((z - loc) / (scale * np.sqrt(2.0))))
+
+
+class TestMarginalCdf:
+    # erf saturates to +-1 well inside +-40 standard deviations, so the tails are covered
+    @pytest.mark.parametrize("mean, std", [(0.0, 1.0), (1.5, 0.3), (-2.0, 4.0)])
+    def test_gaussian_matches_scipy_erf(self, mean, std):
+        x = np.linspace(mean - 40.0 * std, mean + 40.0 * std, 200_001)
+        got = GaussianMarginal(mean, std).cdf(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - scipy_normal_cdf(x, mean, std))) <= 4e-16
+
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.5, 0.25), (-1.0, 2.0)])
+    def test_lognormal_matches_scipy_erf(self, mu, sigma):
+        x = np.concatenate([np.logspace(-300.0, 300.0, 100_001), np.linspace(1e-3, 50.0, 100_001)])
+        got = LognormalMarginal(mu, sigma).cdf(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - scipy_normal_cdf(np.log(x), mu, sigma))) <= 4e-16
+
+    def test_scalar_in_scalar_out(self):
+        got = GaussianMarginal(0.5, 2.0).cdf(1.25)
+        assert isinstance(got, np.floating)
+        assert abs(got - scipy_normal_cdf(1.25, 0.5, 2.0)) <= 4e-16
+        got = LognormalMarginal(0.5, 2.0).cdf(1.25)
+        assert np.ndim(got) == 0
+        assert abs(got - scipy_normal_cdf(np.log(1.25), 0.5, 2.0)) <= 4e-16
+
+    def test_empty_and_nonpositive_input(self):
+        for law in (GaussianMarginal(0.0, 1.0), LognormalMarginal(0.0, 1.0)):
+            assert law.cdf(np.array([])).shape == (0,)
+        got = LognormalMarginal(0.0, 1.0).cdf(np.array([-1e300, -2.0, -0.0, 0.0]))
+        assert got.shape == (4,) and np.all(got == 0.0)
+
+    @pytest.mark.parametrize(
+        "grid, marginals",
+        [
+            (Grid((-6.0,), (6.0,), (401,)), (GaussianMarginal(0.3, 1.0),)),
+            (Grid((1e-6,), (8.0,), (257,)), (LognormalMarginal(0.2, 0.6),)),
+            (Grid((-3.0, 1e-6), (3.0, 4.0), (40, 41)), (GaussianMarginal(0.0, 1.0), LognormalMarginal(0.0, 0.5))),
+        ],
+    )
+    def test_product_law_projection_mass_is_one(self, grid, marginals):
+        assert abs(product_law(marginals).grid_density(grid).mass - 1.0) <= 1e-14
+
+
 class TestInitialLaw:
     @pytest.mark.parametrize("name", ["ou", "wealth", "crowd"])
     def test_grid_projection_mass_is_one(self, name):
-        from brsmfg.measures import Grid
-
         model = preset_models()[name]
         if model.d == 1:
             grid = Grid((-6.0,), (6.0,), (64,))
