@@ -127,16 +127,19 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 
 class EmpiricalMeasure:
-    """Weighted particle measure sum_j w_j * delta_{x_j} with sum w_j = 1."""
+    """Weighted particle measure sum_j w_j * delta_{x_j} with sum w_j = 1.
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray | None = None):
+    ``checked=True`` takes ``weights`` as already validated for these points.
+    """
+
+    def __init__(self, points: np.ndarray, weights: np.ndarray | None = None, *, checked: bool = False):
         self.points = _as_points(points)
         n = self.points.shape[0]
         if n < 1:
             raise ValueError("empirical measure needs at least one point")
         if weights is None:
             weights = np.full(n, 1.0 / n)
-        else:
+        elif not checked:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != (n,):
                 raise ValueError("weights must have shape (N,)")
@@ -431,7 +434,7 @@ def _quantile_rep(m: MeasureView):
             frac = np.where(dc[idx] > 0, (q - c[idx]) / denom, 0.0)
             return edges[idx] + np.clip(frac, 0.0, 1.0) * dx
 
-        breaks = np.unique(c[1:-1])
+        breaks = c[1:-1]
         return breaks[(breaks > 0.0) & (breaks < 1.0)], evaluate
     raise TypeError(f"unsupported measure type {type(m).__name__}")
 
@@ -463,7 +466,8 @@ def wasserstein_1d(mu: MeasureView, nu: MeasureView, p: int = 1) -> float:
 
     b_mu, q_mu = _quantile_rep(mu)
     b_nu, q_nu = _quantile_rep(nu)
-    nodes = np.unique(np.concatenate([[0.0], b_mu, b_nu, [1.0]]))
+    # repeated nodes give the zero-length pieces dropped here (np.unique would load numpy.ma)
+    nodes = np.sort(np.concatenate([[0.0], b_mu, b_nu, [1.0]]))
     qa, qb = nodes[:-1], nodes[1:]
     length = qb - qa
     keep = length > 1e-300

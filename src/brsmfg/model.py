@@ -49,12 +49,14 @@ class ControlPenalty:
 
     alpha: Callable[[float], float]
     alpha_dot: Callable[[float], float]
+    # alpha's value when declared constant in t (``ControlPenalty.constant``), else None
+    value: float | None = None
 
     @staticmethod
     def constant(value: float) -> "ControlPenalty":
         if value <= 0:
             raise ValueError("penalty must be positive")
-        return ControlPenalty(alpha=lambda t: value, alpha_dot=lambda t: 0.0)
+        return ControlPenalty(alpha=lambda t: value, alpha_dot=lambda t: 0.0, value=value)
 
     def check(self, horizon: float, samples: int = 33, tol: float = 1e-4) -> None:
         """Sample positivity of alpha and consistency of alpha_dot on [0, T]."""
@@ -119,13 +121,15 @@ class DiffusionFunction:
     """Diagonal diffusion (t, x) -> nonnegative diagonal entries, shape (..., d)."""
 
     value: Callable
+    # the diagonal when declared constant in t and x (``DiffusionFunction.constant``), else None
+    diag: tuple[float, ...] | None = None
 
     @staticmethod
     def constant(diag) -> "DiffusionFunction":
         diag = np.atleast_1d(np.asarray(diag, dtype=float))
         if np.any(diag < 0):
             raise ValueError("diffusion entries must be nonnegative")
-        return DiffusionFunction(value=lambda t, x: np.full(np.shape(x), diag, dtype=float))
+        return DiffusionFunction(lambda t, x: np.full(np.shape(x), diag, dtype=float), tuple(diag.tolist()))
 
 
 def is_zero(fn: CostFunction | DriftFunction) -> bool:

@@ -1,9 +1,9 @@
 """Euler-Maruyama simulation of the N-player game and its mean-field limit.
 
 The integrator is weak order 1 with a fixed step, matching the O(dt) accuracy
-of the control derivation. Coupling measures are rebuilt every step. All noise
-for a step is drawn in one block per population, in particle order, before any
-update runs.
+of the control derivation. The step is built once per run; coupling measures
+are rebuilt every step on its shared uniform weights. All noise for a step is
+drawn in one block per population, in particle order, before any update runs.
 
 The leave-one-out coupling evaluates each ingredient against every player's
 own exclusion measure. Ingredients that declare a pairwise kernel get this
@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .brs import MpcConfig, control_batch, penalty_denominator
-from .measures import EmpiricalMeasure, GridDensity, leave_one_out, wasserstein_1d
+from .measures import EmpiricalMeasure, GridDensity, _frozen, leave_one_out, wasserstein_1d
 from .model import DriftFunction, ModelSpec, _check_finite, coupling_measure, is_zero
 
 __all__ = [
@@ -109,10 +109,6 @@ class TrajectoryRecord:
         return self.snapshots[-1]
 
 
-def _measure_views(state: EnsembleState):
-    return tuple(EmpiricalMeasure(p) for p in state.positions)
-
-
 def _reflect(positions: np.ndarray, floors) -> np.ndarray:
     if floors is None:
         return positions
@@ -173,6 +169,55 @@ def _step_drift(f: DriftFunction, u: DriftFunction | None, pop: int) -> DriftFun
     return DriftFunction(value, pair)
 
 
+def _particle_step(model: ModelSpec, dt: float, coupling: str, control, sizes):
+    """The Euler-Maruyama step of one run, ``step(state, rng) -> state``.
+
+    What does not change between steps is built once: read-only uniform
+    weights for each population's ``sizes[pop]`` particles, and sigma sqrt(dt)
+    of a declared-constant diffusion, checked once.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if coupling not in COUPLINGS:
+        raise ValueError(f"coupling must be one of {COUPLINGS}")
+    sqrt_dt = np.sqrt(dt)
+    weights = [_frozen(np.full(n, 1.0 / n)) for n in sizes]
+    scales = [
+        None if p.diffusion.diag is None
+        else _check_finite(p.diffusion.diag, "diffusion sigma", f"step pop {pop}") * sqrt_dt
+        for pop, p in enumerate(model.populations)
+    ]
+
+    def step(state: EnsembleState, rng) -> EnsembleState:
+        views = tuple(EmpiricalMeasure(p, w, checked=True) for p, w in zip(state.positions, weights))
+        noises = [rng.standard_normal(p.shape) for p in state.positions]
+        new_positions = []
+        for pop, pmod in enumerate(model.populations):
+            pts = state.positions[pop]
+            drift = _step_drift(pmod.drift, None if control is None else control(pop, state.t), pop)
+            if coupling == "full_empirical":
+                total = drift.value(pts, coupling_measure(views))
+            else:
+                total = _leave_one_out_eval(drift.value, drift.pair_value, pts, views, pop)
+            scale = scales[pop]
+            if scale is None:
+                sig = pmod.diffusion.value(state.t, pts)
+                scale = _check_finite(sig, "diffusion sigma", f"step pop {pop}") * sqrt_dt
+            new = pts + total * dt + scale * noises[pop]
+            if not np.isfinite(new).all():
+                bad = int(np.argwhere(~np.isfinite(new).all(axis=1))[0, 0])
+                raise FloatingPointError(f"non-finite update for pop {pop} particle {bad}")
+            new_positions.append(_reflect(new, pmod.reflect_lower))
+        return EnsembleState(
+            positions=tuple(new_positions),
+            t=state.t + dt,
+            seed=state.seed,
+            step_index=state.step_index + 1,
+        )
+
+    return step
+
+
 def em_step(
     model: ModelSpec,
     state: EnsembleState,
@@ -190,36 +235,7 @@ def em_step(
     leave-one-out measure. Noise is drawn in particle order, one block per
     population, before any update runs.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if coupling not in COUPLINGS:
-        raise ValueError(f"coupling must be one of {COUPLINGS}")
-    views = _measure_views(state)
-    noises = [rng.standard_normal(p.shape) for p in state.positions]
-    sqrt_dt = np.sqrt(dt)
-    new_positions = []
-    for pop in range(model.n_populations):
-        pmod = model.population(pop)
-        pts = state.positions[pop]
-        drift = _step_drift(pmod.drift, None if control is None else control(pop, state.t), pop)
-        if coupling == "full_empirical":
-            total = drift.value(pts, coupling_measure(views))
-        else:
-            total = _leave_one_out_eval(drift.value, drift.pair_value, pts, views, pop)
-        sig = _check_finite(
-            pmod.diffusion.value(state.t, pts), "diffusion sigma", f"step pop {pop}"
-        )
-        new = pts + total * dt + sig * sqrt_dt * noises[pop]
-        if not np.isfinite(new).all():
-            bad = int(np.argwhere(~np.isfinite(new).all(axis=1))[0, 0])
-            raise FloatingPointError(f"non-finite update for pop {pop} particle {bad}")
-        new_positions.append(_reflect(new, pmod.reflect_lower))
-    return EnsembleState(
-        positions=tuple(new_positions),
-        t=state.t + dt,
-        seed=state.seed,
-        step_index=state.step_index + 1,
-    )
+    return _particle_step(model, dt, coupling, control, [p.shape[0] for p in state.positions])(state, rng)
 
 
 def best_reply(model: ModelSpec, mpc: MpcConfig):
@@ -227,7 +243,9 @@ def best_reply(model: ModelSpec, mpc: MpcConfig):
 
     u = -mask * grad(h + g/T) / (alpha + dt * alpha_dot), with the pairwise
     kernel of u when both costs h and g declare theirs. Only the denominator
-    depends on t; the kernels of mask * grad(h + g/T) are built once.
+    depends on t; the kernels of mask * grad(h + g/T) are built once, and a
+    declared-constant penalty gives one control for every t (alpha + dt * 0.0
+    is alpha).
     """
 
     def kernel(p, mask):
@@ -238,7 +256,7 @@ def best_reply(model: ModelSpec, mpc: MpcConfig):
 
     kernels = [kernel(model.population(pop), model.mask(pop)) for pop in range(model.n_populations)]
 
-    def control(pop: int, t: float) -> DriftFunction:
+    def control_at(pop: int, t: float) -> DriftFunction:
         denom = penalty_denominator(model, pop, t, mpc)
         k = kernels[pop]
         return DriftFunction(
@@ -246,7 +264,8 @@ def best_reply(model: ModelSpec, mpc: MpcConfig):
             None if k is None else (lambda x, y: -k(x, y) / denom),
         )
 
-    return control
+    fixed = [None if p.penalty.value is None else control_at(pop, 0.0) for pop, p in enumerate(model.populations)]
+    return lambda pop, t: control_at(pop, t) if fixed[pop] is None else fixed[pop]
 
 
 def initial_state(model: ModelSpec, cfg: SimConfig) -> EnsembleState:
@@ -277,11 +296,12 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig, mpc: MpcConfig | None
     # noise generator is separate from the initial-condition draws but derived
     # from the same seed, so one integer pins the whole run
     rng = default_rng(SeedSequence(cfg.seed).spawn(1)[0])
+    step = _particle_step(model, cfg.dt, cfg.coupling, control, [p.shape[0] for p in state.positions])
     n_steps = cfg.n_steps()
     times = [state.t]
     snaps = [state]
     for k in range(n_steps):
-        state = em_step(model, state, cfg.dt, rng, cfg.coupling, control)
+        state = step(state, rng)
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
             times.append(state.t)
             snaps.append(state)

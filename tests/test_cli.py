@@ -328,10 +328,10 @@ class TestRuns:
         assert float(rep["min_density"]) >= -1e-13
 
 
-def test_runs_load_no_scipy(tmp_path):
-    """The package and every subcommand's run import no scipy module.
+def modules_after_runs(configs: dict, out) -> list[str]:
+    """The modules a fresh interpreter has loaded after importing the package and running ``configs``.
 
-    A fresh interpreter, since this one has scipy loaded by the tests.
+    A fresh interpreter, since this one has scipy and numpy.ma loaded by the tests.
     """
     script = """
 import json, sys
@@ -339,13 +339,23 @@ import brsmfg, brsmfg.cli as cli
 configs, out = json.loads(sys.argv[1]), sys.argv[2]
 for sub, overrides in sorted(configs.items()):
     assert cli.run(sub, None, overrides, f"{out}/{sub}") == 0, sub
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(TINY), str(tmp_path)],
+        [sys.executable, "-c", script, json.dumps(configs), str(out)],
         capture_output=True, text=True, env=env, timeout=600, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_runs_load_no_scipy(tmp_path):
+    """The package and every subcommand's run import no scipy module."""
+    assert [m for m in modules_after_runs(TINY, tmp_path) if m.split(".")[0] == "scipy"] == []
+
+
+def test_runs_load_no_numpy_ma(tmp_path):
+    """No run imports numpy.ma; np.unique would on its first call, inside the W1 distance of compare and chaos-study."""
+    assert "numpy.ma" not in modules_after_runs(TINY, tmp_path)

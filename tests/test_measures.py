@@ -215,6 +215,55 @@ class TestWasserstein1d:
             wasserstein_1d(m, m, p=1)
 
 
+# measures for the W1 properties: uniform and weighted clouds, and densities on one grid
+_POINT = st.floats(-10.0, 10.0, allow_nan=False)
+_W1_GRID = Grid((-3.0,), (3.0,), (24,))
+
+
+def _weighted_cloud(pairs):
+    pts, w = np.array(pairs).T
+    return EmpiricalMeasure(pts, w / w.sum())
+
+
+def _grid_density(values):
+    vals = np.array(values)
+    return GridDensity(_W1_GRID, vals / (vals.sum() * _W1_GRID.cell_volume))
+
+
+_CLOUDS = st.one_of(
+    st.lists(_POINT, min_size=1, max_size=25).map(lambda xs: EmpiricalMeasure(np.array(xs))),
+    st.lists(st.tuples(_POINT, st.floats(0.1, 1.0)), min_size=1, max_size=25).map(_weighted_cloud),
+)
+_MEASURES_1D = st.one_of(
+    _CLOUDS,
+    st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=24, max_size=24)
+    .filter(lambda v: sum(v) > 0.0)
+    .map(_grid_density),
+)
+
+
+class TestWasserstein1dProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(m=_MEASURES_1D, p=st.sampled_from([1, 2]))
+    def test_distance_to_itself_is_zero(self, m, p):
+        assert wasserstein_1d(m, m, p) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=_MEASURES_1D, b=_MEASURES_1D, p=st.sampled_from([1, 2]))
+    def test_symmetry(self, a, b, p):
+        assert wasserstein_1d(a, b, p) == pytest.approx(wasserstein_1d(b, a, p), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=_MEASURES_1D, b=_MEASURES_1D, c=_MEASURES_1D, p=st.sampled_from([1, 2]))
+    def test_triangle_inequality(self, a, b, c, p):
+        assert wasserstein_1d(a, c, p) <= wasserstein_1d(a, b, p) + wasserstein_1d(b, c, p) + 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=_CLOUDS, shift=st.floats(-5.0, 5.0))
+    def test_translating_a_cloud_moves_it_by_the_shift(self, m, shift):
+        assert wasserstein_1d(m, m.translate(shift), p=1) == pytest.approx(abs(shift), abs=1e-11)
+
+
 class TestWassersteinSmallNd:
     def test_identical(self):
         m = EmpiricalMeasure(np.arange(8.0).reshape(4, 2))

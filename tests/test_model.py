@@ -56,6 +56,16 @@ class TestDeclaredStructure:
         assert b[0, 0] == 0.5
         assert np.array_equal(fn.value(0.0, x[0]), [0.5, 2.0])
 
+    def test_constants_are_declared(self):
+        pen = ControlPenalty.constant(2.5)
+        assert pen.value == 2.5 and pen.alpha(0.7) == 2.5 and pen.alpha_dot(0.7) == 0.0
+        assert ControlPenalty(alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0).value is None
+        fn = DiffusionFunction.constant([0.5, 2.0])
+        assert fn.diag == (0.5, 2.0)
+        assert np.array_equal(fn.value(0.3, np.zeros((4, 2))), np.broadcast_to(fn.diag, (4, 2)))
+        assert DiffusionFunction(lambda t, x: np.ones(np.shape(x))).diag is None
+        assert all(m.population(0).penalty.value is not None for m in preset_models().values())
+
     def test_masks_are_built_once_and_read_only(self):
         model = build_wealth_model(WealthParams())
         mask = model.mask(0)

@@ -134,13 +134,14 @@ def pull_drift(coef: float, d: int) -> DriftFunction:
     return DriftFunction(*pull(coef))
 
 
-def step_model(d, n_pops, f_coef, g_coef, mask, floors, T=0.7):
+def step_model(d, n_pops, f_coef, g_coef, mask, floors, T=0.7, penalty=None, diffusion=None):
+    """Pull-toward-the-mean ingredients; by default a time-varying penalty and a constant diffusion."""
     pop = PopulationModel(
         drift=pull_drift(f_coef, d),
         running_cost=pull_cost(1.1, d),
         terminal_cost=pull_cost(g_coef, d),
-        penalty=ControlPenalty(alpha=lambda t: 1.5 + t, alpha_dot=lambda t: 1.0),
-        diffusion=DiffusionFunction.constant([0.4] * d),
+        penalty=penalty or ControlPenalty(alpha=lambda t: 1.5 + t, alpha_dot=lambda t: 1.0),
+        diffusion=diffusion or DiffusionFunction.constant([0.4] * d),
         initial_law=gaussian_law(),
         control_mask=mask,
         reflect_lower=(-0.1,) + (None,) * (d - 1) if floors else None,
@@ -183,6 +184,83 @@ class TestStepOracle:
             want = em_step_oracle(model, state, 0.05, noises, coupling, mpc)
             for got, ref in zip(out.positions, want):
                 assert np.array_equal(got, ref)
+
+
+def varying_diffusion(t, x):
+    """sigma(t, x) = 0.3 + 0.1 |x| + t: a closure with no declared diagonal."""
+    return 0.3 + 0.1 * np.abs(np.asarray(x, dtype=float)) + t
+
+
+def run_model(d, n_pops, f_coef, floors, constant_penalty, constant_diffusion):
+    """A step model whose penalty and diffusion are declared constant or are closures of t."""
+    return step_model(
+        d, n_pops, f_coef, 1.3, None if d == 1 else (1.0, 0.0), floors,
+        penalty=ControlPenalty.constant(1.5) if constant_penalty else None,
+        diffusion=None if constant_diffusion else DiffusionFunction(varying_diffusion),
+    )
+
+
+class TestPerRunStep:
+    # (d, populations, f, reflection floor, coupling, constant penalty, constant diffusion)
+    STRUCTURES = list(
+        itertools.product([1, 2], [1, 2], [0.0, -0.7], [False, True], COUPLINGS, [True, False], [True, False])
+    )
+
+    @pytest.mark.parametrize("d, n_pops, f_coef, floors, coupling, constant_penalty, constant_diffusion", STRUCTURES)
+    def test_steps_of_one_run_match_the_reference_composition(
+        self, d, n_pops, f_coef, floors, coupling, constant_penalty, constant_diffusion
+    ):
+        model = run_model(d, n_pops, f_coef, floors, constant_penalty, constant_diffusion)
+        mpc, n, dt = MpcConfig(dt=0.05), 9, 0.05
+        rng = np.random.default_rng(7)
+        state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), 0.0, 0)
+        step = particle_sim._particle_step(model, dt, coupling, best_reply(model, mpc), [n] * n_pops)
+        want = state.positions
+        for _ in range(6):
+            noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
+            want = em_step_oracle(model, EnsembleState(want, state.t, 0), dt, noises, coupling, mpc)
+            state = step(state, FixedNoise(noises))
+            for got, ref in zip(state.positions, want):
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_simulate_equals_repeated_em_step(self, coupling, constant):
+        model = run_model(1, 2, -0.7, True, constant, constant)
+        cfg = SimConfig(dt=0.05, t_final=0.35, n_particles=7, seed=3, coupling=coupling)
+        mpc = MpcConfig(dt=cfg.dt)
+        state = particle_sim.initial_state(model, cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        control = best_reply(model, mpc)
+        for _ in range(cfg.n_steps()):
+            state = em_step(model, state, cfg.dt, rng, coupling, control)
+        for got, ref in zip(simulate_brs_nplayer(model, cfg, mpc).final().positions, state.positions):
+            assert np.array_equal(got, ref)
+
+    def test_constant_penalty_gives_one_control_for_every_t(self):
+        mpc = MpcConfig(dt=0.05)
+        constant = best_reply(run_model(1, 1, 0.0, False, True, True), mpc)
+        varying = best_reply(run_model(1, 1, 0.0, False, False, True), mpc)
+        assert constant(0, 0.0) is constant(0, 0.35)
+        assert varying(0, 0.0) is not varying(0, 0.0)
+
+    def test_steps_share_one_read_only_weight_vector(self):
+        seen = []
+
+        def control(pop, t):
+            def value(x, m):
+                seen.append(m.weights)
+                return np.zeros(np.shape(x))
+
+            return DriftFunction(value)
+
+        step = particle_sim._particle_step(scalar_model(sigma=0.5), 0.1, "full_empirical", control, [5])
+        state = state_of(np.linspace(0.0, 1.0, 5))
+        for _ in range(3):
+            state = step(state, np.random.default_rng(0))
+        assert seen[0] is seen[1] is seen[2]
+        assert not seen[0].flags.writeable
+        assert np.array_equal(seen[0], np.full(5, 0.2))
 
 
 def nonfinite_at(row: int, bad: float = np.inf):
@@ -230,6 +308,18 @@ class TestNamedStepFailures:
         pop1 = replace(step_model(1, 1, 0.0, 0.0, None, False).population(0), **{field: ingredient})
         with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
             self.two_pop_step(pop1)
+
+    @pytest.mark.parametrize("bad, shown", [(np.inf, "inf"), (np.nan, "nan")])
+    def test_nonfinite_constant_diffusion_is_named(self, bad, shown):
+        pop0 = step_model(1, 1, 0.0, 0.0, None, False).population(0)
+        pop1 = replace(pop0, diffusion=DiffusionFunction.constant([bad]))
+        message = f"diffusion sigma produced non-finite value ({shown}) in step pop 1"
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            self.two_pop_step(pop1)
+        # a run checks the declared diagonal once, before its first step
+        model = ModelSpec(d=1, T=1.0, populations=(pop0, pop1))
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            simulate_brs_nplayer(model, SimConfig(dt=0.1, t_final=0.2, n_particles=3, seed=0))
 
     def test_nonfinite_update_names_population_and_particle(self):
         def huge(x, m):
