@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -49,6 +50,7 @@ _MODEL = {
 }
 
 _RUN = {
+    # changes nothing; kept because the benchmark harness passes run.workers=1
     "run.workers": "1",
     "run.out": "",
 }
@@ -65,7 +67,6 @@ _WEALTH_MODEL = {
 _CROWD_MODEL = {
     "crowd.lam": "1.0",
     "crowd.sigma": "0.2",
-    "crowd.bandwidth": "0.2",
     "crowd.psi_weight": "1.0",
     "crowd.xmin": "-2.0",
     "crowd.xmax": "2.0",
@@ -226,7 +227,9 @@ def _model(cfg: RunConfig) -> ModelSpec:
         model = build_wealth_model(_wealth_params(cfg))
         return model.with_horizon(cfg.auto_float("model.T", model.T))
     if preset == "crowd":
-        return build_crowd_model(_crowd_params(cfg, cfg.auto_float("model.T", 0.5)))
+        params = _crowd_params(cfg, cfg.auto_float("model.T", 0.5))
+        # only particle runs read the KDE bandwidth; the grid solvers use the density itself
+        return build_crowd_model(replace(params, kde_bandwidth=cfg.float_("crowd.bandwidth")))
     raise ConfigError(f"unknown model preset {preset!r}")
 
 
@@ -256,7 +259,6 @@ def _crowd_params(cfg: RunConfig, T: float) -> CrowdParams:
             (cfg.float_("crowd.xmin"), cfg.float_("crowd.xmax")),
             (cfg.float_("crowd.ymin"), cfg.float_("crowd.ymax")),
         ),
-        kde_bandwidth=cfg.float_("crowd.bandwidth"),
         horizon=T,
         psi_weight=cfg.float_("crowd.psi_weight"),
         targets=(pair("crowd.target1"), pair("crowd.target2")),
@@ -306,10 +308,8 @@ def _picard_config(cfg: RunConfig) -> PicardConfig:
     )
 
 
-def _sim_config(
-    cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int, record_every: int
-) -> tuple[SimConfig, MpcConfig]:
-    """The ``sim.*`` keys as a particle run and its best-reply window."""
+def _sim_config(cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int, record_every: int) -> SimConfig:
+    """The ``sim.*`` keys as a particle run."""
     sim = SimConfig(
         dt=cfg.float_("sim.dt"),
         t_final=cfg.auto_float("sim.t_final", model.T),
@@ -317,11 +317,10 @@ def _sim_config(
         seed=seed,
         record_every=record_every,
         coupling=cfg.str_("sim.coupling"),
-        workers=cfg.int_("run.workers"),
     )
-    mpc = MpcConfig(dt=sim.dt)
-    mpc.validate(model.T)
-    return sim, mpc
+    # the run's best reply takes the default window, which must fit in the horizon
+    MpcConfig(dt=sim.dt).validate(model.T)
+    return sim
 
 
 def _write_manifest(out: Path, subcommand: str, cfg: RunConfig) -> None:
@@ -356,10 +355,10 @@ Report = tuple[int, list[tuple[str, object]]]
 def _run_simulate(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model = _model(cfg)
-        sim, mpc = _sim_config(
+        sim = _sim_config(
             cfg, model, cfg.int_("sim.n_particles"), cfg.int_("sim.seed"), cfg.int_("sim.record_every")
         )
-    rec = simulate_brs_nplayer(model, sim, mpc)
+    rec = simulate_brs_nplayer(model, sim)
     final = rec.final()
     write_empirical_csv(out / "particles_final.csv", [final.empirical(p) for p in range(model.n_populations)])
     rows = []
@@ -438,7 +437,7 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
         seed0 = cfg.int_("chaos.seed0")
         # the study sets each run's particle count and seed, and reads only its
         # final snapshot; the smallest count is checked here
-        sim, mpc = _sim_config(cfg, model, min(n_values), seed0, record_every=sys.maxsize)
+        sim = _sim_config(cfg, model, min(n_values), seed0, record_every=sys.maxsize)
         fpk = _fpk_config(cfg, "fpk", sim.t_final)
         m0 = _initial_density(model, grid)
         seeds = [seed0 + k for k in range(cfg.int_("chaos.n_seeds"))]
@@ -446,7 +445,7 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
             raise ConfigError("key chaos.n_seeds: the study needs at least one seed")
     reference = solve_fpk(model, m0, fpk)
     with _building():
-        rows = propagation_of_chaos_study(model, sim, n_values, reference, seeds, mpc)
+        rows = propagation_of_chaos_study(model, sim, n_values, reference, seeds)
     write_csv(
         out / "chaos.csv",
         ["n_particles", "mean_w1", "std_w1"],
@@ -521,7 +520,10 @@ def _run_crowd(cfg: RunConfig, out: Path) -> Report:
 
 # subcommand -> (config defaults, runner)
 SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]]] = {
-    "simulate": ({**_MODEL, **_RUN, **_WEALTH_MODEL, **_CROWD_MODEL, **_SIM, **_SIM_RUN}, _run_simulate),
+    "simulate": (
+        {**_MODEL, **_RUN, **_WEALTH_MODEL, **_CROWD_MODEL, "crowd.bandwidth": "0.2", **_SIM, **_SIM_RUN},
+        _run_simulate,
+    ),
     "fpk": ({**_MODEL, **_RUN, **_GRID_1D, **_FPK_STEPPING, "fpk.t_final": "auto"}, _run_fpk),
     "mfg": ({**_MODEL, **_RUN, **_GRID_1D, **_MFG}, _run_mfg),
     "compare": ({**_MODEL, **_RUN, **_GRID_1D, **_MFG}, _run_compare),
@@ -568,7 +570,7 @@ SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]
 }
 
 
-def run(subcommand: str, config_path: str | None, overrides: list[str], out_dir: str | None, workers: int | None = None) -> int:
+def run(subcommand: str, config_path: str | None, overrides: list[str], out_dir: str | None) -> int:
     """Execute one study; returns the process exit status.
 
     0 = success, 2 = config error, 3 = numerical failure,
@@ -577,8 +579,6 @@ def run(subcommand: str, config_path: str | None, overrides: list[str], out_dir:
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = resolve_config(subcommand, config_path, list(overrides))
-    if workers is not None:
-        cfg.values["run.workers"] = str(workers)
     resolved_out = out_dir or cfg.str_("run.out") or os.environ.get(ENV_OUT) or "runs"
     out = Path(resolved_out)
     out.mkdir(parents=True, exist_ok=True)
@@ -606,10 +606,9 @@ def main(argv: list[str] | None = None) -> int:
             help="override one config key (repeatable)",
         )
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./runs)")
-        p.add_argument("--workers", type=int, default=None, help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
     try:
-        return run(args.subcommand, args.config, args.overrides, args.out, args.workers)
+        return run(args.subcommand, args.config, args.overrides, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -142,6 +142,9 @@ def _assemble(
             sig = np.asarray(pmod.diffusion.value(t, flat), dtype=float)
             if not np.all(np.isfinite(vel)):
                 raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
+            # a diagonal declared constant is finite by construction
+            if pmod.diffusion.diag is None and not np.all(np.isfinite(sig)):
+                raise NumericalError(f"non-finite diffusion on axis-{k} faces (pop {pop})")
             shape = pts.shape[:-1]
             b = vel[:, k].reshape(shape).swapaxes(0, k)
             D = (0.5 * sig[:, k].reshape(shape) ** 2).swapaxes(0, k)

@@ -30,7 +30,6 @@ __all__ = [
     "moments",
     "density_at",
     "density_gradient_at",
-    "silverman_bandwidth",
     "wasserstein_1d",
     "wasserstein_small_nd",
     "format_float",
@@ -328,21 +327,11 @@ def moments(m: MeasureView, order: int = 2) -> Moments:
     return Moments(mean=np.atleast_1d(mu), variance=None if var is None else np.atleast_1d(var))
 
 
-def silverman_bandwidth(points: np.ndarray) -> np.ndarray:
-    """Per-axis Silverman rule 1.06 * std * N^(-1/5)."""
-    pts = _as_points(points)
-    n = pts.shape[0]
-    std = pts.std(axis=0, ddof=1) if n > 1 else np.ones(pts.shape[1])
-    std = np.where(std > 0, std, 1.0)
-    return 1.06 * std * n ** (-0.2)
-
-
 def density_at(m: MeasureView, x: np.ndarray, bandwidth: float | np.ndarray | None = None):
     """Pointwise density: grid interpolation, or Gaussian KDE for particles.
 
-    ``bandwidth`` applies to the empirical branch only (scalar or per-axis);
-    ``None`` falls back to Silverman's rule. Grid queries outside the bounding
-    box return 0.
+    ``bandwidth`` applies to the empirical branch only (scalar or per-axis),
+    which requires it. Grid queries outside the bounding box return 0.
     """
     if isinstance(m, GridDensity):
         return m.interpolate(x)
@@ -377,7 +366,7 @@ def density_gradient_at(
 
 def _kde_bandwidth(m: EmpiricalMeasure, bandwidth) -> np.ndarray:
     if bandwidth is None:
-        return silverman_bandwidth(m.points)
+        raise ValueError("the KDE of a particle measure needs a bandwidth")
     bw = np.atleast_1d(np.asarray(bandwidth, dtype=float))
     if np.any(bw <= 0):
         raise ValueError("bandwidth must be positive")
@@ -442,28 +431,15 @@ def _quantile_rep(m: MeasureView):
 def wasserstein_1d(mu: MeasureView, nu: MeasureView, p: int = 1) -> float:
     """Exact p-Wasserstein distance between one-dimensional measures.
 
-    Uses the sorted-sample formula for equal-size uniform particle clouds and
-    an exact piecewise-affine inverse-CDF integral otherwise (grid densities
-    have piecewise-linear CDFs, so the quantile difference is affine between
-    breakpoints and each piece integrates in closed form).
+    An exact piecewise-affine inverse-CDF integral: particle quantiles are
+    piecewise constant and grid densities have piecewise-linear CDFs, so the
+    quantile difference is affine between breakpoints and each piece
+    integrates in closed form.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     _require_1d(mu, "wasserstein_1d")
     _require_1d(nu, "wasserstein_1d")
-    if (
-        isinstance(mu, EmpiricalMeasure)
-        and isinstance(nu, EmpiricalMeasure)
-        and mu.n == nu.n
-        and mu.is_uniform
-        and nu.is_uniform
-    ):
-        xs = np.sort(mu.points[:, 0])
-        ys = np.sort(nu.points[:, 0])
-        if p == 1:
-            return float(np.abs(xs - ys).mean())
-        return float(np.sqrt(((xs - ys) ** 2).mean()))
-
     b_mu, q_mu = _quantile_rep(mu)
     b_nu, q_nu = _quantile_rep(nu)
     # repeated nodes give the zero-length pieces dropped here (np.unique would load numpy.ma)

@@ -20,11 +20,12 @@ single-population models are solved here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .brs import mpc_value_surrogate
 from .fokker_planck import (
     MIN_CELLS,
     DensityPath,
@@ -294,16 +295,13 @@ def mpc_reduction_check(
         raise ValueError("dt_list must be strictly decreasing")
     pmod = _require_scalar_1d(model, grid)
     m_ref = pmod.initial_law.grid_density(grid)
-    mids = grid.midpoints(0)[:, None]
-    surrogate = np.asarray(pmod.running_cost.value(mids, m_ref), dtype=float) + np.asarray(
-        pmod.terminal_cost.value(mids, m_ref), dtype=float
-    ) / model.T
+    surrogate = mpc_value_surrogate(model, 0, 0.0, grid.midpoints(0)[:, None], m_ref)
     rows = []
     for dt in dt_list:
         h = pmod.running_cost
         g = pmod.terminal_cost
-        window_pop = PopulationModel(
-            drift=pmod.drift,
+        window_pop = replace(
+            pmod,
             running_cost=CostFunction(
                 value=lambda x, m, _h=h, _dt=dt: np.asarray(_h.value(x, m)) / _dt,
                 gradient=lambda x, m, _h=h, _dt=dt: np.asarray(_h.gradient(x, m)) / _dt,
@@ -312,9 +310,6 @@ def mpc_reduction_check(
                 value=lambda x, m, _g=g, _T=model.T: np.asarray(_g.value(x, m)) / _T,
                 gradient=lambda x, m, _g=g, _T=model.T: np.asarray(_g.gradient(x, m)) / _T,
             ),
-            penalty=pmod.penalty,
-            diffusion=pmod.diffusion,
-            initial_law=pmod.initial_law,
         )
         window_model = ModelSpec(d=1, T=dt, populations=(window_pop,))
         frozen = constant_path(grid, m_ref, np.array([0.0, dt]))

@@ -15,7 +15,7 @@ threads; stored callables must be pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,10 +52,12 @@ class ControlPenalty:
     # alpha's value when declared constant in t (``ControlPenalty.constant``), else None
     value: float | None = None
 
+    def __post_init__(self):
+        if self.value is not None and not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"penalty must be positive and finite, got {self.value!r}")
+
     @staticmethod
     def constant(value: float) -> "ControlPenalty":
-        if value <= 0:
-            raise ValueError("penalty must be positive")
         return ControlPenalty(alpha=lambda t: value, alpha_dot=lambda t: 0.0, value=value)
 
     def check(self, horizon: float, samples: int = 33, tol: float = 1e-4) -> None:
@@ -124,11 +126,13 @@ class DiffusionFunction:
     # the diagonal when declared constant in t and x (``DiffusionFunction.constant``), else None
     diag: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.diag is not None and not all(math.isfinite(s) and s >= 0 for s in self.diag):
+            raise ValueError(f"diffusion entries must be finite and nonnegative, got {self.diag!r}")
+
     @staticmethod
     def constant(diag) -> "DiffusionFunction":
         diag = np.atleast_1d(np.asarray(diag, dtype=float))
-        if np.any(diag < 0):
-            raise ValueError("diffusion entries must be nonnegative")
         return DiffusionFunction(lambda t, x: np.full(np.shape(x), diag, dtype=float), tuple(diag.tolist()))
 
 
@@ -389,10 +393,13 @@ def validate_assumptions(
     flagged: list[str] = []
     for pop in range(model.n_populations):
         p = model.population(pop)
-        q = {k: 0.0 for k in (
-            "drift_x", "drift_measure", "running_grad_x", "running_grad_measure",
-            "terminal_grad_x", "terminal_grad_measure", "diffusion_t", "diffusion_x",
-        )}
+        # (quotient name prefix, evaluate(x, m)) of each audited ingredient
+        ingredients = (
+            ("drift", p.drift.value),
+            ("running_grad", p.running_cost.gradient),
+            ("terminal_grad", p.terminal_cost.gradient),
+        )
+        q = dict.fromkeys((f.name for f in fields(PopulationQuotients)), 0.0)
         used = 0
         for _ in range(sample_count):
             views = _measure_tuple(model, rng, n_support)
@@ -412,13 +419,8 @@ def validate_assumptions(
             def quot_x(fn) -> float:
                 return float(np.linalg.norm(np.asarray(fn(x2)) - np.asarray(fn(x1))) / dx)
 
-            q["drift_x"] = max(q["drift_x"], quot_x(lambda y: p.drift.value(y, marg)))
-            q["running_grad_x"] = max(
-                q["running_grad_x"], quot_x(lambda y: p.running_cost.gradient(y, marg))
-            )
-            q["terminal_grad_x"] = max(
-                q["terminal_grad_x"], quot_x(lambda y: p.terminal_cost.gradient(y, marg))
-            )
+            for name, fn in ingredients:
+                q[f"{name}_x"] = max(q[f"{name}_x"], quot_x(lambda y: fn(y, marg)))
 
             # exact-distance measure perturbation: translate every population
             shift = step * rng.standard_normal(model.d)
@@ -434,17 +436,8 @@ def validate_assumptions(
                             np.linalg.norm(np.asarray(fn(marg2)) - np.asarray(fn(marg))) / w1
                         )
 
-                    q["drift_measure"] = max(
-                        q["drift_measure"], quot_m(lambda mm: p.drift.value(x1, mm))
-                    )
-                    q["running_grad_measure"] = max(
-                        q["running_grad_measure"],
-                        quot_m(lambda mm: p.running_cost.gradient(x1, mm)),
-                    )
-                    q["terminal_grad_measure"] = max(
-                        q["terminal_grad_measure"],
-                        quot_m(lambda mm: p.terminal_cost.gradient(x1, mm)),
-                    )
+                    for name, fn in ingredients:
+                        q[f"{name}_measure"] = max(q[f"{name}_measure"], quot_m(lambda mm: fn(x1, mm)))
 
             # diffusion in t and x
             t1, t2 = rng.uniform(0.0, model.T, size=2)

@@ -81,7 +81,7 @@ def mean_coupling_model(
 
     def gradient(x, m):
         x = np.asarray(x, dtype=float)
-        mu = float(moments(m, order=1).mean[0])
+        mu = float(m.mean()[0])
         return strength * (x - mu)
 
     def pair_gradient(x, y):

@@ -1,5 +1,7 @@
 """Finite-volume continuity solver: conservation, positivity, benchmarks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,21 @@ class TestStepContract:
             f"CFL violation: dt={dt:.3e} exceeds stable bound 1.125e-02 "
             "(worst drain at pop 1, cell (7, 5))"
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_closure_diffusion_is_named(self, bad):
+        # a nan diffusion would read as D = 0 in the SG weight, an inf one as a zero step bound
+        def sigma(t, x):
+            return np.where(x > 1.0, bad, 0.5)
+
+        pops = (_population(DiffusionFunction.constant([0.5]), dim=1), _population(DiffusionFunction(sigma), dim=1))
+        model = ModelSpec(d=1, T=1.0, populations=pops)
+        m0 = gaussian_field(GRID, 0.5)
+        message = f"^{re.escape('non-finite diffusion on axis-0 faces (pop 1)')}$"
+        with pytest.raises(NumericalError, match=message):
+            stable_dt(model, (m0, m0), 0.0)
+        with pytest.raises(NumericalError, match=message):
+            fpk_step(model, (m0, m0), 0.0, dt=1e-4)
 
     def test_stable_dt_satisfies_componentwise_bound(self):
         model = ou_model(T=1.0)

@@ -140,6 +140,13 @@ class TestDensityAt:
         val = density_at(m, np.array([0.0]), bandwidth=0.2)
         assert abs(val - 1.0 / np.sqrt(2 * np.pi)) < 0.05
 
+    def test_kde_needs_a_bandwidth(self):
+        m = EmpiricalMeasure(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="needs a bandwidth"):
+            density_at(m, np.array([0.5]))
+        with pytest.raises(ValueError, match="needs a bandwidth"):
+            density_gradient_at(m, np.array([0.5]))
+
     def test_kde_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(11)
         m = EmpiricalMeasure(rng.standard_normal((64, 2)))

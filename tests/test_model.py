@@ -66,6 +66,13 @@ class TestDeclaredStructure:
         assert DiffusionFunction(lambda t, x: np.ones(np.shape(x))).diag is None
         assert all(m.population(0).penalty.value is not None for m in preset_models().values())
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_constant_penalty_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="penalty must be positive"):
+            ControlPenalty.constant(bad)
+        with pytest.raises(ValueError, match="penalty must be positive"):
+            ControlPenalty(alpha=lambda t: bad, alpha_dot=lambda t: 0.0, value=bad)
+
     def test_masks_are_built_once_and_read_only(self):
         model = build_wealth_model(WealthParams())
         mask = model.mask(0)
