@@ -228,7 +228,7 @@ class CrowdParams:
             raise ValueError("aversion weight lam must be nonnegative")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma entries must be nonnegative")
-        if self.kde_bandwidth <= 0:
+        if not self.kde_bandwidth > 0:
             raise ValueError("kde_bandwidth must be positive")
         for (lo, hi) in self.domain:
             if not lo < hi:

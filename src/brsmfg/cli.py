@@ -300,6 +300,14 @@ def _fpk_config(cfg: RunConfig, section: str, t_final: float) -> FpkConfig:
     )
 
 
+def _time_slices(cfg: RunConfig) -> int:
+    """``mfg.n_t``, the number of time slices of an MFG solve."""
+    n_t = cfg.int_("mfg.n_t")
+    if n_t < 1:
+        raise ConfigError(f"key mfg.n_t: expected at least one time slice, got {n_t}")
+    return n_t
+
+
 def _picard_config(cfg: RunConfig) -> PicardConfig:
     return PicardConfig(
         max_iters=cfg.int_("mfg.max_iters"),
@@ -398,8 +406,9 @@ def _run_mfg(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model, grid = _model_1d(cfg, "mfg")
         picard = _picard_config(cfg)
+        n_t = _time_slices(cfg)
         m0 = _initial_density(model, grid)
-    sol = solve_mfg_picard(model, m0, grid, cfg.int_("mfg.n_t"), cfg=picard)
+    sol = solve_mfg_picard(model, m0, grid, n_t, cfg=picard)
     sol.value.write_csv(out / "values.csv")
     sol.density_path.write_csv(out / "density.csv")
     sol.write_iteration_csv(out / "iterations.csv")
@@ -416,8 +425,9 @@ def _run_compare(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model, grid = _model_1d(cfg, "compare")
         picard = _picard_config(cfg)
+        n_t = _time_slices(cfg)
         m0 = _initial_density(model, grid)
-    res = compare_brs_mfg(model, m0, grid, cfg.int_("mfg.n_t"), cfg=picard)
+    res = compare_brs_mfg(model, m0, grid, n_t, cfg=picard)
     res.write_csv(out / "compare.csv")
     res.brs_path.write_csv(out / "density_brs.csv")
     res.mfg.density_path.write_csv(out / "density_mfg.csv")

@@ -95,17 +95,33 @@ def _normalize_boundary(boundary, dim: int) -> list[tuple[str, str]]:
     return out
 
 
-def _sg_weight(b: np.ndarray, D: np.ndarray, dx: float) -> np.ndarray:
-    """G = (D/dx) * B(P) with B the Bernoulli function; stable in all limits.
+def _sg_coefficients(D: np.ndarray, dx: float) -> tuple:
+    """What the SG weight takes from the face diffusivities D.
+
+    (D/dx, D with its zeros replaced by 1, the mask of faces with D > 0),
+    the mask being None when every face has D > 0 and False when none has.
+    """
+    diffusive = D > 0.0
+    mask = None if diffusive.all() else False if not diffusive.any() else diffusive
+    return D / dx, np.where(diffusive, D, 1.0), mask
+
+
+def _sg_weight(b: np.ndarray, dx: float, coefficients: tuple) -> np.ndarray:
+    """G = (D/dx) * B(P) with B the Bernoulli function and P = b*dx/D; stable in all limits.
 
     Where D = 0 the weight is its donor-cell limit max(-b, 0).
     """
-    diffusive = D > 0.0
+    D_dx, safe, diffusive = coefficients
+    if diffusive is False:
+        return np.maximum(-b, 0.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        P = b * dx / np.where(diffusive, D, 1.0)
+        P = b * dx / safe
         small = np.abs(P) < 1e-8
-        G = np.where(small, D / dx - 0.5 * b, b / np.expm1(np.where(small, 1.0, P)))
-    return np.where(diffusive, G, np.maximum(-b, 0.0))
+        if small.any():
+            G = np.where(small, D_dx - 0.5 * b, b / np.expm1(np.where(small, 1.0, P)))
+        else:
+            G = b / np.expm1(P)
+    return G if diffusive is None else np.where(diffusive, G, np.maximum(-b, 0.0))
 
 
 @dataclass
@@ -118,54 +134,82 @@ class _Assembled:
     max_drain: float
 
 
-def _assemble(
-    model: ModelSpec,
-    fields: Sequence[GridDensity],
-    t: float,
-    velocity: Callable | None,
-    bpairs: list[tuple[str, str]],
-) -> list[_Assembled]:
-    grid = fields[0].grid
-    measures = coupling_measure(fields)
-    out = []
-    for pop in range(model.n_populations):
-        pmod = model.population(pop)
-        bs, Gs = [], []
-        drain = None
-        for k in range(grid.dim):
-            pts = grid.face_points(k)
-            flat = pts.reshape(-1, grid.dim)
-            if velocity is None:
-                vel = brs_drift(model, pop, t, flat, measures)
-            else:
-                vel = np.asarray(velocity(pop, t, flat, measures), dtype=float)
-            sig = np.asarray(pmod.diffusion.value(t, flat), dtype=float)
-            if not np.all(np.isfinite(vel)):
-                raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
-            # a diagonal declared constant is finite by construction
-            if pmod.diffusion.diag is None and not np.all(np.isfinite(sig)):
-                raise NumericalError(f"non-finite diffusion on axis-{k} faces (pop {pop})")
-            shape = pts.shape[:-1]
-            b = vel[:, k].reshape(shape).swapaxes(0, k)
-            D = (0.5 * sig[:, k].reshape(shape) ** 2).swapaxes(0, k)
-            dx = grid.widths[k]
-            G = _sg_weight(b, D, dx)
-            # no-flux faces carry zero flux and therefore zero drain
-            lo, hi = bpairs[k]
-            if lo == "no_flux":
-                b[0] = 0.0
-                G[0] = 0.0
-            if hi == "no_flux":
-                b[-1] = 0.0
-                G[-1] = 0.0
-            bs.append(b)
-            Gs.append(G)
-            # positivity drain of each cell: (b + G) from its upper face, G from lower
-            d = (((b + G)[1:] + G[:-1]) / dx).swapaxes(0, k)
-            drain = d if drain is None else drain + d
-        mx = float(drain.max())
-        out.append(_Assembled(b=bs, G=Gs, drain=drain, max_drain=mx if mx > 0.0 else 0.0))
-    return out
+@dataclass(frozen=True)
+class _Faces:
+    """One population's faces normal to axis ``k``, fixed for a whole solve."""
+
+    k: int
+    flat: np.ndarray  # face centres, shape (n_faces, dim)
+    shape: tuple[int, ...]  # the face mesh shape
+    dx: float
+    closed: tuple[bool, bool]  # a no-flux wall on the (low, high) side
+    coefficients: tuple | None  # a declared-constant diffusion's _sg_coefficients, else None
+
+
+class _Step:
+    """The explicit step of one solve, built once from (model, grid, velocity, boundary).
+
+    The face centres, dx, the no-flux faces and the SG coefficients of a
+    declared-constant diffusion are fixed when it is built. Each
+    :meth:`assemble` evaluates the drift (and a closure diffusion) at the
+    faces, computes the SG weights, zeroes the no-flux faces and sums the drain.
+    """
+
+    def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary):
+        self.model, self.velocity = model, velocity
+        bpairs = _normalize_boundary(boundary, grid.dim)
+        self.faces = []
+        for p in model.populations:
+            per_axis = []
+            for k, (lo, hi) in enumerate(bpairs):
+                pts, dx, diag = grid.face_points(k), grid.widths[k], p.diffusion.diag
+                shape = pts.shape[:-1]
+                coefficients = None
+                if diag is not None:
+                    coefficients = _sg_coefficients((0.5 * np.full(shape, diag[k]) ** 2).swapaxes(0, k), dx)
+                closed = (lo == "no_flux", hi == "no_flux")
+                per_axis.append(_Faces(k, pts.reshape(-1, grid.dim), shape, dx, closed, coefficients))
+            self.faces.append(per_axis)
+
+    def assemble(self, fields: Sequence[GridDensity], t: float) -> list[_Assembled]:
+        model, velocity = self.model, self.velocity
+        measures = coupling_measure(fields)
+        out = []
+        for pop, per_axis in enumerate(self.faces):
+            bs, Gs = [], []
+            drain = None
+            for ax in per_axis:
+                k, dx = ax.k, ax.dx
+                if velocity is None:
+                    vel = brs_drift(model, pop, t, ax.flat, measures)
+                else:
+                    vel = np.asarray(velocity(pop, t, ax.flat, measures), dtype=float)
+                if ax.coefficients is None:
+                    sig = np.asarray(model.population(pop).diffusion.value(t, ax.flat), dtype=float)
+                if not np.isfinite(vel).all():
+                    raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
+                b = vel[:, k].reshape(ax.shape).swapaxes(0, k)
+                coefficients = ax.coefficients
+                if coefficients is None:
+                    if not np.isfinite(sig).all():
+                        raise NumericalError(f"non-finite diffusion on axis-{k} faces (pop {pop})")
+                    coefficients = _sg_coefficients((0.5 * sig[:, k].reshape(ax.shape) ** 2).swapaxes(0, k), dx)
+                G = _sg_weight(b, dx, coefficients)
+                # no-flux faces carry zero flux and therefore zero drain
+                if ax.closed[0]:
+                    b[0] = 0.0
+                    G[0] = 0.0
+                if ax.closed[1]:
+                    b[-1] = 0.0
+                    G[-1] = 0.0
+                bs.append(b)
+                Gs.append(G)
+                # positivity drain of each cell: (b + G) from its upper face, G from lower
+                d = (((b + G)[1:] + G[:-1]) / dx).swapaxes(0, k)
+                drain = d if drain is None else drain + d
+            mx = float(drain.max())
+            out.append(_Assembled(b=bs, G=Gs, drain=drain, max_drain=mx if mx > 0.0 else 0.0))
+        return out
 
 
 def _apply(
@@ -187,11 +231,16 @@ def _apply(
             vals = vals + dvals.swapaxes(0, k)
         try:
             new_fields.append(GridDensity(grid, vals))
-        except ValueError:  # the shape is the grid's, so only the negativity check fails
-            raise NumericalError(
-                f"negative density {float(vals.min()):.3e} after step (upwinding should prevent it)"
-            ) from None
+        except ValueError as exc:  # the shape is the grid's, so only a value check fails
+            raise NumericalError(f"{exc} after step") from None
     return tuple(new_fields)
+
+
+def _worst_cell(assembled: list[_Assembled]) -> str:
+    """The population and the cell with the largest drain."""
+    pop, worst = max(enumerate(assembled), key=lambda pa: pa[1].max_drain)
+    cell = np.unravel_index(int(np.argmax(worst.drain)), worst.drain.shape)
+    return f"pop {pop}, cell {tuple(int(i) for i in cell)}"
 
 
 def stable_dt(
@@ -206,7 +255,7 @@ def stable_dt(
     This per-cell bound implies the coarser componentwise bound
     ``min(dx/max|a|, dx^2/max sigma^2)`` on every axis.
     """
-    asm = _assemble(model, fields, t, velocity, _normalize_boundary(boundary, fields[0].grid.dim))
+    asm = _Step(model, fields[0].grid, velocity, boundary).assemble(fields, t)
     drain = max(a.max_drain for a in asm)
     return float("inf") if drain <= 0.0 else 1.0 / drain
 
@@ -234,14 +283,11 @@ def fpk_step(
     for f in fields:
         if f.grid != grid:
             raise ValueError("all populations must share one grid")
-    asm = _assemble(model, fields, t, velocity, _normalize_boundary(boundary, grid.dim))
+    asm = _Step(model, grid, velocity, boundary).assemble(fields, t)
     drain = max(a.max_drain for a in asm)
     if dt * drain > 1.0 + 1e-9:
-        pop, worst = max(enumerate(asm), key=lambda pa: pa[1].max_drain)
-        cell = np.unravel_index(int(np.argmax(worst.drain)), worst.drain.shape)
         raise NumericalError(
-            f"CFL violation: dt={dt:.3e} exceeds stable bound {1.0 / drain:.3e} "
-            f"(worst drain at pop {pop}, cell {tuple(int(i) for i in cell)})"
+            f"CFL violation: dt={dt:.3e} exceeds stable bound {1.0 / drain:.3e} (worst drain at {_worst_cell(asm)})"
         )
     return _apply(fields, asm, dt)
 
@@ -311,7 +357,9 @@ def solve_fpk(
     The internal step is ``cfl_safety`` times the positivity bound, recomputed
     every step, and chopped to land exactly on record times. The returned
     path's ``report`` collects the mass drift, the minimum density seen, and
-    the worst boundary-layer mass fraction (flag for a too-small domain).
+    the worst boundary-layer mass fraction (flag for a too-small domain). A
+    CFL-limited step below ``1e-12 * t_final`` raises ``NumericalError``
+    naming the population and the cell that limit it.
     """
     fields = (m0,) if isinstance(m0, GridDensity) else tuple(m0)
     if len(fields) != model.n_populations:
@@ -324,7 +372,9 @@ def solve_fpk(
             raise ValueError(f"initial density mass {f.mass} != 1")
 
     record = np.asarray((0.0, cfg.t_final) if cfg.record_times is None else cfg.record_times, dtype=float)
-    bpairs = _normalize_boundary(cfg.boundary, grid.dim)
+    step = _Step(model, grid, velocity, cfg.boundary)
+    # a CFL-limited step below this has collapsed: the solve would not reach t_final
+    min_dt = 1e-12 * cfg.t_final
     t = 0.0
     times = [t]
     values = [np.stack([f.values for f in fields])]
@@ -336,9 +386,15 @@ def solve_fpk(
     steps = 0
     for target in record[1:] if record[0] <= 1e-12 else record:
         while t < target - 1e-12:
-            asm = _assemble(model, fields, t, velocity, bpairs)
+            asm = step.assemble(fields, t)
             drain = max(a.max_drain for a in asm)
-            dt = target - t if drain <= 0.0 else min(cfg.cfl_safety / drain, target - t)
+            dt = target - t if drain <= 0.0 else cfg.cfl_safety / drain
+            if drain > 0.0 and dt < min_dt:  # the chopped remainder before a record may be shorter
+                raise NumericalError(
+                    f"step collapse: the CFL-limited step {dt:.3e} at t={t:.6g} is below "
+                    f"1e-12 * t_final (worst drain at {_worst_cell(asm)})"
+                )
+            dt = min(dt, target - t)
             fields = _apply(fields, asm, dt)
             t += dt
             steps += 1

@@ -13,6 +13,7 @@ Wasserstein distances, ...) accept either representation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Union
@@ -187,15 +188,20 @@ class GridDensity:
         if values.shape != grid.cells:
             raise ValueError(f"values shape {values.shape} != grid cells {grid.cells}")
         lo = values.min()
-        if lo < _NEG_TOL:
+        if not lo >= _NEG_TOL:  # a NaN fails this comparison too
+            if not math.isfinite(lo):
+                raise ValueError(f"non-finite density value {float(lo)}")
             raise ValueError(f"negative density {lo:.3e} beyond {_NEG_TOL:.0e}")
         if lo < 0.0:
             values = np.maximum(values, 0.0)
             lo = values.min()
+        mass = float(values.sum() * grid.cell_volume)
+        if not math.isfinite(mass):
+            raise ValueError(f"non-finite density mass {mass}")
         self.grid = grid
         self.values = values
         self.min_value = float(lo)
-        self.mass = float(values.sum() * grid.cell_volume)
+        self.mass = mass
 
     @property
     def dim(self) -> int:
@@ -368,7 +374,7 @@ def _kde_bandwidth(m: EmpiricalMeasure, bandwidth) -> np.ndarray:
     if bandwidth is None:
         raise ValueError("the KDE of a particle measure needs a bandwidth")
     bw = np.atleast_1d(np.asarray(bandwidth, dtype=float))
-    if np.any(bw <= 0):
+    if not np.all(bw > 0):
         raise ValueError("bandwidth must be positive")
     if bw.size == 1:
         bw = np.full(m.dim, bw[0])

@@ -20,6 +20,7 @@ single-population models are solved here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -34,7 +35,7 @@ from .fokker_planck import (
     solve_fpk,
 )
 from .measures import Grid, GridDensity, wasserstein_1d, write_csv, write_grid_csv
-from .model import ModelSpec, PopulationModel, CostFunction
+from .model import ModelSpec, PopulationModel, CostFunction, is_zero
 
 __all__ = [
     "ValueField",
@@ -72,8 +73,8 @@ class PicardConfig:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -109,16 +110,19 @@ class ValueField:
         write_grid_csv(path, self.grid, ["t"], records, value="w", preamble=preamble)
 
 
-def _extend(w: np.ndarray) -> np.ndarray:
-    """Attach quadratically extrapolated ghost values on both ends."""
-    lo = 3.0 * w[0] - 3.0 * w[1] + w[2]
-    hi = 3.0 * w[-1] - 3.0 * w[-2] + w[-3]
-    return np.concatenate([[lo], w, [hi]])
+def _gradient_and_laplacian(
+    w: np.ndarray, dx: float, we: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Central first and second differences from one ghost-cell extension.
 
-
-def _gradient_and_laplacian(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central first and second differences from one ghost-cell extension."""
-    we = _extend(w)
+    The extension attaches quadratically extrapolated ghost values on both
+    ends; it is written into ``we`` (``w.size + 2`` values) when given.
+    """
+    if we is None:
+        we = np.empty(w.size + 2)
+    we[0] = 3.0 * w[0] - 3.0 * w[1] + w[2]
+    we[1:-1] = w
+    we[-1] = 3.0 * w[-1] - 3.0 * w[-2] + w[-3]
     return (we[2:] - we[:-2]) / (2.0 * dx), (we[2:] - 2.0 * we[1:-1] + we[:-2]) / dx**2
 
 
@@ -133,6 +137,11 @@ def _require_scalar_1d(model: ModelSpec, grid: Grid) -> PopulationModel:
     if not np.all(model.mask(0) == 1.0):
         raise NotImplementedError("the MFG solver assumes a fully controlled state")
     return pmod
+
+
+def _require_slices(n_t: int) -> None:
+    if n_t < 1:
+        raise ValueError(f"n_t must be at least 1, got {n_t}")
 
 
 def constant_path(grid: Grid, density: GridDensity, times: np.ndarray) -> DensityPath:
@@ -159,6 +168,7 @@ def hjb_backward(
     linearly at substep times.
     """
     pmod = _require_scalar_1d(model, grid)
+    _require_slices(n_t)
     if density_path.grid != grid:
         raise ValueError("density path lives on a different grid")
     if density_path.times[0] > 1e-9 or density_path.times[-1] < model.T - 1e-9:
@@ -172,23 +182,42 @@ def hjb_backward(
     scale = max(1.0, float(np.abs(w).max()))
     values = np.empty((n_t + 1, mids.size))
     values[n_t] = w
+
+    def sigma_terms(tau: float) -> tuple[np.ndarray, float]:
+        sig2 = np.asarray(pmod.diffusion.value(tau, pts), dtype=float)[:, 0] ** 2
+        return 0.5 * sig2, float(sig2.max()) / dx**2
+
+    # declared constants are evaluated once per solve, closures every substep
+    fixed_alpha = pmod.penalty.value
+    if fixed_alpha is not None:
+        alpha, two_alpha = fixed_alpha, 2.0 * fixed_alpha
+    fixed_sigma = None if pmod.diffusion.diag is None else sigma_terms(model.T)
+    zero_f = is_zero(pmod.drift)
+    we = np.empty(mids.size + 2)
     for k in range(n_t - 1, -1, -1):
         t_hi, t_lo = times[k + 1], times[k]
         tau = t_hi
         while tau > t_lo + 1e-13:
             m = density_path.at_time(tau)
-            alpha = pmod.penalty.alpha(tau)
-            grad, lap = _gradient_and_laplacian(w, dx)
-            f = np.asarray(pmod.drift.value(pts, m), dtype=float)[:, 0]
+            if fixed_alpha is None:
+                alpha = pmod.penalty.alpha(tau)
+                two_alpha = 2.0 * alpha
+            grad, lap = _gradient_and_laplacian(w, dx, we)
+            f = None if zero_f else np.asarray(pmod.drift.value(pts, m), dtype=float)[:, 0]
             h = np.asarray(pmod.running_cost.value(pts, m), dtype=float)
-            sig2 = np.asarray(pmod.diffusion.value(tau, pts), dtype=float)[:, 0] ** 2
-            rhs = h + f * grad + 0.5 * sig2 * lap - grad**2 / (2.0 * alpha)
-            speed = float(np.abs(f).max() + np.abs(grad).max() / alpha)
-            denom = speed / dx + float(sig2.max()) / dx**2
+            half_sig2, sig2_dx2 = fixed_sigma or sigma_terms(tau)
+            # a zero f would add only signed zeros to the right-hand side and 0.0 to the speed
+            if f is None:
+                rhs = h + half_sig2 * lap - grad**2 / two_alpha
+                speed = float(np.abs(grad).max() / alpha)
+            else:
+                rhs = h + f * grad + half_sig2 * lap - grad**2 / two_alpha
+                speed = float(np.abs(f).max() + np.abs(grad).max() / alpha)
+            denom = speed / dx + sig2_dx2
             delta = (tau - t_lo) if denom <= 0.0 else min(_CFL_SAFETY / denom, tau - t_lo)
             w = w + delta * rhs
             tau -= delta
-            if not np.all(np.isfinite(w)) or np.abs(w).max() > _BLOWUP_FACTOR * scale:
+            if not np.isfinite(w).all() or np.abs(w).max() > _BLOWUP_FACTOR * scale:
                 raise NumericalError("HJB unstable, refine grid/time")
         values[k] = w
     return ValueField(grid, times, values)
@@ -198,13 +227,15 @@ def _mfg_velocity(model: ModelSpec, value: ValueField, grid: Grid):
     """Forward drift f - grad(w)/alpha using the value field's own gradient."""
     mids = grid.midpoints(0)
     pmod = model.population(0)
+    alpha = pmod.penalty.value
+    zero_f = is_zero(pmod.drift)
 
     def velocity(pop: int, t: float, x: np.ndarray, measures) -> np.ndarray:
         grad_mid = value.gradient_at(t)
         gx = np.interp(x[:, 0], mids, grad_mid)
-        f = np.asarray(pmod.drift.value(x, measures), dtype=float)
-        out = f.copy()
-        out[:, 0] -= gx / pmod.penalty.alpha(t)
+        # subtracting from zeros keeps the signed zeros of the general form
+        out = np.zeros(x.shape) if zero_f else np.asarray(pmod.drift.value(x, measures), dtype=float).copy()
+        out[:, 0] -= gx / (pmod.penalty.alpha(t) if alpha is None else alpha)
         return out
 
     return velocity
@@ -239,6 +270,7 @@ def solve_mfg_picard(
     """
     cfg = cfg or PicardConfig()
     _require_scalar_1d(model, grid)
+    _require_slices(n_t)
     if abs(m0.mass - 1.0) > 1e-8:
         raise ValueError(f"initial density mass {m0.mass} != 1")
     times = np.linspace(0.0, model.T, n_t + 1)
@@ -345,6 +377,7 @@ def compare_brs_mfg(
 ) -> CompareResult:
     """1-Wasserstein profile between the best-reply density and the MFG density."""
     _require_scalar_1d(model, grid)
+    _require_slices(n_t)
     times = np.linspace(0.0, model.T, n_t + 1)
     brs_path = solve_fpk(model, m0, FpkConfig(t_final=model.T, record_times=tuple(times)))
     mfg = solve_mfg_picard(model, m0, grid, n_t, cfg=cfg)

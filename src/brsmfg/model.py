@@ -315,12 +315,18 @@ def brs_drift(model: ModelSpec, pop: int, t: float, x: np.ndarray, m) -> np.ndar
     """Limiting best-reply drift f(x, m) - (1/alpha(t)) grad(h + g/T)(x, m).
 
     Pure composition of the stored analytic gradients; vectorized over leading
-    axes of ``x``. Non-finite output reports which ingredient produced it.
+    axes of ``x``. Non-finite output reports which ingredient produced it. A
+    declared-constant alpha is read, not evaluated, and a declared-zero f is
+    skipped: ``0.0 - v`` is ``zeros - v`` bit for bit.
     """
     p = model.population(pop)
-    a = p.penalty.alpha(t)
-    if not np.isfinite(a) or a <= 0:
-        raise FloatingPointError(f"alpha({t}) = {a} is not a positive finite number")
+    a = p.penalty.value
+    if a is None:
+        a = p.penalty.alpha(t)
+        if not np.isfinite(a) or a <= 0:
+            raise FloatingPointError(f"alpha({t}) = {a} is not a positive finite number")
+    if is_zero(p.drift):
+        return 0.0 - cost_gradient_sum(model, pop, x, m) / a
     f = _check_finite(p.drift.value(x, m), "drift f", "brs_drift")
     grad = cost_gradient_sum(model, pop, x, m)
     return f - grad / a

@@ -311,6 +311,58 @@ def fpk_solve_oracle(model, fields, t_final, record_times, boundary="no_flux", v
 
 
 # ---------------------------------------------------------------------------
+# Reference backward HJB sweep: the straightforward form of the solver's sweep,
+# which evaluates alpha, f and sigma every substep and extends w with a fresh
+# concatenation. ``hjb_backward`` must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_extend(w):
+    lo = 3.0 * w[0] - 3.0 * w[1] + w[2]
+    hi = 3.0 * w[-1] - 3.0 * w[-2] + w[-3]
+    return np.concatenate([[lo], w, [hi]])
+
+
+def _oracle_gradient_and_laplacian(w, dx):
+    we = _oracle_extend(w)
+    return (we[2:] - we[:-2]) / (2.0 * dx), (we[2:] - 2.0 * we[1:-1] + we[:-2]) / dx**2
+
+
+def hjb_backward_oracle(model, density_path, grid, n_t):
+    """(times, values (n_t + 1, cells)) of the reference backward sweep."""
+    pmod = model.population(0)
+    times = np.linspace(0.0, model.T, n_t + 1)
+    mids = grid.midpoints(0)
+    pts = mids[:, None]
+    dx = grid.widths[0]
+    m_T = density_path.at_time(model.T)
+    w = np.asarray(pmod.terminal_cost.value(pts, m_T), dtype=float)
+    scale = max(1.0, float(np.abs(w).max()))
+    values = np.empty((n_t + 1, mids.size))
+    values[n_t] = w
+    for k in range(n_t - 1, -1, -1):
+        t_hi, t_lo = times[k + 1], times[k]
+        tau = t_hi
+        while tau > t_lo + 1e-13:
+            m = density_path.at_time(tau)
+            alpha = pmod.penalty.alpha(tau)
+            grad, lap = _oracle_gradient_and_laplacian(w, dx)
+            f = np.asarray(pmod.drift.value(pts, m), dtype=float)[:, 0]
+            h = np.asarray(pmod.running_cost.value(pts, m), dtype=float)
+            sig2 = np.asarray(pmod.diffusion.value(tau, pts), dtype=float)[:, 0] ** 2
+            rhs = h + f * grad + 0.5 * sig2 * lap - grad**2 / (2.0 * alpha)
+            speed = float(np.abs(f).max() + np.abs(grad).max() / alpha)
+            denom = speed / dx + float(sig2.max()) / dx**2
+            delta = (tau - t_lo) if denom <= 0.0 else min(0.9 / denom, tau - t_lo)
+            w = w + delta * rhs
+            tau -= delta
+            if not np.all(np.isfinite(w)) or np.abs(w).max() > 1e6 * scale:
+                raise NumericalError("HJB unstable, refine grid/time")
+        values[k] = w
+    return times, values
+
+
+# ---------------------------------------------------------------------------
 # Reference particle step: the straightforward composition of the best-reply
 # drift, which evaluates every ingredient (zero ones included), multiplies by
 # the control mask even when it is all ones, and rebuilds the mask and the

@@ -195,6 +195,11 @@ class TestCrowdModel:
         with pytest.raises(ValueError, match="lam"):
             build_crowd_model(CrowdParams(lam=-0.5))
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.1, np.nan])
+    def test_nonpositive_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="kde_bandwidth must be positive"):
+            build_crowd_model(CrowdParams(kde_bandwidth=bandwidth))
+
     def test_mismatched_grids_rejected(self):
         model = build_crowd_model(CrowdParams())
         g1 = CROWD_GRID

@@ -83,10 +83,19 @@ class TestConfig:
             ("mpc-order", "mpc.dt_values=0.1", "at least two window sizes"),
             ("mpc-order", "mpc.dt_values=", "at least two window sizes"),
             ("mpc-order", "mpc.dt_values=0.05,0.1", "strictly decreasing"),
+            ("fpk", "model.init_var=nan", "non-finite density value nan"),
+            ("simulate", "model.preset=crowd crowd.bandwidth=nan", "kde_bandwidth must be positive"),
+            ("mfg", "mfg.n_t=0", "key mfg.n_t:"),
+            ("compare", "mfg.n_t=-1", "key mfg.n_t:"),
+            ("mfg", "mfg.tol=inf", "tol must be positive and finite"),
+            ("mfg", "mfg.tol=nan", "tol must be positive and finite"),
+            ("compare", "mfg.tol=0", "tol must be positive and finite"),
         ],
     )
     def test_rejected_value_is_a_config_error(self, tmp_path, capsys, subcommand, override, message):
-        assert main([subcommand, "--set", override, "--out", str(tmp_path / "x")]) == 2
+        # ``override`` holds one or more space-separated KEY=VALUE items
+        sets = [arg for item in override.split() for arg in ("--set", item)]
+        assert main([subcommand, *sets, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
 

@@ -1,6 +1,7 @@
 """Finite-volume continuity solver: conservation, positivity, benchmarks."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -163,6 +164,44 @@ class TestStepContract:
         with pytest.raises(NumericalError, match=message):
             fpk_step(model, (m0, m0), 0.0, dt=1e-4)
 
+    def test_step_collapse_is_named(self):
+        # D = 5e13 on a 16-cell grid: the first CFL-limited step is about 1e-16
+        def sigma(t, x):
+            return np.full(np.shape(x), 1e7)
+
+        model = ModelSpec(d=1, T=1.0, populations=(_population(DiffusionFunction(sigma), dim=1),))
+        grid = Grid((-1.0,), (1.0,), (16,))
+        m0 = GridDensity(grid, np.full(16, 0.5))
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match=r"^step collapse: .* at t=0 .*\(worst drain at pop 0, cell \(\d+,\)\)$"):
+            solve_fpk(model, m0, FpkConfig(t_final=1.0))
+        assert time.perf_counter() - start < 1.0
+
+    def test_short_remainder_before_a_record_time_is_not_a_collapse(self):
+        # pure diffusion with dx = 1 and D = 1/2: every CFL-limited step is 0.9, so the fourth
+        # step is chopped to about 5e-10, below 1e-12 * t_final = 1e-9
+        model = scalar_model(sigma=1.0)
+        grid = Grid((-8.0,), (8.0,), (16,))
+        m0 = gaussian_field(grid, 1.0)
+        record = (0.0, 0.9 + 0.9 + 0.9 + 5e-10, 1000.0)
+        path = solve_fpk(model, m0, FpkConfig(t_final=1000.0, record_times=record))
+        assert np.array_equal(path.times, np.asarray(record))
+
+    def test_declared_constant_diffusion_is_evaluated_at_most_once_per_population(self):
+        calls = []
+
+        def sigma(t, x):
+            calls.append(t)
+            return np.full(np.shape(x), 0.6)
+
+        grid = Grid((-2.0, -2.0), (2.0, 2.0), (20, 24))
+        pops = tuple(_population(DiffusionFunction(sigma, diag=(0.6, 0.6))) for _ in range(2))
+        model = ModelSpec(d=2, T=1.0, populations=pops)
+        m = GridDensity(grid, np.full(grid.cells, 1.0 / 16.0))
+        path = solve_fpk(model, (m, m), FpkConfig(t_final=0.5))
+        assert path.report["n_steps"] > 2
+        assert len(calls) <= 2
+
     def test_stable_dt_satisfies_componentwise_bound(self):
         model = ou_model(T=1.0)
         m0 = gaussian_field(GRID, 0.5)
@@ -249,40 +288,57 @@ class TestAccuracy:
 # ---------------------------------------------------------------------------
 
 
-def _population(diffusion, drift=None, cost_gradient=None, dim=2):
+def _population(diffusion, drift=None, cost_gradient=None, dim=2, penalty=None):
     zero = CostFunction.zero(dim)
     return PopulationModel(
         drift=drift or DriftFunction.zero(dim),
         running_cost=zero if cost_gradient is None else CostFunction(value=zero.value, gradient=cost_gradient),
         terminal_cost=zero,
-        penalty=ControlPenalty.constant(1.0),
+        penalty=penalty or ControlPenalty.constant(1.0),
         diffusion=diffusion,
         initial_law=product_law([GaussianMarginal(0.0, 1.0)] * dim),
     )
 
 
-def _random_model(rng, dim: int, n_pop: int) -> ModelSpec:
+def _random_model(rng, dim: int, kinds) -> ModelSpec:
     """Smooth drifts and diffusions with random coefficients.
 
+    ``kinds`` holds one (diffusion, drift, penalty) choice per population:
+    diffusion ``closure``, ``constant`` or ``constant_zero`` (a declared
+    constant with a zero entry, so that axis has donor-cell faces); drift
+    ``closure`` or ``zero``; penalty ``constant`` or ``closure`` (time-varying).
     Each population is pulled toward a multiple of the other population's mean
     (its own with one population), so the drift depends on the frozen state.
     """
+    n_pop = len(kinds)
     pops = []
-    for pop in range(n_pop):
+    for pop, (diffusion_kind, drift_kind, penalty_kind) in enumerate(kinds):
         c, a, s0, s1 = (rng.uniform(lo, hi, dim) for lo, hi in ((-1, 1), (0.2, 1.5), (0.3, 1.0), (0, 0.3)))
         k = rng.uniform(-0.5, 0.5)
+        a0, a1 = rng.uniform(0.5, 1.5), rng.uniform(-0.4, 0.4)
         other = (pop + 1) % n_pop
 
         def gradient(x, m, a=a, k=k, other=other):
             target = (m if n_pop == 1 else m[other]).mean()
             return a * (np.asarray(x) - k * target)
 
+        if diffusion_kind == "closure":
+            diffusion = DiffusionFunction(lambda t, x, s0=s0, s1=s1: s0 + s1 * np.cos(np.asarray(x) + t))
+        else:
+            if diffusion_kind == "constant_zero":
+                s0[rng.integers(dim)] = 0.0
+            diffusion = DiffusionFunction.constant(s0)
         pops.append(
             _population(
-                DiffusionFunction(lambda t, x, s0=s0, s1=s1: s0 + s1 * np.cos(np.asarray(x) + t)),
-                drift=DriftFunction(lambda x, m, c=c: c * np.sin(np.asarray(x))),
+                diffusion,
+                drift=DriftFunction(lambda x, m, c=c: c * np.sin(np.asarray(x))) if drift_kind == "closure" else None,
                 cost_gradient=gradient,
                 dim=dim,
+                penalty=(
+                    ControlPenalty(alpha=lambda t, a0=a0, a1=a1: a0 + a1 * t, alpha_dot=lambda t, a1=a1: a1)
+                    if penalty_kind == "closure"
+                    else None
+                ),
             )
         )
     return ModelSpec(d=dim, T=1.0, populations=tuple(pops))
@@ -293,6 +349,17 @@ def fpk_problems(draw):
     """(model, densities, boundary spec, velocity override or None) on a random grid."""
     dim = draw(st.integers(1, 2))
     n_pop = draw(st.integers(1, 2))
+    kinds = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["closure", "constant", "constant_zero"]),
+                st.sampled_from(["closure", "zero"]),
+                st.sampled_from(["constant", "closure"]),
+            ),
+            min_size=n_pop,
+            max_size=n_pop,
+        )
+    )
     cells = tuple(draw(st.integers(8, 40 if dim == 1 else 14)) for _ in range(dim))
     mins = tuple(draw(st.floats(-3.0, -0.5)) for _ in range(dim))
     maxs = tuple(lo + draw(st.floats(1.0, 5.0)) for lo in mins)
@@ -317,7 +384,7 @@ def fpk_problems(draw):
         def velocity(pop, t, x, measures):
             return np.cos(x + phase + t) - 0.5 * pop
 
-    return _random_model(rng, dim, n_pop), tuple(fields), boundary, velocity
+    return _random_model(rng, dim, kinds), tuple(fields), boundary, velocity
 
 
 class TestStepMatchesReference:

@@ -147,6 +147,14 @@ class TestDensityAt:
         with pytest.raises(ValueError, match="needs a bandwidth"):
             density_gradient_at(m, np.array([0.5]))
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.2, np.nan, [0.2, np.nan]])
+    def test_kde_bandwidth_must_be_positive(self, bandwidth):
+        m = EmpiricalMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            density_at(m, np.array([0.5, 0.5]), bandwidth=bandwidth)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            density_gradient_at(m, np.array([0.5, 0.5]), bandwidth=bandwidth)
+
     def test_kde_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(11)
         m = EmpiricalMeasure(rng.standard_normal((64, 2)))
@@ -338,6 +346,16 @@ class TestCsv:
         grid = Grid((0.0,), (1.0,), (4,))
         with pytest.raises(ValueError, match="negative density"):
             GridDensity(grid, np.array([1.0, -1e-3, 1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, np.nan, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0], [1.0, -np.inf, 1.0, 1.0], [1e308] * 4],
+        ids=["nan", "inf", "-inf", "mass-overflow"],
+    )
+    def test_non_finite_density_rejected(self, values):
+        grid = Grid((0.0,), (1.0,), (4,))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite density"):
+            GridDensity(grid, np.array(values))
 
     @pytest.mark.parametrize(
         "values, low",

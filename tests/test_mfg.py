@@ -1,11 +1,15 @@
 """MFG system: backward value solve, Picard coupling, reduction order, comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import riccati_value, scalar_model
+from _helpers import hjb_backward_oracle, riccati_value, scalar_model
 
-from brsmfg.fokker_planck import NumericalError
+from brsmfg.fokker_planck import DensityPath, NumericalError
 from brsmfg.measures import Grid
 from brsmfg.mfg import (
     PicardConfig,
@@ -15,8 +19,8 @@ from brsmfg.mfg import (
     mpc_reduction_check,
     solve_mfg_picard,
 )
-from brsmfg.model import CostFunction
-from brsmfg.presets import lq_model, mean_coupling_model
+from brsmfg.model import ControlPenalty, CostFunction, DiffusionFunction, DriftFunction
+from brsmfg.presets import lq_model, mean_coupling_model, ou_model
 
 GRID = Grid((-6.0,), (6.0,), (400,))
 
@@ -179,3 +183,90 @@ class TestCompare:
         m0 = model.population(0).initial_law.grid_density(GRID)
         res = compare_brs_mfg(model, m0, GRID, n_t=4)
         assert res.max_w1 <= GRID.widths[0]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("n_t", [0, -1])
+    def test_time_slices_must_be_positive(self, n_t):
+        model = lq_model(T=0.5)
+        grid = Grid((-3.0,), (3.0,), (32,))
+        m0 = model.population(0).initial_law.grid_density(grid)
+        calls = (
+            lambda: hjb_backward(model, frozen_path(model, grid), grid, n_t),
+            lambda: solve_mfg_picard(model, m0, grid, n_t),
+            lambda: compare_brs_mfg(model, m0, grid, n_t),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^n_t must be at least 1, got {n_t}$"):
+                call()
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            PicardConfig(tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# The backward sweep against the reference sweep in ``_helpers``
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hjb_problems(draw):
+    """(model, density path, grid, n_t): a scalar preset, optionally with a nonzero f,
+    a closure diffusion and a time-varying alpha, against a random density path."""
+    preset = draw(st.sampled_from([ou_model, lq_model, mean_coupling_model]))
+    T = draw(st.floats(0.05, 1.0))
+    model = preset(T=T, sigma=draw(st.floats(0.2, 1.5)), alpha=draw(st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    changes = {}
+    if draw(st.booleans()):
+        c = rng.uniform(-1.0, 1.0)
+        changes["drift"] = DriftFunction(lambda x, m: c * np.sin(np.asarray(x)))
+    if draw(st.booleans()):
+        s0, s1 = rng.uniform(0.3, 1.0), rng.uniform(0.0, 0.3)
+        changes["diffusion"] = DiffusionFunction(lambda t, x: s0 + s1 * np.cos(np.asarray(x) + t))
+    if draw(st.booleans()):
+        a0, a1 = rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3)
+        changes["penalty"] = ControlPenalty(alpha=lambda t: a0 + a1 * t, alpha_dot=lambda t: a1)
+    model = replace(model, populations=(replace(model.population(0), **changes),))
+    cells = draw(st.integers(8, 60))
+    lo = draw(st.floats(-4.0, -1.0))
+    grid = Grid((lo,), (lo + draw(st.floats(2.0, 8.0)),), (cells,))
+    n_slices = draw(st.integers(2, 5))
+    vals = rng.uniform(0.05, 1.0, (n_slices, 1, cells))
+    vals /= vals.sum(axis=2, keepdims=True) * grid.cell_volume
+    path = DensityPath(grid, np.linspace(0.0, T, n_slices), vals)
+    return model, path, grid, draw(st.integers(1, 6))
+
+
+class TestHjbMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=hjb_problems())
+    def test_hjb_backward_is_bit_identical(self, problem):
+        model, path, grid, n_t = problem
+        try:
+            times, values = hjb_backward_oracle(model, path, grid, n_t)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="HJB unstable"):
+                hjb_backward(model, path, grid, n_t)
+            return
+        w = hjb_backward(model, path, grid, n_t)
+        assert np.array_equal(w.times, times)
+        assert np.array_equal(w.values, values)
+
+    def test_declared_constant_diffusion_is_not_evaluated_per_substep(self):
+        calls = []
+
+        def sigma(t, x):
+            calls.append(t)
+            return np.full(np.shape(x), 0.8)
+
+        model = lq_model(T=0.5)
+        pop = replace(model.population(0), diffusion=DiffusionFunction(sigma, diag=(0.8,)))
+        model = replace(model, populations=(pop,))
+        grid = Grid((-3.0,), (3.0,), (48,))
+        w = hjb_backward(model, frozen_path(model, grid), grid, n_t=4)
+        assert len(calls) <= 1
+        reference = hjb_backward(lq_model(T=0.5, sigma=0.8), frozen_path(model, grid), grid, n_t=4)
+        assert np.array_equal(w.values, reference.values)

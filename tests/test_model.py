@@ -16,6 +16,7 @@ from brsmfg.model import (
     GaussianMarginal,
     LognormalMarginal,
     brs_drift,
+    cost_gradient_sum,
     is_zero,
     product_law,
     validate_assumptions,
@@ -161,6 +162,23 @@ class TestBrsDrift:
         a = brs_drift(scalar_model(h=h, T=1.0), 0, 0.0, xs, m)
         b = brs_drift(scalar_model(h=h, T=8.0), 0, 0.0, xs, m)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("zero_f", [True, False])
+    @pytest.mark.parametrize("constant_alpha", [True, False])
+    def test_matches_the_full_composition_bit_for_bit(self, zero_f, constant_alpha):
+        # a declared-zero f is skipped and a declared-constant alpha is read, signed zeros included
+        f = DriftFunction.zero(1) if zero_f else DriftFunction(lambda x, m: np.sin(np.asarray(x)))
+        alpha = 1.3 if constant_alpha else (lambda t: 1.0 + 0.5 * t)
+        model = scalar_model(h=quadratic_cost(), f=f, alpha=alpha, alpha_dot=None if constant_alpha else (lambda t: 0.5))
+        rng = np.random.default_rng(4)
+        xs = np.concatenate([rng.standard_normal((30, 1)), [[0.0], [-0.0]]])
+        m = EmpiricalMeasure(rng.standard_normal(20))
+        t = 0.7
+        pmod = model.population(0)
+        expected = np.asarray(f.value(xs, m), dtype=float) - cost_gradient_sum(model, 0, xs, m) / pmod.penalty.alpha(t)
+        got = brs_drift(model, 0, t, xs, m)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_nonfinite_ingredient_is_named(self):
         bad = DriftFunction(value=lambda x, m: np.full(np.shape(x), np.inf))
