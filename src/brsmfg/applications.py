@@ -25,6 +25,7 @@ then -grad(m1 + lam m2 + Psi1/T).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,10 +108,10 @@ class WealthParams:
         return dict(psi=psi, psi_prime=psi_prime, phi=phi, phi_prime=phi_prime, xi=xi, xi_prime=xi_prime, v=v)
 
     def validate(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.z_min <= 0:
-            raise ValueError("z_min must be positive")
+        for name in ("kappa", "psi_width", "z_min"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         k = self.resolved()
         r = np.linspace(0.1, 3.0, 7)
         if np.abs(k["psi"](r) - k["psi"](-r)).max() > 1e-12:
@@ -208,7 +209,7 @@ class CrowdParams:
     ``lam`` weighs aversion to the other group's density; ``sigma`` is the
     common diagonal diffusion; ``kde_bandwidth`` is used whenever the group
     densities are carried by particles instead of a grid. Terminal costs
-    default to quadratic wells around ``targets``.
+    are quadratic wells of weight ``psi_weight`` around ``targets``.
     """
 
     lam: float = 1.0
@@ -220,8 +221,6 @@ class CrowdParams:
     targets: tuple[tuple[float, float], tuple[float, float]] = ((1.0, 0.0), (-1.0, 0.0))
     ic_centers: tuple[tuple[float, float], tuple[float, float]] = ((-0.5, 0.0), (0.5, 0.0))
     ic_std: float = 0.5
-    psi1: CostFunction | None = None
-    psi2: CostFunction | None = None
 
     def validate(self) -> None:
         if self.lam < 0:
@@ -268,10 +267,7 @@ def _crowd_cost(own: int, other: int, lam: float, bandwidth: float) -> CostFunct
 def build_crowd_model(params: CrowdParams) -> ModelSpec:
     """Two-population d = 2 crowd model with density-aversion running costs."""
     params.validate()
-    terminal = [
-        params.psi1 or _quadratic_well(params.targets[0], params.psi_weight),
-        params.psi2 or _quadratic_well(params.targets[1], params.psi_weight),
-    ]
+    terminal = [_quadratic_well(target, params.psi_weight) for target in params.targets]
     pops = []
     for i in range(2):
         pops.append(

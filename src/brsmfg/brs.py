@@ -31,10 +31,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """One-step MPC window: size dt and whether the dt*alpha_dot term is kept."""
+    """One-step MPC window of size dt."""
 
     dt: float
-    use_alpha_dot: bool = True
 
     def validate(self, horizon: float) -> None:
         if not 0.0 < self.dt <= horizon:
@@ -42,11 +41,9 @@ class MpcConfig:
 
 
 def penalty_denominator(model: ModelSpec, pop: int, t: float, cfg: MpcConfig) -> float:
-    """alpha(t) + dt * alpha_dot(t) (or plain alpha(t)); must be positive."""
+    """alpha(t) + dt * alpha_dot(t); must be positive."""
     pen = model.population(pop).penalty
-    denom = pen.alpha(t)
-    if cfg.use_alpha_dot:
-        denom = denom + cfg.dt * pen.alpha_dot(t)
+    denom = pen.alpha(t) + cfg.dt * pen.alpha_dot(t)
     if not denom > 0.0:
         raise ValueError(f"penalty denominator nonpositive at t={t}: {denom}")
     return float(denom)

@@ -373,14 +373,14 @@ def _run_simulate(cfg: RunConfig, out: Path) -> Report:
     for k, t in enumerate(rec.times):
         snap = rec.snapshots[k]
         for pop in range(model.n_populations):
-            mom = moments(snap.empirical(pop), order=2)
+            mom = moments(snap.empirical(pop))
             for ax in range(model.d):
                 rows.append([t, f"pop{pop}_mean_x{ax}", mom.mean[ax]])
                 rows.append([t, f"pop{pop}_var_x{ax}", mom.variance[ax]])
     write_csv(out / "metrics.csv", ["t", "metric_name", "value"], rows)
     entries: list[tuple[str, object]] = [("t_final", rec.times[-1]), ("n_steps", len(rec.times) - 1)]
     for pop in range(model.n_populations):
-        mom = moments(final.empirical(pop), order=2)
+        mom = moments(final.empirical(pop))
         for ax in range(model.d):
             entries.append((f"pop{pop}_terminal_mean_x{ax}", mom.mean[ax]))
             entries.append((f"pop{pop}_terminal_var_x{ax}", mom.variance[ax]))
@@ -394,7 +394,7 @@ def _run_fpk(cfg: RunConfig, out: Path) -> Report:
         m0 = _initial_density(model, grid)
     path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=[f"preset={cfg.str_('model.preset')}"])
-    mom = moments(path.final(0), order=2)
+    mom = moments(path.final(0))
     return 0, [
         ("t_final", path.times[-1]),
         ("terminal_mean", mom.mean[0]),
@@ -412,7 +412,7 @@ def _run_mfg(cfg: RunConfig, out: Path) -> Report:
     sol.value.write_csv(out / "values.csv")
     sol.density_path.write_csv(out / "density.csv")
     sol.write_iteration_csv(out / "iterations.csv")
-    mom = moments(sol.density_path.final(0), order=2)
+    mom = moments(sol.density_path.final(0))
     return 0 if sol.converged else 4, [
         ("converged", "yes" if sol.converged else "no"),
         ("n_iterations", sol.n_iterations),
@@ -495,7 +495,7 @@ def _run_wealth(cfg: RunConfig, out: Path) -> Report:
         m0 = _initial_density(model, grid)
     path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=["preset=wealth"])
-    mom = moments(path.final(0), order=2)
+    mom = moments(path.final(0))
     return 0, [
         ("t_final", path.times[-1]),
         ("terminal_mean_y", mom.mean[0]),

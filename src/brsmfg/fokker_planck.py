@@ -52,11 +52,13 @@ class FpkConfig:
     (see :func:`stable_dt`), scaled by ``cfl_safety``, and chopped so snapshots
     land exactly on ``record_times``: strictly increasing times in
     [0, t_final] that end at ``t_final``. ``None`` records (0, t_final).
+    ``boundary`` is one label for every side of the box: ``no_flux`` walls
+    or ``absorbing`` ones.
     """
 
     t_final: float
     cfl_safety: float = 0.9
-    boundary: str | Sequence = "no_flux"
+    boundary: str = "no_flux"
     record_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -68,31 +70,12 @@ class FpkConfig:
             r = np.asarray(self.record_times, dtype=float)
             if not (r.size and r[0] >= -1e-12 and abs(r[-1] - self.t_final) <= 1e-12 and np.all(np.diff(r) > 0)):
                 raise ValueError("record_times must increase strictly within [0, t_final] and end at t_final")
-        # validates the labels; solve_fpk checks the axis count against the grid
-        _normalize_boundary(self.boundary, 1 if isinstance(self.boundary, str) else len(self.boundary))
+        _check_boundary(self.boundary)
 
 
-def _normalize_boundary(boundary, dim: int) -> list[tuple[str, str]]:
-    """Expand the boundary spec to per-axis (low side, high side) labels."""
-    if isinstance(boundary, str):
-        if boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        return [(boundary, boundary)] * dim
-    out = []
-    for entry in boundary:
-        if isinstance(entry, str):
-            pair = (entry, entry)
-        else:
-            pair = (entry[0], entry[1])
-        for side in pair:
-            if side not in BOUNDARIES:
-                raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        out.append(pair)
-    if len(out) == 1 and dim > 1:
-        out = out * dim
-    if len(out) != dim:
-        raise ValueError(f"boundary spec has {len(out)} axes, grid has {dim}")
-    return out
+def _check_boundary(boundary: str) -> None:
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
 
 def _sg_coefficients(D: np.ndarray, dx: float) -> tuple:
@@ -142,33 +125,32 @@ class _Faces:
     flat: np.ndarray  # face centres, shape (n_faces, dim)
     shape: tuple[int, ...]  # the face mesh shape
     dx: float
-    closed: tuple[bool, bool]  # a no-flux wall on the (low, high) side
     coefficients: tuple | None  # a declared-constant diffusion's _sg_coefficients, else None
 
 
 class _Step:
     """The explicit step of one solve, built once from (model, grid, velocity, boundary).
 
-    The face centres, dx, the no-flux faces and the SG coefficients of a
-    declared-constant diffusion are fixed when it is built. Each
-    :meth:`assemble` evaluates the drift (and a closure diffusion) at the
-    faces, computes the SG weights, zeroes the no-flux faces and sums the drain.
+    The face centres, dx and the SG coefficients of a declared-constant
+    diffusion are fixed when it is built. Each :meth:`assemble` evaluates the
+    drift (and a closure diffusion) at the faces, computes the SG weights,
+    zeroes the outer faces under no-flux walls and sums the drain.
     """
 
-    def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary):
+    def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary: str):
+        _check_boundary(boundary)
         self.model, self.velocity = model, velocity
-        bpairs = _normalize_boundary(boundary, grid.dim)
+        self.closed = boundary == "no_flux"
         self.faces = []
         for p in model.populations:
             per_axis = []
-            for k, (lo, hi) in enumerate(bpairs):
+            for k in range(grid.dim):
                 pts, dx, diag = grid.face_points(k), grid.widths[k], p.diffusion.diag
                 shape = pts.shape[:-1]
                 coefficients = None
                 if diag is not None:
                     coefficients = _sg_coefficients((0.5 * np.full(shape, diag[k]) ** 2).swapaxes(0, k), dx)
-                closed = (lo == "no_flux", hi == "no_flux")
-                per_axis.append(_Faces(k, pts.reshape(-1, grid.dim), shape, dx, closed, coefficients))
+                per_axis.append(_Faces(k, pts.reshape(-1, grid.dim), shape, dx, coefficients))
             self.faces.append(per_axis)
 
     def assemble(self, fields: Sequence[GridDensity], t: float) -> list[_Assembled]:
@@ -196,12 +178,9 @@ class _Step:
                     coefficients = _sg_coefficients((0.5 * sig[:, k].reshape(ax.shape) ** 2).swapaxes(0, k), dx)
                 G = _sg_weight(b, dx, coefficients)
                 # no-flux faces carry zero flux and therefore zero drain
-                if ax.closed[0]:
-                    b[0] = 0.0
-                    G[0] = 0.0
-                if ax.closed[1]:
-                    b[-1] = 0.0
-                    G[-1] = 0.0
+                if self.closed:
+                    b[0] = b[-1] = 0.0
+                    G[0] = G[-1] = 0.0
                 bs.append(b)
                 Gs.append(G)
                 # positivity drain of each cell: (b + G) from its upper face, G from lower
@@ -248,7 +227,7 @@ def stable_dt(
     fields: Sequence[GridDensity],
     t: float,
     velocity: Callable | None = None,
-    boundary="no_flux",
+    boundary: str = "no_flux",
 ) -> float:
     """Largest positivity-preserving explicit step for the current state.
 
@@ -266,14 +245,15 @@ def fpk_step(
     t: float,
     dt: float,
     velocity: Callable | None = None,
-    boundary="no_flux",
+    boundary: str = "no_flux",
 ) -> tuple[GridDensity, ...]:
     """One explicit conservative step of the coupled continuity equations.
 
     ``fields`` holds one density per population on a common grid. The drift is
     the best-reply field ``f - grad(h + g/T)/alpha`` evaluated on the frozen
     current densities, unless ``velocity(pop, t, points, measures)`` overrides
-    it. ``dt`` must satisfy the positivity bound of :func:`stable_dt`.
+    it. ``boundary`` is one label for the whole box, as in :class:`FpkConfig`.
+    ``dt`` must satisfy the positivity bound of :func:`stable_dt`.
     """
     if isinstance(fields, GridDensity):
         fields = (fields,)
@@ -290,6 +270,20 @@ def fpk_step(
             f"CFL violation: dt={dt:.3e} exceeds stable bound {1.0 / drain:.3e} (worst drain at {_worst_cell(asm)})"
         )
     return _apply(fields, asm, dt)
+
+
+def _interpolate_in_time(times: np.ndarray, t: float, at: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The slices ``at(k)`` at increasing ``times``, linearly interpolated at t.
+
+    Outside the range the end slice is returned as it is.
+    """
+    if t <= times[0]:
+        return at(0)
+    if t >= times[-1]:
+        return at(len(times) - 1)
+    j = int(np.searchsorted(times, t, side="right") - 1)
+    lam = (t - times[j]) / (times[j + 1] - times[j])
+    return (1.0 - lam) * at(j) + lam * at(j + 1)
 
 
 class DensityPath:
@@ -313,15 +307,7 @@ class DensityPath:
 
     def at_time(self, t: float, pop: int = 0) -> GridDensity:
         """Density linearly interpolated in time (clamped to the range)."""
-        ts = self.times
-        if t <= ts[0]:
-            return self.density(0, pop)
-        if t >= ts[-1]:
-            return self.density(len(ts) - 1, pop)
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        lam = (t - ts[j]) / (ts[j + 1] - ts[j])
-        vals = (1.0 - lam) * self.values[j, pop] + lam * self.values[j + 1, pop]
-        return GridDensity(self.grid, vals)
+        return GridDensity(self.grid, _interpolate_in_time(self.times, t, lambda k: self.values[k, pop]))
 
     def masses(self) -> np.ndarray:
         vol = self.grid.cell_volume

@@ -321,16 +321,13 @@ def kernel_integral(m: MeasureView, kernel: Callable[[np.ndarray], np.ndarray]):
 @dataclass(frozen=True)
 class Moments:
     mean: np.ndarray
-    variance: np.ndarray | None
+    variance: np.ndarray
 
 
-def moments(m: MeasureView, order: int = 2) -> Moments:
-    """Per-axis mean and (for order 2) variance of a normalized measure."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+def moments(m: MeasureView) -> Moments:
+    """Per-axis mean and variance of a normalized measure; the variance reuses the mean."""
     mu = m.mean()
-    var = m.variance(mu) if order == 2 else None
-    return Moments(mean=np.atleast_1d(mu), variance=None if var is None else np.atleast_1d(var))
+    return Moments(mean=np.atleast_1d(mu), variance=np.atleast_1d(m.variance(mu)))
 
 
 def density_at(m: MeasureView, x: np.ndarray, bandwidth: float | np.ndarray | None = None):
@@ -347,7 +344,7 @@ def density_at(m: MeasureView, x: np.ndarray, bandwidth: float | np.ndarray | No
     x = np.asarray(x, dtype=float)
     scalar_like = x.ndim <= 1 and x.size == m.dim
     pts = np.atleast_2d(x.reshape(-1, m.dim))
-    vals = _kde(m, pts, bw)
+    vals = _kde_kernel(m, pts, bw)[1] @ m.weights
     return float(vals[0]) if scalar_like else vals.reshape(x.shape[:-1])
 
 
@@ -363,10 +360,8 @@ def density_gradient_at(
     x = np.asarray(x, dtype=float)
     scalar_like = x.ndim == 1
     pts = np.atleast_2d(x.reshape(-1, m.dim))
-    diff = pts[:, None, :] - m.points[None, :, :]  # (M, N, d)
-    kern = np.exp(-0.5 * (diff / bw) ** 2) / (bw * np.sqrt(2.0 * np.pi))
-    prod = kern.prod(axis=2)  # (M, N)
-    grad = np.einsum("mn,mnk->mk", m.weights[None, :] * prod, -diff / bw**2)
+    diff, kern = _kde_kernel(m, pts, bw)
+    grad = np.einsum("mn,mnk->mk", m.weights[None, :] * kern, -diff / bw**2)
     return grad[0] if scalar_like else grad.reshape(x.shape)
 
 
@@ -381,10 +376,11 @@ def _kde_bandwidth(m: EmpiricalMeasure, bandwidth) -> np.ndarray:
     return bw
 
 
-def _kde(m: EmpiricalMeasure, pts: np.ndarray, bw: np.ndarray) -> np.ndarray:
+def _kde_kernel(m: EmpiricalMeasure, pts: np.ndarray, bw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pts - particles, shape (M, N, d); the product Gaussian kernel matrix, shape (M, N))."""
     diff = pts[:, None, :] - m.points[None, :, :]
     kern = np.exp(-0.5 * (diff / bw) ** 2) / (bw * np.sqrt(2.0 * np.pi))
-    return kern.prod(axis=2) @ m.weights
+    return diff, kern.prod(axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .fokker_planck import (
     DensityPath,
     FpkConfig,
     NumericalError,
+    _interpolate_in_time,
     solve_fpk,
 )
 from .measures import Grid, GridDensity, wasserstein_1d, write_csv, write_grid_csv
@@ -94,20 +95,13 @@ class ValueField:
         return self._gradients[k]
 
     def gradient_at(self, t: float) -> np.ndarray:
-        """Spatial gradient at midpoints, linearly interpolated in time."""
-        ts = self.times
-        if t <= ts[0]:
-            return self.gradient(0)
-        if t >= ts[-1]:
-            return self.gradient(len(ts) - 1)
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        lam = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - lam) * self.gradient(j) + lam * self.gradient(j + 1)
+        """Spatial gradient at midpoints, linearly interpolated in time (clamped to the range)."""
+        return _interpolate_in_time(self.times, t, self.gradient)
 
-    def write_csv(self, path, preamble: Sequence[str] = ()) -> None:
+    def write_csv(self, path) -> None:
         """Rows ``t,cell,midpoint,w``."""
         records = (((t,), w) for t, w in zip(self.times.tolist(), self.values))
-        write_grid_csv(path, self.grid, ["t"], records, value="w", preamble=preamble)
+        write_grid_csv(path, self.grid, ["t"], records, value="w")
 
 
 def _gradient_and_laplacian(

@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+# ControlPenalty.check: sample times on [0, T] and the relative tolerance of alpha_dot
+_PENALTY_SAMPLES = 33
+_PENALTY_TOL = 1e-4
+# validate_assumptions: particles per sampled population measure
+_N_SUPPORT = 24
+
+
 @dataclass(frozen=True)
 class ControlPenalty:
     """Time-dependent quadratic control penalty alpha(t) > 0 and its derivative."""
@@ -60,9 +67,9 @@ class ControlPenalty:
     def constant(value: float) -> "ControlPenalty":
         return ControlPenalty(alpha=lambda t: value, alpha_dot=lambda t: 0.0, value=value)
 
-    def check(self, horizon: float, samples: int = 33, tol: float = 1e-4) -> None:
+    def check(self, horizon: float) -> None:
         """Sample positivity of alpha and consistency of alpha_dot on [0, T]."""
-        ts = np.linspace(0.0, horizon, samples)
+        ts = np.linspace(0.0, horizon, _PENALTY_SAMPLES)
         eps = max(1e-6 * horizon, 1e-9)
         for t in ts:
             a = self.alpha(float(t))
@@ -70,7 +77,7 @@ class ControlPenalty:
                 raise ValueError(f"alpha({t}) = {a} is not positive")
             fd = (self.alpha(float(t) + eps) - a) / eps
             ad = self.alpha_dot(float(t))
-            if abs(fd - ad) > tol * (1.0 + abs(ad)):
+            if abs(fd - ad) > _PENALTY_TOL * (1.0 + abs(ad)):
                 raise ValueError(
                     f"alpha_dot inconsistent with alpha at t={t}: fd={fd}, stored={ad}"
                 )
@@ -254,8 +261,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("state dimension must be >= 1")
-        if not self.T > 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.T!r}")
         if len(self.populations) < 1:
             raise ValueError("need at least one population")
         masks = tuple(
@@ -365,12 +372,8 @@ class AssumptionReport:
         return not self.flagged
 
 
-def _measure_tuple(model: ModelSpec, rng: np.random.Generator, n_support: int):
-    views = tuple(
-        EmpiricalMeasure(p.initial_law.sample(rng, n_support))
-        for p in model.populations
-    )
-    return views
+def _measure_tuple(model: ModelSpec, rng: np.random.Generator):
+    return tuple(EmpiricalMeasure(p.initial_law.sample(rng, _N_SUPPORT)) for p in model.populations)
 
 
 def _translate_views(views, shift):
@@ -382,7 +385,6 @@ def validate_assumptions(
     sample_count: int,
     seed: int,
     cap: float = 1e3,
-    n_support: int = 24,
 ) -> AssumptionReport:
     """Empirical Lipschitz audit of the model's standing regularity hypotheses.
 
@@ -408,7 +410,7 @@ def validate_assumptions(
         q = dict.fromkeys((f.name for f in fields(PopulationQuotients)), 0.0)
         used = 0
         for _ in range(sample_count):
-            views = _measure_tuple(model, rng, n_support)
+            views = _measure_tuple(model, rng)
             marg = coupling_measure(views)
             x1 = p.initial_law.sample(rng, 1)[0]
             step = 10.0 ** rng.uniform(-3, 0)

@@ -13,6 +13,7 @@ by player.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -46,15 +47,6 @@ class EnsembleState:
     positions: tuple[np.ndarray, ...]
     t: float
     seed: int
-    step_index: int = 0
-
-    def check(self, dt: float | None = None) -> None:
-        for pts in self.positions:
-            if not np.all(np.isfinite(pts)):
-                raise FloatingPointError("ensemble contains non-finite positions")
-        if dt is not None:
-            if abs(self.step_index * dt - self.t) > 1e-12 * max(1.0, abs(self.t)):
-                raise ValueError("step_index * dt inconsistent with elapsed time")
 
     def empirical(self, pop: int = 0) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.positions[pop])
@@ -78,8 +70,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
         if self.n_particles < 2:
             raise ValueError("need at least two particles")
         if self.record_every < 1:
@@ -205,12 +197,7 @@ def _particle_step(model: ModelSpec, dt: float, coupling: str, control, sizes):
                 bad = int(np.argwhere(~np.isfinite(new).all(axis=1))[0, 0])
                 raise FloatingPointError(f"non-finite update for pop {pop} particle {bad}")
             new_positions.append(_reflect(new, pmod.reflect_lower))
-        return EnsembleState(
-            positions=tuple(new_positions),
-            t=state.t + dt,
-            seed=state.seed,
-            step_index=state.step_index + 1,
-        )
+        return EnsembleState(positions=tuple(new_positions), t=state.t + dt, seed=state.seed)
 
     return step
 
@@ -277,16 +264,17 @@ def initial_state(model: ModelSpec, cfg: SimConfig) -> EnsembleState:
     return EnsembleState(positions=positions, t=0.0, seed=cfg.seed)
 
 
-def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig, mpc: MpcConfig | None = None) -> TrajectoryRecord:
+def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig) -> TrajectoryRecord:
     """Simulate the N-player game under the finite-window best reply.
 
-    ``leave_one_out`` coupling uses each player's own exclusion measure
-    (the N-player game); ``full_empirical`` uses the whole-cloud measure (the
-    interacting-particle approximation of the mean-field dynamics). Snapshots
-    are recorded every ``record_every`` steps plus the initial and final state.
+    The MPC window is the time step, ``MpcConfig(dt=cfg.dt)``, and must fit in
+    the horizon. ``leave_one_out`` coupling uses each player's own exclusion
+    measure (the N-player game); ``full_empirical`` uses the whole-cloud
+    measure (the interacting-particle approximation of the mean-field
+    dynamics). Snapshots are recorded every ``record_every`` steps plus the
+    initial and final state.
     """
-    if mpc is None:
-        mpc = MpcConfig(dt=cfg.dt)
+    mpc = MpcConfig(dt=cfg.dt)
     mpc.validate(model.T)
     control = best_reply(model, mpc)
     state = initial_state(model, cfg)
@@ -319,15 +307,14 @@ def propagation_of_chaos_study(
     n_list,
     reference,
     seeds,
-    mpc: MpcConfig | None = None,
 ) -> list[ChaosRow]:
     """Terminal 1-Wasserstein gap between particle clouds and a PDE reference.
 
     ``reference`` is a density path (anything with ``times`` and a
     ``density(k, pop)`` accessor, e.g. the finite-volume solver's output) that
     must contain the simulation's final time on its own grid of record times.
+    Each run is :func:`simulate_brs_nplayer`, whose window is the time step.
     Returns one row per N with the mean and standard deviation over seeds.
-    ``mpc`` is the best reply's window, as for :func:`simulate_brs_nplayer`.
     """
     if model.d != 1:
         raise ValueError("the W1 study metric is one-dimensional")
@@ -345,7 +332,7 @@ def propagation_of_chaos_study(
         vals = []
         for seed in seeds:
             cfg = replace(cfg_base, n_particles=int(n), seed=int(seed))
-            rec = simulate_brs_nplayer(model, cfg, mpc)
+            rec = simulate_brs_nplayer(model, cfg)
             emp = rec.final().empirical(0)
             vals.append(wasserstein_1d(emp, ref_density, p=1))
         vals = np.asarray(vals)

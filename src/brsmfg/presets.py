@@ -74,7 +74,7 @@ def mean_coupling_model(
 
     def value(x, m):
         x = np.asarray(x, dtype=float)
-        mom = moments(m, order=2)
+        mom = moments(m)
         ey2 = float(mom.variance[0] + mom.mean[0] ** 2)
         xs = x[..., 0]
         return 0.5 * strength * (xs**2 - 2.0 * xs * float(mom.mean[0]) + ey2)

@@ -8,7 +8,7 @@ import numpy as np
 
 from brsmfg.applications import WealthParams
 from brsmfg.brs import penalty_denominator
-from brsmfg.fokker_planck import NumericalError, _normalize_boundary
+from brsmfg.fokker_planck import NumericalError
 from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity
 from brsmfg.model import (
     ControlPenalty,
@@ -209,7 +209,6 @@ def _oracle_face_points(grid, axis):
 def fpk_assemble_oracle(model, fields, t, velocity, boundary):
     """Per population: (face velocities per axis, SG weights per axis, max drain, drain message)."""
     grid = fields[0].grid
-    bpairs = _normalize_boundary(boundary, grid.dim)
     measures = fields[0] if model.n_populations == 1 else tuple(fields)
     out = []
     for pop in range(model.n_populations):
@@ -235,11 +234,9 @@ def fpk_assemble_oracle(model, fields, t, velocity, boundary):
             b = np.moveaxis(b, k, 0)
             D = np.moveaxis(D, k, 0)
             G = _oracle_sg_weight(b, D, dx)
-            lo, hi = bpairs[k]
-            if lo == "no_flux":
+            if boundary == "no_flux":
                 b[0] = 0.0
                 G[0] = 0.0
-            if hi == "no_flux":
                 b[-1] = 0.0
                 G[-1] = 0.0
             bs.append(b)

@@ -27,6 +27,12 @@ class TestWealthModel:
         with pytest.raises(ValueError, match="z_min"):
             build_wealth_model(WealthParams(z_min=0.0)).population(0)
 
+    @pytest.mark.parametrize("key", ["kappa", "psi_width", "z_min"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_scales_must_be_positive_and_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            build_wealth_model(WealthParams(**{key: value}))
+
     def test_odd_kernel_rejected(self):
         bad = WealthParams(psi=lambda r: np.asarray(r, dtype=float), psi_prime=lambda r: np.ones_like(np.asarray(r)))
         with pytest.raises(ValueError, match="even"):

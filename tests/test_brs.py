@@ -29,8 +29,6 @@ class TestFiniteControl:
         state = ensemble([2.0, 0.0])
         u = brs_control_finite(model, 0, 0, state, 0.0, MpcConfig(dt=0.1))
         assert u[0] == pytest.approx(-1.8181818181818181, abs=1e-12)
-        u_plain = brs_control_finite(model, 0, 0, state, 0.0, MpcConfig(dt=0.1, use_alpha_dot=False))
-        assert u_plain[0] == pytest.approx(-2.0)
 
     def test_grid_search_oracle_on_coupled_cost(self):
         # minimize u * FD-grad(h + g/T) + (alpha + dt alpha_dot)/2 u^2 over a grid

@@ -90,6 +90,17 @@ class TestConfig:
             ("mfg", "mfg.tol=inf", "tol must be positive and finite"),
             ("mfg", "mfg.tol=nan", "tol must be positive and finite"),
             ("compare", "mfg.tol=0", "tol must be positive and finite"),
+            ("mfg", "model.T=inf", "horizon must be positive and finite, got inf"),
+            ("compare", "model.T=inf", "horizon must be positive and finite, got inf"),
+            ("simulate", "model.T=inf", "horizon must be positive and finite, got inf"),
+            ("simulate", "sim.t_final=nan", "t_final must be positive"),
+            ("simulate", "sim.t_final=inf", "t_final must be positive"),
+            ("chaos-study", "sim.t_final=nan", "t_final must be positive"),
+            ("chaos-study", "sim.t_final=inf", "t_final must be positive"),
+            ("wealth", "wealth.psi_width=inf", "psi_width must be positive and finite"),
+            ("wealth", "wealth.psi_width=-inf", "psi_width must be positive and finite"),
+            ("wealth", "wealth.kappa=nan", "kappa must be positive"),
+            ("wealth", "wealth.z_min=inf", "z_min"),
         ],
     )
     def test_rejected_value_is_a_config_error(self, tmp_path, capsys, subcommand, override, message):

@@ -217,13 +217,15 @@ class TestStepContract:
         (out,) = fpk_step(model, (m0,), 0.0, dt)
         assert out.mass == pytest.approx(m0.mass, abs=1e-13)
 
-    def test_per_axis_boundary_spec_must_match_the_grid(self):
-        cfg = FpkConfig(t_final=0.1, boundary=[("no_flux", "absorbing"), "no_flux"])
+    @pytest.mark.parametrize("boundary", ["reflecting", ("no_flux", "absorbing"), ["no_flux"]])
+    def test_boundary_must_be_one_label(self, boundary):
         m0 = gaussian_field(GRID, 0.5)
-        with pytest.raises(ValueError, match="boundary spec has 2 axes, grid has 1"):
-            solve_fpk(ou_model(T=1.0), m0, cfg)
         with pytest.raises(ValueError, match="boundary must be one of"):
-            FpkConfig(t_final=0.1, boundary=[("no_flux", "reflecting"), "no_flux"])
+            FpkConfig(t_final=0.1, boundary=boundary)
+        with pytest.raises(ValueError, match="boundary must be one of"):
+            fpk_step(ou_model(T=1.0), (m0,), 0.0, 1e-4, boundary=boundary)
+        with pytest.raises(ValueError, match="boundary must be one of"):
+            stable_dt(ou_model(T=1.0), (m0,), 0.0, boundary=boundary)
 
     def test_min_cells_enforced(self):
         model = ou_model(T=1.0)
@@ -346,7 +348,7 @@ def _random_model(rng, dim: int, kinds) -> ModelSpec:
 
 @st.composite
 def fpk_problems(draw):
-    """(model, densities, boundary spec, velocity override or None) on a random grid."""
+    """(model, densities, boundary label, velocity override or None) on a random grid."""
     dim = draw(st.integers(1, 2))
     n_pop = draw(st.integers(1, 2))
     kinds = draw(
@@ -369,14 +371,7 @@ def fpk_problems(draw):
     for _ in range(n_pop):
         vals = rng.uniform(0.05, 1.0, cells)
         fields.append(GridDensity(grid, vals / (vals.sum() * grid.cell_volume)))
-    side = st.sampled_from(BOUNDARIES)
-    boundary = draw(
-        st.one_of(
-            side,
-            st.lists(st.tuples(side, side), min_size=dim, max_size=dim),
-            st.lists(side, min_size=dim, max_size=dim),
-        )
-    )
+    boundary = draw(st.sampled_from(BOUNDARIES))
     velocity = None
     if draw(st.booleans()):
         phase = rng.uniform(0.0, np.pi, dim)

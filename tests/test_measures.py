@@ -111,16 +111,16 @@ class TestKernelIntegral:
 class TestMoments:
     def test_dirac(self):
         m = EmpiricalMeasure(np.array([3.0]))
-        mom = moments(m, order=2)
+        mom = moments(m)
         assert mom.mean[0] == 3.0 and mom.variance[0] == 0.0
 
     def test_two_points(self):
         m = EmpiricalMeasure(np.array([-1.0, 1.0]))
-        mom = moments(m, order=2)
+        mom = moments(m)
         assert mom.mean[0] == pytest.approx(0.0) and mom.variance[0] == pytest.approx(1.0)
 
     def test_gaussian_grid_variance(self):
-        mom = moments(gaussian_grid(400), order=2)
+        mom = moments(gaussian_grid(400))
         assert mom.variance[0] == pytest.approx(0.25, abs=1e-3)
 
 
@@ -154,6 +154,18 @@ class TestDensityAt:
             density_at(m, np.array([0.5, 0.5]), bandwidth=bandwidth)
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             density_gradient_at(m, np.array([0.5, 0.5]), bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_kde_and_its_gradient_equal_the_direct_formulas_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        m = EmpiricalMeasure(rng.standard_normal((30, dim)))
+        x = rng.standard_normal((7, dim))
+        bw = np.array([0.3, 0.45][:dim])
+        diff = x[:, None, :] - m.points[None, :, :]
+        kern = (np.exp(-0.5 * (diff / bw) ** 2) / (bw * np.sqrt(2.0 * np.pi))).prod(axis=2)
+        assert np.array_equal(density_at(m, x, bw), kern @ m.weights)
+        grad = np.einsum("mn,mnk->mk", m.weights[None, :] * kern, -diff / bw**2)
+        assert np.array_equal(density_gradient_at(m, x, bw), grad)
 
     def test_kde_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(11)
@@ -460,9 +472,8 @@ class TestMomentsShareTheMean:
         vals = rng.uniform(0.1, 1.0, grid.cells)
         density = GridDensity(grid, vals / (vals.sum() * grid.cell_volume))
         for m in (density, EmpiricalMeasure(rng.standard_normal((9, dim)))):
-            mom = moments(m, order=2)
+            mom = moments(m)
             assert np.array_equal(mom.mean, m.mean()) and np.array_equal(mom.variance, m.variance())
-            assert moments(m, order=1).variance is None
 
 
 class TestCsvBytes:

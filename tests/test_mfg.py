@@ -13,6 +13,7 @@ from brsmfg.fokker_planck import DensityPath, NumericalError
 from brsmfg.measures import Grid
 from brsmfg.mfg import (
     PicardConfig,
+    ValueField,
     compare_brs_mfg,
     constant_path,
     hjb_backward,
@@ -238,6 +239,31 @@ def hjb_problems(draw):
     vals /= vals.sum(axis=2, keepdims=True) * grid.cell_volume
     path = DensityPath(grid, np.linspace(0.0, T, n_slices), vals)
     return model, path, grid, draw(st.integers(1, 6))
+
+
+class TestTimeInterpolation:
+    def test_density_and_gradient_equal_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        grid = Grid((-1.0,), (1.0,), (12,))
+        times = np.array([0.0, 0.25, 0.5, 1.0])
+        values = rng.uniform(0.0, 1.0, (4, 1, 12))
+        values[:, 0, :3] = -0.0  # a clamp must return the slice with its signed zeros
+        path = DensityPath(grid, times, values)
+        field = ValueField(grid, times, values[:, 0] ** 2)
+
+        def reference(slices, t):
+            if t <= times[0]:
+                return slices[0]
+            if t >= times[-1]:
+                return slices[-1]
+            j = int(np.searchsorted(times, t, side="right") - 1)
+            lam = (t - times[j]) / (times[j + 1] - times[j])
+            return (1.0 - lam) * slices[j] + lam * slices[j + 1]
+
+        for t in (-0.5, 0.0, 0.1, 0.25, 0.3, 0.5, 0.9, 1.0, 2.0):
+            got, want = path.at_time(t).values, reference(values[:, 0], t)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(field.gradient_at(t), reference([field.gradient(k) for k in range(4)], t))
 
 
 class TestHjbMatchesReference:

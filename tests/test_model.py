@@ -82,6 +82,11 @@ class TestDeclaredStructure:
         assert np.array_equal(ou_model().mask(0), [1.0])
         assert np.array_equal(ou_model().with_horizon(2.0).mask(0), [1.0])
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            ou_model().with_horizon(horizon)
+
 
 class TestGradientConsistency:
     @pytest.mark.parametrize("name", ["ou", "lq", "mean_coupling", "wealth", "crowd"])
