@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from .brs import MpcConfig, brs_control_finite, brs_control_limit, mpc_value_surrogate
-from .fokker_planck import DensityPath, FpkConfig, NumericalError, fpk_step, solve_fpk
+from .fokker_planck import DensityPath, FpkConfig, NumericalError, solve_fpk
 from .measures import (
     EmpiricalMeasure,
     Grid,
@@ -42,7 +42,6 @@ from .particle_sim import (
     EnsembleState,
     SimConfig,
     TrajectoryRecord,
-    em_step,
     propagation_of_chaos_study,
     simulate_brs_nplayer,
 )
@@ -78,8 +77,6 @@ __all__ = [
     "build_wealth_model",
     "compare_brs_mfg",
     "density_at",
-    "em_step",
-    "fpk_step",
     "hjb_backward",
     "kernel_integral",
     "leave_one_out",

@@ -223,8 +223,10 @@ class CrowdParams:
     ic_std: float = 0.5
 
     def validate(self) -> None:
-        if self.lam < 0:
-            raise ValueError("aversion weight lam must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"aversion weight lam must be nonnegative and finite, got {self.lam!r}")
+        if not math.isfinite(self.psi_weight):
+            raise ValueError(f"psi_weight must be finite, got {self.psi_weight!r}")
         if any(s < 0 for s in self.sigma):
             raise ValueError("sigma entries must be nonnegative")
         if not self.kde_bandwidth > 0:

@@ -77,11 +77,7 @@ def brs_control_finite(model: ModelSpec, pop: int, i: int, state, t: float, cfg:
 
 def brs_control_limit(model: ModelSpec, pop: int, t: float, x: np.ndarray, m) -> np.ndarray:
     """dt -> 0 best reply -(1/alpha(t)) grad(h + g/T)(x, m)."""
-    pen = model.population(pop).penalty
-    a = pen.alpha(t)
-    if not a > 0.0:
-        raise ValueError(f"penalty denominator nonpositive at t={t}: {a}")
-    return control_batch(model, pop, t, x, m, float(a))
+    return control_batch(model, pop, t, x, m, float(model.population(pop).penalty.at(t)))
 
 
 def mpc_value_surrogate(model: ModelSpec, pop: int, t: float, x: np.ndarray, m):

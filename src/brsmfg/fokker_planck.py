@@ -17,6 +17,7 @@ beyond the accepted tolerance, which is why the fitted weighting is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,9 +30,7 @@ __all__ = [
     "NumericalError",
     "FpkConfig",
     "DensityPath",
-    "fpk_step",
     "solve_fpk",
-    "stable_dt",
 ]
 
 BOUNDARIES = ("no_flux", "absorbing")
@@ -40,16 +39,16 @@ MAX_STEPS = 5_000_000
 
 
 class NumericalError(RuntimeError):
-    """CFL violation, blow-up, or loss of positivity in a PDE solve."""
+    """Step collapse, blow-up, or loss of positivity in a PDE solve."""
 
 
 @dataclass(frozen=True)
 class FpkConfig:
     """Time-stepping controls for :func:`solve_fpk`.
 
-    The solve runs from t = 0 to ``t_final``. The internal step is re-bounded
-    every step by the positivity/CFL limit of the current drift and diffusion
-    (see :func:`stable_dt`), scaled by ``cfl_safety``, and chopped so snapshots
+    The solve runs from t = 0 to a positive, finite ``t_final``. The internal
+    step is re-bounded every step by the positivity/CFL limit of the current
+    drift and diffusion, scaled by ``cfl_safety``, and chopped so snapshots
     land exactly on ``record_times``: strictly increasing times in
     [0, t_final] that end at ``t_final``. ``None`` records (0, t_final).
     ``boundary`` is one label for every side of the box: ``no_flux`` walls
@@ -64,18 +63,14 @@ class FpkConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
         if self.record_times is not None:
             r = np.asarray(self.record_times, dtype=float)
             if not (r.size and r[0] >= -1e-12 and abs(r[-1] - self.t_final) <= 1e-12 and np.all(np.diff(r) > 0)):
                 raise ValueError("record_times must increase strictly within [0, t_final] and end at t_final")
-        _check_boundary(self.boundary)
-
-
-def _check_boundary(boundary: str) -> None:
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be one of {BOUNDARIES}")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
 
 def _sg_coefficients(D: np.ndarray, dx: float) -> tuple:
@@ -129,7 +124,7 @@ class _Faces:
 
 
 class _Step:
-    """The explicit step of one solve, built once from (model, grid, velocity, boundary).
+    """The explicit step of one :func:`solve_fpk`, built once from (model, grid, velocity, boundary).
 
     The face centres, dx and the SG coefficients of a declared-constant
     diffusion are fixed when it is built. Each :meth:`assemble` evaluates the
@@ -138,7 +133,6 @@ class _Step:
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary: str):
-        _check_boundary(boundary)
         self.model, self.velocity = model, velocity
         self.closed = boundary == "no_flux"
         self.faces = []
@@ -222,56 +216,6 @@ def _worst_cell(assembled: list[_Assembled]) -> str:
     return f"pop {pop}, cell {tuple(int(i) for i in cell)}"
 
 
-def stable_dt(
-    model: ModelSpec,
-    fields: Sequence[GridDensity],
-    t: float,
-    velocity: Callable | None = None,
-    boundary: str = "no_flux",
-) -> float:
-    """Largest positivity-preserving explicit step for the current state.
-
-    This per-cell bound implies the coarser componentwise bound
-    ``min(dx/max|a|, dx^2/max sigma^2)`` on every axis.
-    """
-    asm = _Step(model, fields[0].grid, velocity, boundary).assemble(fields, t)
-    drain = max(a.max_drain for a in asm)
-    return float("inf") if drain <= 0.0 else 1.0 / drain
-
-
-def fpk_step(
-    model: ModelSpec,
-    fields: Sequence[GridDensity] | GridDensity,
-    t: float,
-    dt: float,
-    velocity: Callable | None = None,
-    boundary: str = "no_flux",
-) -> tuple[GridDensity, ...]:
-    """One explicit conservative step of the coupled continuity equations.
-
-    ``fields`` holds one density per population on a common grid. The drift is
-    the best-reply field ``f - grad(h + g/T)/alpha`` evaluated on the frozen
-    current densities, unless ``velocity(pop, t, points, measures)`` overrides
-    it. ``boundary`` is one label for the whole box, as in :class:`FpkConfig`.
-    ``dt`` must satisfy the positivity bound of :func:`stable_dt`.
-    """
-    if isinstance(fields, GridDensity):
-        fields = (fields,)
-    if len(fields) != model.n_populations:
-        raise ValueError("one density field per population required")
-    grid = fields[0].grid
-    for f in fields:
-        if f.grid != grid:
-            raise ValueError("all populations must share one grid")
-    asm = _Step(model, grid, velocity, boundary).assemble(fields, t)
-    drain = max(a.max_drain for a in asm)
-    if dt * drain > 1.0 + 1e-9:
-        raise NumericalError(
-            f"CFL violation: dt={dt:.3e} exceeds stable bound {1.0 / drain:.3e} (worst drain at {_worst_cell(asm)})"
-        )
-    return _apply(fields, asm, dt)
-
-
 def _interpolate_in_time(times: np.ndarray, t: float, at: Callable[[int], np.ndarray]) -> np.ndarray:
     """The slices ``at(k)`` at increasing ``times``, linearly interpolated at t.
 
@@ -351,6 +295,8 @@ def solve_fpk(
     if len(fields) != model.n_populations:
         raise ValueError("one initial density per population required")
     grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("all populations must share one grid")
     if min(grid.cells) < MIN_CELLS:
         raise ValueError(f"grid needs at least {MIN_CELLS} cells per axis")
     for f in fields:

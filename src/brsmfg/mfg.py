@@ -181,10 +181,7 @@ def hjb_backward(
         sig2 = np.asarray(pmod.diffusion.value(tau, pts), dtype=float)[:, 0] ** 2
         return 0.5 * sig2, float(sig2.max()) / dx**2
 
-    # declared constants are evaluated once per solve, closures every substep
-    fixed_alpha = pmod.penalty.value
-    if fixed_alpha is not None:
-        alpha, two_alpha = fixed_alpha, 2.0 * fixed_alpha
+    # a declared-constant diffusion is evaluated once per solve, a closure every substep
     fixed_sigma = None if pmod.diffusion.diag is None else sigma_terms(model.T)
     zero_f = is_zero(pmod.drift)
     we = np.empty(mids.size + 2)
@@ -193,9 +190,8 @@ def hjb_backward(
         tau = t_hi
         while tau > t_lo + 1e-13:
             m = density_path.at_time(tau)
-            if fixed_alpha is None:
-                alpha = pmod.penalty.alpha(tau)
-                two_alpha = 2.0 * alpha
+            alpha = pmod.penalty.at(tau)
+            two_alpha = 2.0 * alpha
             grad, lap = _gradient_and_laplacian(w, dx, we)
             f = None if zero_f else np.asarray(pmod.drift.value(pts, m), dtype=float)[:, 0]
             h = np.asarray(pmod.running_cost.value(pts, m), dtype=float)
@@ -221,7 +217,6 @@ def _mfg_velocity(model: ModelSpec, value: ValueField, grid: Grid):
     """Forward drift f - grad(w)/alpha using the value field's own gradient."""
     mids = grid.midpoints(0)
     pmod = model.population(0)
-    alpha = pmod.penalty.value
     zero_f = is_zero(pmod.drift)
 
     def velocity(pop: int, t: float, x: np.ndarray, measures) -> np.ndarray:
@@ -229,7 +224,7 @@ def _mfg_velocity(model: ModelSpec, value: ValueField, grid: Grid):
         gx = np.interp(x[:, 0], mids, grad_mid)
         # subtracting from zeros keeps the signed zeros of the general form
         out = np.zeros(x.shape) if zero_f else np.asarray(pmod.drift.value(x, measures), dtype=float).copy()
-        out[:, 0] -= gx / (pmod.penalty.alpha(t) if alpha is None else alpha)
+        out[:, 0] -= gx / pmod.penalty.at(t)
         return out
 
     return velocity
@@ -317,6 +312,8 @@ def mpc_reduction_check(
     dt_list = list(dt_list)
     if len(dt_list) < 2:
         raise ValueError("dt_list needs at least two window sizes to fit an order")
+    if not all(0.0 < dt < math.inf for dt in dt_list):
+        raise ValueError(f"dt_list entries must be positive and finite, got {dt_list!r}")
     if any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ValueError("dt_list must be strictly decreasing")
     pmod = _require_scalar_1d(model, grid)

@@ -67,6 +67,15 @@ class ControlPenalty:
     def constant(value: float) -> "ControlPenalty":
         return ControlPenalty(alpha=lambda t: value, alpha_dot=lambda t: 0.0, value=value)
 
+    def at(self, t: float) -> float:
+        """alpha(t): the declared value as it is, a closure's value checked positive and finite."""
+        if self.value is not None:
+            return self.value
+        a = self.alpha(t)
+        if not np.isfinite(a) or a <= 0:
+            raise FloatingPointError(f"alpha({t}) = {a} is not a positive finite number")
+        return a
+
     def check(self, horizon: float) -> None:
         """Sample positivity of alpha and consistency of alpha_dot on [0, T]."""
         ts = np.linspace(0.0, horizon, _PENALTY_SAMPLES)
@@ -323,15 +332,10 @@ def brs_drift(model: ModelSpec, pop: int, t: float, x: np.ndarray, m) -> np.ndar
 
     Pure composition of the stored analytic gradients; vectorized over leading
     axes of ``x``. Non-finite output reports which ingredient produced it. A
-    declared-constant alpha is read, not evaluated, and a declared-zero f is
-    skipped: ``0.0 - v`` is ``zeros - v`` bit for bit.
+    declared-zero f is skipped: ``0.0 - v`` is ``zeros - v`` bit for bit.
     """
     p = model.population(pop)
-    a = p.penalty.value
-    if a is None:
-        a = p.penalty.alpha(t)
-        if not np.isfinite(a) or a <= 0:
-            raise FloatingPointError(f"alpha({t}) = {a} is not a positive finite number")
+    a = p.penalty.at(t)
     if is_zero(p.drift):
         return 0.0 - cost_gradient_sum(model, pop, x, m) / a
     f = _check_finite(p.drift.value(x, m), "drift f", "brs_drift")

@@ -31,8 +31,6 @@ __all__ = [
     "SimConfig",
     "TrajectoryRecord",
     "ChaosRow",
-    "em_step",
-    "best_reply",
     "simulate_brs_nplayer",
     "propagation_of_chaos_study",
 ]
@@ -140,50 +138,56 @@ def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarra
     return out
 
 
-def _step_drift(f: DriftFunction, u: DriftFunction | None, pop: int) -> DriftFunction:
-    """f + u as one drift; its pairwise kernel exists when both declare theirs.
-
-    A zero f is skipped: adding it can change only the sign of a zero.
-    """
-    if u is not None and is_zero(f):
-        return u
-
-    def value(x, m):
-        total = _check_finite(f.value(x, m), "drift f", f"step pop {pop}")
-        return total if u is None else total + u.value(x, m)
-
-    if u is None:
-        return DriftFunction(value, f.pair_value)
-    kf, ku = f.pair_value, u.pair_value
-    pair = None if kf is None or ku is None else (lambda x, y: kf(x, y) + ku(x, y))
-    return DriftFunction(value, pair)
-
-
-def _particle_step(model: ModelSpec, dt: float, coupling: str, control, sizes):
+def _particle_step(model: ModelSpec, dt: float, coupling: str, n_particles: int):
     """The Euler-Maruyama step of one run, ``step(state, rng) -> state``.
 
-    What does not change between steps is built once: read-only uniform
-    weights for each population's ``sizes[pop]`` particles, and sigma sqrt(dt)
-    of a declared-constant diffusion (finite by construction).
+    X += (f + u) dt + sigma(t, X) sqrt(dt) xi, with u the best reply on the
+    window of one step, u = -mask * grad(h + g/T) / (alpha + dt * alpha_dot).
+    f + u is evaluated against the full empirical measure, or per player
+    against its leave-one-out measure; its pairwise kernel exists when f, h
+    and g all declare theirs.
+
+    Built once: one read-only uniform weight vector for ``n_particles``
+    particles, the kernels of mask * grad(h + g/T), sigma sqrt(dt) of a
+    declared-constant diffusion, and one f + u per population for a
+    declared-constant penalty (alpha + dt * 0.0 is alpha). A zero f is
+    skipped: adding it can change only the sign of a zero.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if coupling not in COUPLINGS:
-        raise ValueError(f"coupling must be one of {COUPLINGS}")
+    mpc = MpcConfig(dt=dt)
     sqrt_dt = np.sqrt(dt)
-    weights = [_frozen(np.full(n, 1.0 / n)) for n in sizes]
-    scales = [
-        None if p.diffusion.diag is None else np.asarray(p.diffusion.diag) * sqrt_dt
-        for p in model.populations
-    ]
+    weights = _frozen(np.full(n_particles, 1.0 / n_particles))
+    scales = [None if p.diffusion.diag is None else np.asarray(p.diffusion.diag) * sqrt_dt for p in model.populations]
+
+    def kernel(p, mask):
+        kh, kg = p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
+        return None if kh is None or kg is None else (lambda x, y: mask * (kh(x, y) + kg(x, y) / model.T))
+
+    kernels = [kernel(p, model.mask(pop)) for pop, p in enumerate(model.populations)]
+
+    def drift_at(pop: int, t: float) -> DriftFunction:
+        f = model.population(pop).drift
+        denom = penalty_denominator(model, pop, t, mpc)
+        k = kernels[pop]
+        ku = None if k is None else (lambda x, y: -k(x, y) / denom)
+        if is_zero(f):
+            return DriftFunction(lambda x, m: control_batch(model, pop, t, x, m, denom), ku)
+
+        def value(x, m):
+            total = _check_finite(f.value(x, m), "drift f", f"step pop {pop}")
+            return total + control_batch(model, pop, t, x, m, denom)
+
+        kf = f.pair_value
+        return DriftFunction(value, None if kf is None or ku is None else (lambda x, y: kf(x, y) + ku(x, y)))
+
+    fixed = [None if p.penalty.value is None else drift_at(pop, 0.0) for pop, p in enumerate(model.populations)]
 
     def step(state: EnsembleState, rng) -> EnsembleState:
-        views = tuple(EmpiricalMeasure(p, w, checked=True) for p, w in zip(state.positions, weights))
+        views = tuple(EmpiricalMeasure(p, weights, checked=True) for p in state.positions)
         noises = [rng.standard_normal(p.shape) for p in state.positions]
         new_positions = []
         for pop, pmod in enumerate(model.populations):
             pts = state.positions[pop]
-            drift = _step_drift(pmod.drift, None if control is None else control(pop, state.t), pop)
+            drift = fixed[pop] or drift_at(pop, state.t)
             if coupling == "full_empirical":
                 total = drift.value(pts, coupling_measure(views))
             else:
@@ -202,65 +206,9 @@ def _particle_step(model: ModelSpec, dt: float, coupling: str, control, sizes):
     return step
 
 
-def em_step(
-    model: ModelSpec,
-    state: EnsembleState,
-    dt: float,
-    rng,
-    coupling: str = "full_empirical",
-    control=None,
-) -> EnsembleState:
-    """One Euler-Maruyama step X += (f + u) dt + sigma(t, X) sqrt(dt) xi.
-
-    ``control`` is ``None`` (u = 0) or ``control(pop, t)``, returning
-    population pop's feedback u at time t as a :class:`DriftFunction`
-    (``value(x, m)`` plus an optional pairwise kernel). f + u is evaluated
-    against the full empirical measure, or per player against its
-    leave-one-out measure. Noise is drawn in particle order, one block per
-    population, before any update runs.
-    """
-    return _particle_step(model, dt, coupling, control, [p.shape[0] for p in state.positions])(state, rng)
-
-
-def best_reply(model: ModelSpec, mpc: MpcConfig):
-    """The finite-window best reply as an :func:`em_step` control.
-
-    u = -mask * grad(h + g/T) / (alpha + dt * alpha_dot), with the pairwise
-    kernel of u when both costs h and g declare theirs. Only the denominator
-    depends on t; the kernels of mask * grad(h + g/T) are built once, and a
-    declared-constant penalty gives one control for every t (alpha + dt * 0.0
-    is alpha).
-    """
-
-    def kernel(p, mask):
-        kh, kg = p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
-        if kh is None or kg is None:
-            return None
-        return lambda x, y: mask * (kh(x, y) + kg(x, y) / model.T)
-
-    kernels = [kernel(model.population(pop), model.mask(pop)) for pop in range(model.n_populations)]
-
-    def control_at(pop: int, t: float) -> DriftFunction:
-        denom = penalty_denominator(model, pop, t, mpc)
-        k = kernels[pop]
-        return DriftFunction(
-            lambda x, m: control_batch(model, pop, t, x, m, denom),
-            None if k is None else (lambda x, y: -k(x, y) / denom),
-        )
-
-    fixed = [None if p.penalty.value is None else control_at(pop, 0.0) for pop, p in enumerate(model.populations)]
-    return lambda pop, t: control_at(pop, t) if fixed[pop] is None else fixed[pop]
-
-
 def initial_state(model: ModelSpec, cfg: SimConfig) -> EnsembleState:
     rng = default_rng(cfg.seed)
-    positions = tuple(
-        _reflect(
-            model.population(p).initial_law.sample(rng, cfg.n_particles),
-            model.population(p).reflect_lower,
-        )
-        for p in range(model.n_populations)
-    )
+    positions = tuple(_reflect(p.initial_law.sample(rng, cfg.n_particles), p.reflect_lower) for p in model.populations)
     return EnsembleState(positions=positions, t=0.0, seed=cfg.seed)
 
 
@@ -274,14 +222,12 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig) -> TrajectoryRecord:
     dynamics). Snapshots are recorded every ``record_every`` steps plus the
     initial and final state.
     """
-    mpc = MpcConfig(dt=cfg.dt)
-    mpc.validate(model.T)
-    control = best_reply(model, mpc)
+    MpcConfig(dt=cfg.dt).validate(model.T)
     state = initial_state(model, cfg)
     # noise generator is separate from the initial-condition draws but derived
     # from the same seed, so one integer pins the whole run
     rng = default_rng(SeedSequence(cfg.seed).spawn(1)[0])
-    step = _particle_step(model, cfg.dt, cfg.coupling, control, [p.shape[0] for p in state.positions])
+    step = _particle_step(model, cfg.dt, cfg.coupling, cfg.n_particles)
     n_steps = cfg.n_steps()
     times = [state.t]
     snaps = [state]

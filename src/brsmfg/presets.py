@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .measures import moments
@@ -36,6 +38,8 @@ def _quadratic_cost() -> CostFunction:
 
 
 def _scalar_population(h, g, sigma, init_var, alpha) -> PopulationModel:
+    if not 0.0 < init_var < math.inf:
+        raise ValueError(f"init_var must be positive and finite, got {init_var!r}")
     return PopulationModel(
         drift=DriftFunction.zero(1),
         running_cost=h,
@@ -71,6 +75,8 @@ def mean_coupling_model(
     mean, so the leave-one-out and full-measure couplings genuinely differ
     (by O(1/N)).
     """
+    if not math.isfinite(strength):
+        raise ValueError(f"strength must be finite, got {strength!r}")
 
     def value(x, m):
         x = np.asarray(x, dtype=float)

@@ -87,6 +87,11 @@ class TestLimitControl:
         fin = brs_control_finite(model, 0, 1, state, 0.0, MpcConfig(dt=1e-8))
         assert abs(lim[0] - fin[0]) <= 1e-6 * max(1.0, abs(lim[0]))
 
+    def test_nonpositive_penalty_is_named(self):
+        model = scalar_model(h=quadratic_cost(), alpha=lambda t: 1.0 - t, alpha_dot=lambda t: -1.0)
+        with pytest.raises(FloatingPointError, match=r"^alpha\(1\.0\) = 0\.0 is not a positive finite number$"):
+            brs_control_limit(model, 0, 1.0, np.array([1.0]), EmpiricalMeasure(np.array([0.0])))
+
     def test_scaled_penalty(self):
         model = scalar_model(h=quadratic_cost(), alpha=2.0)
         u = brs_control_limit(model, 0, 0.0, np.array([3.0]), EmpiricalMeasure(np.array([0.0])))

@@ -83,7 +83,14 @@ class TestConfig:
             ("mpc-order", "mpc.dt_values=0.1", "at least two window sizes"),
             ("mpc-order", "mpc.dt_values=", "at least two window sizes"),
             ("mpc-order", "mpc.dt_values=0.05,0.1", "strictly decreasing"),
-            ("fpk", "model.init_var=nan", "non-finite density value nan"),
+            ("fpk", "model.init_var=nan", "init_var must be positive and finite, got nan"),
+            ("fpk", "model.init_var=-1", "init_var must be positive and finite, got -1.0"),
+            ("simulate", "model.init_var=nan", "init_var must be positive and finite, got nan"),
+            ("simulate", "model.preset=mean_coupling model.coupling_strength=nan", "strength must be finite, got nan"),
+            ("crowd", "crowd.lam=nan", "lam must be nonnegative and finite, got nan"),
+            ("crowd", "crowd.psi_weight=inf", "psi_weight must be finite, got inf"),
+            ("mpc-order", "mpc.dt_values=0.1,nan", "dt_list entries must be positive and finite"),
+            ("fpk", "fpk.t_final=nan", "t_final must be positive and finite, got nan"),
             ("simulate", "model.preset=crowd crowd.bandwidth=nan", "kde_bandwidth must be positive"),
             ("mfg", "mfg.n_t=0", "key mfg.n_t:"),
             ("compare", "mfg.n_t=-1", "key mfg.n_t:"),

@@ -17,7 +17,7 @@ from _helpers import (
     scalar_model,
 )
 
-from brsmfg.fokker_planck import BOUNDARIES, FpkConfig, NumericalError, fpk_step, solve_fpk, stable_dt
+from brsmfg.fokker_planck import BOUNDARIES, FpkConfig, NumericalError, _apply, _Step, solve_fpk
 from brsmfg.measures import Grid, GridDensity, wasserstein_1d
 from brsmfg.model import (
     ControlPenalty,
@@ -109,45 +109,35 @@ class TestConservation:
         assert path.report["boundary_mass_flag"] == 1.0
 
 
+def max_drain(model, fields, t=0.0, velocity=None, boundary="no_flux"):
+    """The largest per-cell drain of the solver's step at t; 1 / it is the positivity bound."""
+    return max(a.max_drain for a in _Step(model, fields[0].grid, velocity, boundary).assemble(fields, t))
+
+
 class TestStepContract:
-    def test_cfl_violation_raises(self):
-        model = ou_model(T=1.0)
-        m0 = gaussian_field(GRID, 0.5)
-        bound = stable_dt(model, (m0,), 0.0)
-        with pytest.raises(NumericalError, match="CFL violation"):
-            fpk_step(model, (m0,), 0.0, dt=3.0 * bound)
-
-    @pytest.mark.parametrize(
-        "boundary, message",
-        [
-            ("no_flux", "exceeds stable bound 8.909e-04 (worst drain at pop 0, cell (1,))"),
-            ("absorbing", "exceeds stable bound 8.908e-04 (worst drain at pop 0, cell (0,))"),
-        ],
-    )
-    def test_cfl_violation_names_the_worst_cell_1d(self, boundary, message):
-        model = ou_model(T=1.0)
-        m0 = gaussian_field(GRID, 0.5)
-        dt = 3.0 * stable_dt(model, (m0,), 0.0, boundary=boundary)
-        with pytest.raises(NumericalError) as err:
-            fpk_step(model, (m0,), 0.0, dt=dt, boundary=boundary)
-        assert str(err.value) == f"CFL violation: dt={dt:.3e} {message}"
-
-    def test_cfl_violation_names_the_worst_population_and_cell_2d(self):
-        # population 1 diffuses fastest around (0.3, -0.5), the centre of cell (7, 5)
+    def test_step_collapse_names_the_worst_population_and_cell_2d(self):
+        # population 1 diffuses fastest around (0.3, -0.5), in cell (7, 5): its first
+        # CFL-limited step is about 2.5e-16, below 1e-12 * t_final
         def bump(t, x):
-            return 0.5 + np.exp(-4.0 * ((x[..., :1] - 0.3) ** 2 + (x[..., 1:] + 0.5) ** 2)) * np.ones(2)
+            return 0.5 + 1e7 * np.exp(-4.0 * ((x[..., :1] - 0.3) ** 2 + (x[..., 1:] + 0.5) ** 2)) * np.ones(2)
 
         grid = Grid((-1.0, -2.0), (1.0, 1.0), (12, 10))
         flat = DiffusionFunction.constant([0.5, 0.5])
         model = ModelSpec(d=2, T=1.0, populations=(_population(flat), _population(DiffusionFunction(bump))))
         m = GridDensity(grid, np.full(grid.cells, 1.0 / 6.0))
-        dt = 2.0 * stable_dt(model, (m, m), 0.0)
+        dt = 0.9 / max_drain(model, (m, m))
         with pytest.raises(NumericalError) as err:
-            fpk_step(model, (m, m), 0.0, dt=dt)
+            solve_fpk(model, (m, m), FpkConfig(t_final=1.0))
         assert str(err.value) == (
-            f"CFL violation: dt={dt:.3e} exceeds stable bound 1.125e-02 "
+            f"step collapse: the CFL-limited step {dt:.3e} at t=0 is below 1e-12 * t_final "
             "(worst drain at pop 1, cell (7, 5))"
         )
+
+    def test_populations_on_different_grids_are_rejected(self):
+        model = ModelSpec(d=1, T=1.0, populations=(_population(DiffusionFunction.constant([0.5]), dim=1),) * 2)
+        other = Grid((-6.0,), (6.0,), (200,))
+        with pytest.raises(ValueError, match="^all populations must share one grid$"):
+            solve_fpk(model, (gaussian_field(GRID, 0.5), gaussian_field(other, 0.5)), FpkConfig(t_final=0.1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_closure_diffusion_is_named(self, bad):
@@ -160,9 +150,7 @@ class TestStepContract:
         m0 = gaussian_field(GRID, 0.5)
         message = f"^{re.escape('non-finite diffusion on axis-0 faces (pop 1)')}$"
         with pytest.raises(NumericalError, match=message):
-            stable_dt(model, (m0, m0), 0.0)
-        with pytest.raises(NumericalError, match=message):
-            fpk_step(model, (m0, m0), 0.0, dt=1e-4)
+            solve_fpk(model, (m0, m0), FpkConfig(t_final=0.1))
 
     def test_step_collapse_is_named(self):
         # D = 5e13 on a 16-cell grid: the first CFL-limited step is about 1e-16
@@ -202,10 +190,10 @@ class TestStepContract:
         assert path.report["n_steps"] > 2
         assert len(calls) <= 2
 
-    def test_stable_dt_satisfies_componentwise_bound(self):
+    def test_positivity_bound_satisfies_componentwise_bound(self):
         model = ou_model(T=1.0)
         m0 = gaussian_field(GRID, 0.5)
-        bound = stable_dt(model, (m0,), 0.0)
+        bound = 1.0 / max_drain(model, (m0,))
         dx = GRID.widths[0]
         max_a = 6.0  # |drift| on [-6, 6] for the quadratic cost
         assert bound <= min(dx / max_a, dx**2 / 1.0) + 1e-15
@@ -213,19 +201,19 @@ class TestStepContract:
     def test_single_step_preserves_mass(self):
         model = ou_model(T=1.0)
         m0 = gaussian_field(GRID, 0.5)
-        dt = 0.5 * stable_dt(model, (m0,), 0.0)
-        (out,) = fpk_step(model, (m0,), 0.0, dt)
+        asm = _Step(model, GRID, None, "no_flux").assemble((m0,), 0.0)
+        (out,) = _apply((m0,), asm, 0.5 / max(a.max_drain for a in asm))
         assert out.mass == pytest.approx(m0.mass, abs=1e-13)
 
     @pytest.mark.parametrize("boundary", ["reflecting", ("no_flux", "absorbing"), ["no_flux"]])
     def test_boundary_must_be_one_label(self, boundary):
-        m0 = gaussian_field(GRID, 0.5)
         with pytest.raises(ValueError, match="boundary must be one of"):
             FpkConfig(t_final=0.1, boundary=boundary)
-        with pytest.raises(ValueError, match="boundary must be one of"):
-            fpk_step(ou_model(T=1.0), (m0,), 0.0, 1e-4, boundary=boundary)
-        with pytest.raises(ValueError, match="boundary must be one of"):
-            stable_dt(ou_model(T=1.0), (m0,), 0.0, boundary=boundary)
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, np.inf, np.nan])
+    def test_t_final_must_be_positive_and_finite(self, t_final):
+        with pytest.raises(ValueError, match="^t_final must be positive and finite"):
+            FpkConfig(t_final=t_final)
 
     def test_min_cells_enforced(self):
         model = ou_model(T=1.0)
@@ -385,13 +373,14 @@ def fpk_problems(draw):
 class TestStepMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(problem=fpk_problems(), t=st.floats(0.0, 1.0), fraction=st.floats(0.1, 1.0))
-    def test_fpk_step_is_bit_identical(self, problem, t, fraction):
+    def test_step_is_bit_identical(self, problem, t, fraction):
         model, fields, boundary, velocity = problem
         ref = fpk_assemble_oracle(model, fields, t, velocity, boundary)
         drain = max(a[2] for a in ref)
-        assert stable_dt(model, fields, t, velocity=velocity, boundary=boundary) == 1.0 / drain
+        asm = _Step(model, fields[0].grid, velocity, boundary).assemble(fields, t)
+        assert max(a.max_drain for a in asm) == drain
         dt = fraction / drain
-        out = fpk_step(model, fields, t, dt, velocity=velocity, boundary=boundary)
+        out = _apply(fields, asm, dt)
         expected = fpk_apply_oracle(fields, ref, dt)
         for got, want in zip(out, expected):
             assert np.array_equal(got.values, want.values)

@@ -74,6 +74,12 @@ class TestHjbBackward:
         with pytest.raises(NumericalError, match="HJB unstable"):
             hjb_backward(model, frozen_path(model, GRID), GRID, n_t=2)
 
+    def test_penalty_reaching_zero_is_named(self):
+        # alpha(t) = t - 0.5 is positive on (0.5, T] and 0 at the slice time 0.5
+        model = scalar_model(sigma=1.0, alpha=lambda t: t - 0.5, alpha_dot=lambda t: 1.0)
+        with pytest.raises(FloatingPointError, match=r"^alpha\(0\.5\) = 0\.0 is not a positive finite number$"):
+            hjb_backward(model, frozen_path(model, GRID), GRID, n_t=2)
+
     def test_path_must_cover_horizon(self):
         model = lq_model(T=2.0)
         short = constant_path(GRID, model.population(0).initial_law.grid_density(GRID), np.array([0.0, 1.0]))
@@ -144,6 +150,11 @@ class TestReductionCheck:
         model = lq_model(T=1.0)
         with pytest.raises(ValueError, match="decreasing"):
             mpc_reduction_check(model, GRID, [0.05, 0.1])
+
+    @pytest.mark.parametrize("dt_list", [[0.1, np.nan], [0.1, 0.0], [np.inf, 0.1], [0.1, -0.05]])
+    def test_windows_must_be_positive_and_finite(self, dt_list):
+        with pytest.raises(ValueError, match="^dt_list entries must be positive and finite"):
+            mpc_reduction_check(lq_model(T=1.0), GRID, dt_list)
 
     def test_one_window_fits_no_order(self):
         with pytest.raises(ValueError, match="two window sizes"):

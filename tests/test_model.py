@@ -1,5 +1,7 @@
 """Model ingredients: analytic gradients, the best-reply drift, assumption audit."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -205,6 +207,14 @@ class TestControlPenalty:
 
     def test_valid_penalty_passes(self):
         ControlPenalty(alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0).check(1.0)
+
+    @pytest.mark.parametrize("bad, shown", [(0.0, "0.0"), (-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf")])
+    def test_at_reads_a_declared_value_and_checks_a_closure(self, bad, shown):
+        assert ControlPenalty.constant(2.5).at(0.3) == 2.5
+        assert ControlPenalty(alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0).at(0.5) == 1.5
+        message = f"alpha(0.2) = {shown} is not a positive finite number"
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            ControlPenalty(alpha=lambda t: bad, alpha_dot=lambda t: 0.0).at(0.2)
 
 
 class TestValidateAssumptions:

@@ -13,7 +13,7 @@ from _helpers import FixedNoise, em_step_oracle, gaussian_law, point_law, quadra
 
 import brsmfg.particle_sim as particle_sim
 from brsmfg.applications import WealthParams, build_wealth_model
-from brsmfg.brs import MpcConfig, brs_control_finite
+from brsmfg.brs import MpcConfig, brs_control_finite, penalty_denominator
 from brsmfg.fokker_planck import FpkConfig, solve_fpk
 from brsmfg.measures import EmpiricalMeasure, Grid, leave_one_out, wasserstein_1d
 from brsmfg.model import (
@@ -28,8 +28,6 @@ from brsmfg.particle_sim import (
     COUPLINGS,
     EnsembleState,
     SimConfig,
-    best_reply,
-    em_step,
     propagation_of_chaos_study,
     simulate_brs_nplayer,
 )
@@ -40,43 +38,37 @@ def state_of(points):
     return EnsembleState(positions=(np.atleast_2d(np.asarray(points, dtype=float)).T,), t=0.0, seed=0)
 
 
+def one_step(model, state, dt, rng, coupling="full_empirical"):
+    """One particle step, built for ``state``'s particle count and taken once."""
+    return particle_sim._particle_step(model, dt, coupling, state.positions[0].shape[0])(state, rng)
+
+
 class TestEmStep:
-    def test_deterministic_euler_with_control(self):
-        model = scalar_model(sigma=0.0)
-        out = em_step(
-            model,
-            state_of([1.0, 1.0]),
-            dt=0.1,
-            rng=np.random.default_rng(0),
-            control=lambda pop, t: DriftFunction(lambda x, m: np.full(np.shape(x), 2.0)),
-        )
+    def test_deterministic_euler_with_constant_drift(self):
+        # zero costs make the best reply 0, so f alone moves the particles
+        model = scalar_model(f=DriftFunction(lambda x, m: np.full(np.shape(x), 2.0)), sigma=0.0)
+        out = one_step(model, state_of([1.0, 1.0]), 0.1, np.random.default_rng(0))
         assert np.allclose(out.positions[0], 1.2)
         assert out.t == pytest.approx(0.1)
 
     def test_linear_drift(self):
         drift = DriftFunction(value=lambda x, m: -np.asarray(x, dtype=float))
         model = scalar_model(f=drift, sigma=0.0)
-        out = em_step(model, state_of([1.0, 2.0]), 0.1, np.random.default_rng(0))
+        out = one_step(model, state_of([1.0, 2.0]), 0.1, np.random.default_rng(0))
         assert np.allclose(out.positions[0][:, 0], [0.9, 1.8])
 
     def test_noise_matches_replayed_generator(self):
         model = scalar_model(sigma=1.0)
         x0 = np.array([[0.3], [-0.7], [1.1]])
         state = EnsembleState(positions=(x0,), t=0.0, seed=5)
-        out = em_step(model, state, 0.04, np.random.default_rng(99))
+        out = one_step(model, state, 0.04, np.random.default_rng(99))
         draw = np.random.default_rng(99).standard_normal((3, 1))
         assert np.array_equal(out.positions[0], x0 + np.sqrt(0.04) * draw)
 
-    def test_nonfinite_control_reports_particle(self):
-        model = scalar_model(sigma=0.0)
-        with pytest.raises(FloatingPointError, match="particle 1"):
-            em_step(
-                model,
-                state_of([0.0, 0.0]),
-                dt=0.1,
-                rng=np.random.default_rng(0),
-                control=lambda pop, t: DriftFunction(lambda x, m: np.array([[0.0], [np.inf]])),
-            )
+    def test_overflowing_update_reports_particle(self):
+        model = scalar_model(f=DriftFunction(lambda x, m: np.array([[0.0], [1e308]])), sigma=0.0)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="^non-finite update for pop 0 particle 1$"):
+            one_step(model, state_of([0.0, 0.0]), 10.0, np.random.default_rng(0))
 
     def test_exchangeability(self):
         model = mean_coupling_model()
@@ -84,8 +76,8 @@ class TestEmStep:
         pts = rng.standard_normal((6, 1))
         perm = rng.permutation(6)
         noise = rng.standard_normal((6, 1))
-        a = em_step(model, EnsembleState((pts,), 0.0, 0), 0.1, FixedNoise([noise]))
-        b = em_step(model, EnsembleState((pts[perm],), 0.0, 0), 0.1, FixedNoise([noise[perm]]))
+        a = one_step(model, EnsembleState((pts,), 0.0, 0), 0.1, FixedNoise([noise]))
+        b = one_step(model, EnsembleState((pts[perm],), 0.0, 0), 0.1, FixedNoise([noise[perm]]))
         assert np.array_equal(a.positions[0][perm], b.positions[0])
 
 
@@ -179,7 +171,7 @@ class TestStepOracle:
                 model = without_kernels(model)
             state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), t, 0)
             noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
-            out = em_step(model, state, 0.05, FixedNoise(noises), coupling, best_reply(model, mpc))
+            out = particle_sim._particle_step(model, 0.05, coupling, n)(state, FixedNoise(noises))
             want = em_step_oracle(model, state, 0.05, noises, coupling, mpc)
             for got, ref in zip(out.positions, want):
                 assert np.array_equal(got, ref)
@@ -213,7 +205,7 @@ class TestPerRunStep:
         mpc, n, dt = MpcConfig(dt=0.05), 9, 0.05
         rng = np.random.default_rng(7)
         state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), 0.0, 0)
-        step = particle_sim._particle_step(model, dt, coupling, best_reply(model, mpc), [n] * n_pops)
+        step = particle_sim._particle_step(model, dt, coupling, n)
         want = state.positions
         for _ in range(6):
             noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
@@ -224,36 +216,42 @@ class TestPerRunStep:
 
     @pytest.mark.parametrize("coupling", COUPLINGS)
     @pytest.mark.parametrize("constant", [True, False])
-    def test_simulate_equals_repeated_em_step(self, coupling, constant):
+    def test_simulate_equals_repeated_reference_steps(self, coupling, constant):
         model = run_model(1, 2, -0.7, True, constant, constant)
         cfg = SimConfig(dt=0.05, t_final=0.35, n_particles=7, seed=3, coupling=coupling)
-        mpc = MpcConfig(dt=cfg.dt)
-        state = particle_sim.initial_state(model, cfg)
+        positions = particle_sim.initial_state(model, cfg).positions
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-        control = best_reply(model, mpc)
+        t = 0.0
         for _ in range(cfg.n_steps()):
-            state = em_step(model, state, cfg.dt, rng, coupling, control)
-        for got, ref in zip(simulate_brs_nplayer(model, cfg).final().positions, state.positions):
+            noises = [rng.standard_normal((7, 1)) for _ in range(2)]
+            positions = em_step_oracle(model, EnsembleState(positions, t, 0), cfg.dt, noises, coupling, MpcConfig(dt=cfg.dt))
+            t += cfg.dt
+        for got, ref in zip(simulate_brs_nplayer(model, cfg).final().positions, positions):
             assert np.array_equal(got, ref)
 
-    def test_constant_penalty_gives_one_control_for_every_t(self):
-        mpc = MpcConfig(dt=0.05)
-        constant = best_reply(run_model(1, 1, 0.0, False, True, True), mpc)
-        varying = best_reply(run_model(1, 1, 0.0, False, False, True), mpc)
-        assert constant(0, 0.0) is constant(0, 0.35)
-        assert varying(0, 0.0) is not varying(0, 0.0)
+    @pytest.mark.parametrize("constant, denominators", [(True, 2), (False, 2 * 5)])
+    def test_constant_penalty_builds_one_drift_per_population(self, monkeypatch, constant, denominators):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return penalty_denominator(*args)
+
+        monkeypatch.setattr(particle_sim, "penalty_denominator", counted)
+        step = particle_sim._particle_step(run_model(1, 2, 0.0, False, constant, True), 0.05, "full_empirical", 4)
+        state = EnsembleState((np.zeros((4, 1)), np.ones((4, 1))), 0.0, 0)
+        for _ in range(5):
+            state = step(state, np.random.default_rng(0))
+        assert len(calls) == denominators
 
     def test_steps_share_one_read_only_weight_vector(self):
         seen = []
 
-        def control(pop, t):
-            def value(x, m):
-                seen.append(m.weights)
-                return np.zeros(np.shape(x))
+        def value(x, m):
+            seen.append(m.weights)
+            return np.zeros(np.shape(x))
 
-            return DriftFunction(value)
-
-        step = particle_sim._particle_step(scalar_model(sigma=0.5), 0.1, "full_empirical", control, [5])
+        step = particle_sim._particle_step(scalar_model(f=DriftFunction(value), sigma=0.5), 0.1, "full_empirical", 5)
         state = state_of(np.linspace(0.0, 1.0, 5))
         for _ in range(3):
             state = step(state, np.random.default_rng(0))
@@ -280,7 +278,7 @@ class TestNamedStepFailures:
         model = ModelSpec(d=1, T=1.0, populations=(pop0, pop1))
         pts = np.array([[0.1], [0.2], [0.3]])
         state = EnsembleState((pts, pts.copy()), 0.0, 0)
-        em_step(model, state, dt, np.random.default_rng(0), "full_empirical", best_reply(model, MpcConfig(dt=0.01)))
+        particle_sim._particle_step(model, dt, "full_empirical", 3)(state, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "field, ingredient, message",
@@ -345,9 +343,9 @@ class TestPermutationEquivariance:
         pts = rng.uniform(-5.0, 5.0, (n, 1))
         noise = rng.standard_normal((n, 1))
         perm = rng.permutation(n)
-        control = best_reply(model, MpcConfig(dt=0.1))
-        a = em_step(model, EnsembleState((pts,), 0.0, 0), 0.1, FixedNoise([noise]), coupling, control)
-        b = em_step(model, EnsembleState((pts[perm],), 0.0, 0), 0.1, FixedNoise([noise[perm]]), coupling, control)
+        step = particle_sim._particle_step(model, 0.1, coupling, n)
+        a = step(EnsembleState((pts,), 0.0, 0), FixedNoise([noise]))
+        b = step(EnsembleState((pts[perm],), 0.0, 0), FixedNoise([noise[perm]]))
         # the measure's mean sums the points in another order: a few ulps of |x| <= 5
         np.testing.assert_allclose(b.positions[0], a.positions[0][perm], rtol=0.0, atol=1e-12)
 
@@ -460,7 +458,7 @@ class TestLeaveOneOutKernel:
         assert len(loo_calls) == 60 * cfg.n_steps()
         np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-12)
 
-    def test_em_step_drift_kernel_matches_generic_loop(self, loo_calls):
+    def test_step_drift_kernel_matches_generic_loop(self, loo_calls):
         # Gaussian kernel: its self-interaction k(x, x) = 1 is not zero
         def kernel(x, y):
             return np.exp(-((np.asarray(x) - np.asarray(y)) ** 2))
@@ -475,16 +473,16 @@ class TestLeaveOneOutKernel:
         pts = rng.standard_normal((12, 1))
         noise = rng.standard_normal((12, 1))
         state = EnsembleState((pts,), 0.0, 0)
-        a = em_step(model, state, 0.1, FixedNoise([noise]), coupling="leave_one_out")
+        a = one_step(model, state, 0.1, FixedNoise([noise]), "leave_one_out")
         assert loo_calls == []
-        b = em_step(without_kernels(model), state, 0.1, FixedNoise([noise]), coupling="leave_one_out")
+        b = one_step(without_kernels(model), state, 0.1, FixedNoise([noise]), "leave_one_out")
         assert len(loo_calls) == 12
         np.testing.assert_allclose(a.positions[0], b.positions[0], rtol=0.0, atol=1e-12)
 
     def test_single_particle_is_rejected_with_a_kernel(self):
         state = EnsembleState((np.zeros((1, 1)),), 0.0, 0)
         with pytest.raises(ValueError, match="leave-one-out"):
-            em_step(mean_coupling_model(), state, 0.1, np.random.default_rng(0), coupling="leave_one_out")
+            one_step(mean_coupling_model(), state, 0.1, np.random.default_rng(0), "leave_one_out")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -515,7 +513,7 @@ class TestLeaveOneOutKernel:
         noise = rng.standard_normal((n, 2))
         state = EnsembleState(positions=(pts,), t=t, seed=0)
         mpc = MpcConfig(dt=dt)
-        out = em_step(model, state, dt, FixedNoise([noise]), "leave_one_out", best_reply(model, mpc))
+        out = one_step(model, state, dt, FixedNoise([noise]), "leave_one_out")
         assert loo_calls == list(range(n))
         pmod = model.population(0)
         sig = pmod.diffusion.value(t, pts)
