@@ -13,9 +13,13 @@ runs reflect z at a small floor and grid runs place the no-flux wall there.
 Psi and xi depend only on (y, y') and phi only on z - z', so with
 m = sum_ab W[a, b] delta(y_a, z_b) every term is a contraction
 sum_ab A[q, a] W[a, b] B[q, b] of a (queries x y nodes) factor A and a
-(queries x z nodes) factor B. On an ny x nz grid that costs O(Q (ny + nz))
-kernel evaluations plus one Q x ny x nz matrix product, never a
-(queries x cells) array; particles are the diagonal case W = diag(w), O(Q N).
+(queries x z nodes) factor B. A depends on a query only through its y and B
+only through its z, so each is evaluated once per distinct query coordinate.
+With ky distinct query y and kz distinct query z on an ny x nz grid that costs
+O(ky ny + kz nz + ny^2) kernel evaluations and one ky x ny x nz matrix
+product; the FPK's face centres (ky kz = Q queries) then read a ky x kz
+table, other queries one row of length nz each, and no (queries x cells)
+array is formed. Particles are the diagonal case W = diag(w), O(Q N).
 
 ``build_crowd_model`` assembles two 2-d populations whose running cost is the
 own-group density plus ``lam`` times the other group's density (the aversion
@@ -121,25 +125,77 @@ class WealthParams:
 
 
 def _product_support(m):
-    """(y nodes, z nodes, y-marginal, contraction) of m = sum_ab W[a, b] delta(y_a, z_b).
+    """(y nodes, z nodes, y-marginal, weights) of m = sum_ab W[a, b] delta(y_a, z_b).
 
-    ``contract(A, B)`` returns sum_ab A[q, a] W[a, b] B[q, b] for A of shape
-    (queries, y nodes) and B of shape (queries, z nodes). A grid carries the
-    full ny x nz weight matrix (one matrix product); particles carry the
-    diagonal W = diag(w).
+    A grid carries the full ny x nz weight matrix W; particles carry the
+    diagonal W = diag(w) as the weight vector w.
     """
     if isinstance(m, EmpiricalMeasure):
         w = m.weights
-        return m.points[:, 0], m.points[:, 1], w, lambda A, B: (A * B) @ w
+        return m.points[:, 0], m.points[:, 1], w, w
     if isinstance(m, GridDensity):
         W = m.values * m.grid.cell_volume
-        contract = lambda A, B: ((A @ W) * B).sum(axis=1)
-        return m.grid.midpoints(0), m.grid.midpoints(1), W.sum(axis=1), contract
+        return m.grid.midpoints(0), m.grid.midpoints(1), W.sum(axis=1), W
     raise TypeError(f"unsupported measure type {type(m).__name__}")
 
 
+def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Distinct values of the 1-d array ``v`` and each entry's index among them.
+
+    Entries are compared by bit pattern after a stable argsort (np.unique would
+    load numpy.ma). When no two entries are equal, ``(v, None)`` is returned.
+    """
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    new = np.empty(v.size, dtype=bool)
+    new[:1] = True
+    bits = sorted_v.view(np.uint64)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    if new.all():
+        return v, None
+    inverse = np.empty(v.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return sorted_v[new], inverse
+
+
+def _rows(a: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+    return a if index is None else a[index]
+
+
+def _contraction(W: np.ndarray, iy: np.ndarray | None, iz: np.ndarray | None, n_queries: int):
+    """``contract(A, B)[q] = sum_ab A[iy[q], a] W[a, b] B[iz[q], b]`` for every query q.
+
+    A has one row per distinct query y and B one per distinct query z (a
+    ``None`` index: one row per query). Particles give W = diag(w) as the
+    vector w and contract row by row. A grid multiplies A @ W once per
+    distinct y, then fills a table over the distinct (y, z) pairs when there
+    are no more of them than queries, else reads one row per query; either
+    way reordering the queries reorders the results bit for bit.
+    """
+    if W.ndim == 1:
+        return lambda A, B: (_rows(A, iy) * _rows(B, iz)) @ W
+
+    def contract(A, B):
+        AW = A @ W
+        if A.shape[0] * B.shape[0] > n_queries:
+            return (_rows(AW, iy) * _rows(B, iz)).sum(axis=1)
+        table = (AW[:, None, :] * B[None]).sum(axis=2)
+        ty = np.arange(A.shape[0]) if iy is None else iy
+        tz = np.arange(B.shape[0]) if iz is None else iz
+        return table[ty, tz]
+
+    return contract
+
+
 def build_wealth_model(params: WealthParams) -> ModelSpec:
-    """One-population d = 2 trading model (state (y, z), control on z only)."""
+    """One-population d = 2 trading model (state (y, z), control on z only).
+
+    The cost's query-side factors are evaluated once per distinct query
+    coordinate: psi, psi', rho and xi once per distinct y, phi and phi' once
+    per distinct z; ``_contraction`` then combines them per query. Queries
+    whose coordinates are all distinct, particles and single leave-one-out
+    queries among them, contract exactly as a kernel evaluated per query.
+    """
     params.validate()
     k = params.resolved()
     psi, psi_prime = k["psi"], k["psi_prime"]
@@ -150,27 +206,29 @@ def build_wealth_model(params: WealthParams) -> ModelSpec:
     def _pairwise(x, m):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, 2)
-        yp, zp, wy, contract = _product_support(m)
-        dy = flat[:, 0, None] - yp[None, :]
-        dz = flat[:, 1, None] - zp[None, :]
+        yp, zp, wy, W = _product_support(m)
+        yq, iy = _distinct(flat[:, 0])
+        zq, iz = _distinct(flat[:, 1])
+        dy = yq[:, None] - yp[None, :]
+        dz = zq[:, None] - zp[None, :]
         psi_qa = psi(np.abs(dy))
         rho_q = psi_qa @ wy
         rho_a = psi(np.abs(yp[:, None] - yp[None, :])) @ wy
         arg = 0.5 * (rho_q[:, None] + rho_a[None, :])
-        return x.shape, dy, dz, psi_qa, arg, wy, contract
+        return x.shape, dy, dz, psi_qa, arg, wy, iy, _contraction(W, iy, iz, flat.shape[0])
 
     def value(x, m):
-        shape, dy, dz, psi_qa, arg, wy, contract = _pairwise(x, m)
+        shape, dy, dz, psi_qa, arg, wy, iy, contract = _pairwise(x, m)
         return contract(xi(arg) * psi_qa, phi(dz)).reshape(shape[:-1])
 
     def gradient(x, m):
-        shape, dy, dz, psi_qa, arg, wy, contract = _pairwise(x, m)
+        shape, dy, dz, psi_qa, arg, wy, iy, contract = _pairwise(x, m)
         xia = xi(arg)
         phi_dz = phi(dz)
         gz = contract(xia * psi_qa, phi_prime(dz))
         # d/dy of rho(y) feeds the xi argument; the Psi factor contributes directly
         dpsi = psi_prime(np.abs(dy)) * np.sign(dy)
-        gy = 0.5 * (dpsi @ wy) * contract(xi_prime(arg) * psi_qa, phi_dz)
+        gy = 0.5 * _rows(dpsi @ wy, iy) * contract(xi_prime(arg) * psi_qa, phi_dz)
         gy = gy + contract(xia * dpsi, phi_dz)
         return np.stack([gy, gz], axis=-1).reshape(shape)
 

@@ -159,7 +159,8 @@ def hjb_backward(
     the parabolic limit of sigma^2 and an advective limit from
     |f| + |grad w|/alpha; the stored slices live on the uniform grid of
     ``n_t + 1`` times. The density path must cover [0, T]; it is interpolated
-    linearly at substep times.
+    linearly at substep times. alpha is checked at every slice time, latest
+    first, before the sweep starts.
     """
     pmod = _require_scalar_1d(model, grid)
     _require_slices(n_t)
@@ -168,6 +169,10 @@ def hjb_backward(
     if density_path.times[0] > 1e-9 or density_path.times[-1] < model.T - 1e-9:
         raise ValueError("density path must cover [0, T]")
     times = np.linspace(0.0, model.T, n_t + 1)
+    # a closure alpha that is not positive at a slice time is named before the
+    # sweep, which would otherwise blow up while alpha is still positive
+    for t in times[::-1]:
+        pmod.penalty.at(float(t))
     mids = grid.midpoints(0)
     pts = mids[:, None]
     dx = grid.widths[0]

@@ -172,6 +172,41 @@ def wealth_cost_oracle(params: WealthParams, x, m):
     return value.reshape(x.shape[:-1]), np.stack([gy, gz], axis=-1).reshape(x.shape)
 
 
+def wealth_row_kernel_oracle(params: WealthParams, x, m):
+    """The wealth trading cost and its gradient as the row kernel computed them.
+
+    Every query-side factor is evaluated once per query point, and a grid
+    contracts ``((A @ W) * B).sum(axis=1)`` over all queries; particles
+    contract ``(A * B) @ w``. Kept frozen as the bit-identity reference for
+    the kernel of ``build_wealth_model``, which evaluates each distinct query
+    coordinate once.
+    """
+    k = params.resolved()
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1, 2)
+    if isinstance(m, EmpiricalMeasure):
+        yp, zp, wy = m.points[:, 0], m.points[:, 1], m.weights
+        contract = lambda A, B: (A * B) @ wy
+    else:
+        W = m.values * m.grid.cell_volume
+        yp, zp, wy = m.grid.midpoints(0), m.grid.midpoints(1), W.sum(axis=1)
+        contract = lambda A, B: ((A @ W) * B).sum(axis=1)
+    dy = flat[:, 0, None] - yp[None, :]
+    dz = flat[:, 1, None] - zp[None, :]
+    psi_qa = k["psi"](np.abs(dy))
+    rho_q = psi_qa @ wy
+    rho_a = k["psi"](np.abs(yp[:, None] - yp[None, :])) @ wy
+    arg = 0.5 * (rho_q[:, None] + rho_a[None, :])
+    xia = k["xi"](arg)
+    phi_dz = k["phi"](dz)
+    value = contract(xia * psi_qa, phi_dz)
+    gz = contract(xia * psi_qa, k["phi_prime"](dz))
+    dpsi = k["psi_prime"](np.abs(dy)) * np.sign(dy)
+    gy = 0.5 * (dpsi @ wy) * contract(k["xi_prime"](arg) * psi_qa, phi_dz)
+    gy = gy + contract(xia * dpsi, phi_dz)
+    return value.reshape(x.shape[:-1]), np.stack([gy, gz], axis=-1).reshape(x.shape)
+
+
 def wasserstein_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int) -> float:
     """W_p between equal-size uniform clouds as the minimum over all N! pairings."""
     n = mu.n

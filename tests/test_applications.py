@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from brsmfg.brs import MpcConfig, brs_control_finite
 from brsmfg.fokker_planck import FpkConfig, solve_fpk
-from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity
+from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity, leave_one_out
 from brsmfg.model import brs_drift
 from brsmfg.particle_sim import EnsembleState, SimConfig, simulate_brs_nplayer
 
-from _helpers import wealth_cost_oracle
+from _helpers import wealth_cost_oracle, wealth_row_kernel_oracle
 
 
 def trivial_kernels():
@@ -128,6 +128,12 @@ def random_wealth_points(rng, n):
 
 
 WEALTH_GRID = Grid((-3.0, 1e-6), (3.0, 4.0), (12, 16))
+# the grid of a default `brsmfg wealth` run
+DEFAULT_WEALTH_GRID = Grid((-3.0, 1e-6), (3.0, 4.0), (40, 40))
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestWealthKernel:
@@ -187,6 +193,91 @@ class TestWealthKernel:
         g = gradient(pts, EmpiricalMeasure(pts))
         gp = gradient(pts[perm], EmpiricalMeasure(pts[perm]))
         assert np.abs(gp - g[perm]).max() <= 1e-12
+
+
+class TestWealthKernelSharing:
+    """Each distinct query coordinate is evaluated once, with the row kernel's bits."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_face_points_match_row_kernel_bit_for_bit(self, axis):
+        params = WealthParams()
+        model = build_wealth_model(params)
+        m = model.population(0).initial_law.grid_density(DEFAULT_WEALTH_GRID)
+        x = DEFAULT_WEALTH_GRID.face_points(axis)
+        cost = model.population(0).running_cost
+        ref_value, ref_grad = wealth_row_kernel_oracle(params, x, m)
+        assert same_bytes(cost.value(x, m), ref_value)
+        assert same_bytes(cost.gradient(x, m), ref_grad)
+
+    def test_particle_queries_match_row_kernel_bit_for_bit(self):
+        params = WealthParams()
+        pts = random_wealth_points(np.random.default_rng(17), 200)
+        m = EmpiricalMeasure(pts)
+        cost = build_wealth_model(params).population(0).running_cost
+        ref_value, ref_grad = wealth_row_kernel_oracle(params, pts, m)
+        assert same_bytes(cost.value(pts, m), ref_value)
+        assert same_bytes(cost.gradient(pts, m), ref_grad)
+
+    def test_leave_one_out_queries_match_row_kernel_bit_for_bit(self):
+        params = WealthParams()
+        pts = random_wealth_points(np.random.default_rng(18), 60)
+        m = EmpiricalMeasure(pts)
+        cost = build_wealth_model(params).population(0).running_cost
+        for i in range(0, 60, 7):
+            mi = leave_one_out(m, i)
+            ref_value, ref_grad = wealth_row_kernel_oracle(params, pts[i], mi)
+            assert same_bytes(cost.value(pts[i], mi), ref_value)
+            assert same_bytes(cost.gradient(pts[i], mi), ref_grad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ny=st.integers(2, 24),
+        nz=st.integers(2, 24),
+        axis=st.sampled_from([0, 1]),
+        psi_width=st.floats(0.2, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_face_query_sets_match_oracle_and_permute_bit_for_bit(self, ny, nz, axis, psi_width, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid((-3.0, 1e-6), (3.0, 4.0), (ny, nz))
+        m = random_grid_density(grid, rng)
+        faces = grid.face_points(axis).reshape(-1, 2)
+        n = faces.shape[0]
+        query_sets = {
+            "faces": faces,
+            "duplicated": np.concatenate([faces, faces[rng.integers(0, n, n)]]),
+            "dropped": faces[np.sort(rng.choice(n, n // 2 + 1, replace=False))],
+            "shuffled": faces[rng.permutation(n)],
+        }
+        params = WealthParams(psi_width=psi_width)
+        cost = build_wealth_model(params).population(0).running_cost
+        for name, x in query_sets.items():
+            ref_value, ref_grad = wealth_cost_oracle(params, x, m)
+            value, grad = cost.value(x, m), cost.gradient(x, m)
+            assert np.all(np.abs(value - ref_value) <= 1e-12 * (1 + np.abs(ref_value))), name
+            assert np.all(np.abs(grad - ref_grad) <= 1e-12 * (1 + np.abs(ref_grad))), name
+            perm = rng.permutation(x.shape[0])
+            assert same_bytes(cost.value(x[perm], m), value[perm]), name
+            assert same_bytes(cost.gradient(x[perm], m), grad[perm]), name
+
+    def test_gradient_evaluates_each_distinct_coordinate_once(self):
+        # the axis-0 faces of the 40 x 40 grid are 41 y values times 40 z values
+        k = WealthParams().resolved()
+        counts = {"psi": 0, "psi_prime": 0}
+
+        def counting(name):
+            def fn(r):
+                counts[name] += np.size(r)
+                return k[name](r)
+
+            return fn
+
+        model = build_wealth_model(WealthParams(psi=counting("psi"), psi_prime=counting("psi_prime")))
+        m = model.population(0).initial_law.grid_density(DEFAULT_WEALTH_GRID)
+        counts.update(psi=0, psi_prime=0)
+        model.population(0).running_cost.gradient(DEFAULT_WEALTH_GRID.face_points(0), m)
+        for name in ("psi", "psi_prime"):
+            assert 0 < counts[name] <= (41 + 40) * 40, name
 
 
 CROWD_GRID = Grid((-2.0, -2.0), (2.0, 2.0), (48, 48))

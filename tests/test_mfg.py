@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import hjb_backward_oracle, riccati_value, scalar_model
+from _helpers import hjb_backward_oracle, quadratic_cost, riccati_value, scalar_model
 
 from brsmfg.fokker_planck import DensityPath, NumericalError
 from brsmfg.measures import Grid
@@ -77,6 +77,13 @@ class TestHjbBackward:
     def test_penalty_reaching_zero_is_named(self):
         # alpha(t) = t - 0.5 is positive on (0.5, T] and 0 at the slice time 0.5
         model = scalar_model(sigma=1.0, alpha=lambda t: t - 0.5, alpha_dot=lambda t: 1.0)
+        with pytest.raises(FloatingPointError, match=r"^alpha\(0\.5\) = 0\.0 is not a positive finite number$"):
+            hjb_backward(model, frozen_path(model, GRID), GRID, n_t=2)
+
+    def test_penalty_reaching_zero_under_a_running_cost_is_named(self):
+        # h = x^2/2 drives grad w so fast that the sweep used to blow up while
+        # alpha was still positive, and reported "HJB unstable" instead
+        model = scalar_model(h=quadratic_cost(), alpha=lambda t: t - 0.5, alpha_dot=lambda t: 1.0)
         with pytest.raises(FloatingPointError, match=r"^alpha\(0\.5\) = 0\.0 is not a positive finite number$"):
             hjb_backward(model, frozen_path(model, GRID), GRID, n_t=2)
 
