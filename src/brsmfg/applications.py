@@ -145,6 +145,8 @@ def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     Entries are compared by bit pattern after a stable argsort (np.unique would
     load numpy.ma). When no two entries are equal, ``(v, None)`` is returned.
     """
+    if v.size < 2:
+        return v, None
     order = np.argsort(v, kind="stable")
     sorted_v = v[order]
     new = np.empty(v.size, dtype=bool)

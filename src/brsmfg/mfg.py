@@ -159,8 +159,9 @@ def hjb_backward(
     the parabolic limit of sigma^2 and an advective limit from
     |f| + |grad w|/alpha; the stored slices live on the uniform grid of
     ``n_t + 1`` times. The density path must cover [0, T]; it is interpolated
-    linearly at substep times. alpha is checked at every slice time, latest
-    first, before the sweep starts.
+    linearly at substep times. alpha is checked at every slice time after
+    t = 0, latest first, before the sweep starts; the sweep never evaluates
+    alpha at t = 0.
     """
     pmod = _require_scalar_1d(model, grid)
     _require_slices(n_t)
@@ -171,7 +172,7 @@ def hjb_backward(
     times = np.linspace(0.0, model.T, n_t + 1)
     # a closure alpha that is not positive at a slice time is named before the
     # sweep, which would otherwise blow up while alpha is still positive
-    for t in times[::-1]:
+    for t in times[:0:-1]:
         pmod.penalty.at(float(t))
     mids = grid.midpoints(0)
     pts = mids[:, None]

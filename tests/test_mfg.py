@@ -87,6 +87,12 @@ class TestHjbBackward:
         with pytest.raises(FloatingPointError, match=r"^alpha\(0\.5\) = 0\.0 is not a positive finite number$"):
             hjb_backward(model, frozen_path(model, GRID), GRID, n_t=2)
 
+    def test_penalty_is_not_evaluated_at_time_zero(self):
+        # the sweep stops short of t = 0, so an alpha that fails only there is accepted
+        model = scalar_model(sigma=1.0, alpha=lambda t: 1.0 if t > 0.0 else 0.0, alpha_dot=lambda t: 0.0)
+        w = hjb_backward(model, frozen_path(model, GRID), GRID, n_t=2)
+        assert np.isfinite(w.values).all()
+
     def test_path_must_cover_horizon(self):
         model = lq_model(T=2.0)
         short = constant_path(GRID, model.population(0).initial_law.grid_density(GRID), np.array([0.0, 1.0]))
