@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import Grid, GridDensity, write_grid_csv
-from .model import ModelSpec, brs_drift, coupling_measure
+from .model import ModelSpec, _check_finite, brs_drift, coupling_measure
 
 __all__ = [
     "NumericalError",
@@ -121,22 +121,27 @@ class _Faces:
     shape: tuple[int, ...]  # the face mesh shape
     dx: float
     coefficients: tuple | None  # a declared-constant diffusion's _sg_coefficients, else None
+    uncontrolled: bool  # the best reply's control mask is 0 on axis k, so its normal velocity is f_k
 
 
 class _Step:
     """The explicit step of one :func:`solve_fpk`, built once from (model, grid, velocity, boundary).
 
     The face centres, dx and the SG coefficients of a declared-constant
-    diffusion are fixed when it is built. Each :meth:`assemble` evaluates the
-    drift (and a closure diffusion) at the faces, computes the SG weights,
-    zeroes the outer faces under no-flux walls and sums the drain.
+    diffusion are fixed when it is built, and so are the faces of the axes
+    that the best reply's control mask zeroes. Each :meth:`assemble`
+    evaluates the drift (and a closure diffusion) at the faces, computes the
+    SG weights, zeroes the outer faces under no-flux walls and sums the drain.
+    On an uncontrolled axis the best reply's normal velocity
+    f_k - (0 * g_k)/alpha is f_k (up to the sign of a zero), so only the drift
+    f is evaluated there and the cost gradient is neither evaluated nor checked.
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary: str):
         self.model, self.velocity = model, velocity
         self.closed = boundary == "no_flux"
         self.faces = []
-        for p in model.populations:
+        for pop, p in enumerate(model.populations):
             per_axis = []
             for k in range(grid.dim):
                 pts, dx, diag = grid.face_points(k), grid.widths[k], p.diffusion.diag
@@ -144,7 +149,8 @@ class _Step:
                 coefficients = None
                 if diag is not None:
                     coefficients = _sg_coefficients((0.5 * np.full(shape, diag[k]) ** 2).swapaxes(0, k), dx)
-                per_axis.append(_Faces(k, pts.reshape(-1, grid.dim), shape, dx, coefficients))
+                uncontrolled = velocity is None and model.mask(pop)[k] == 0.0
+                per_axis.append(_Faces(k, pts.reshape(-1, grid.dim), shape, dx, coefficients, uncontrolled))
             self.faces.append(per_axis)
 
     def assemble(self, fields: Sequence[GridDensity], t: float) -> list[_Assembled]:
@@ -156,7 +162,10 @@ class _Step:
             drain = None
             for ax in per_axis:
                 k, dx = ax.k, ax.dx
-                if velocity is None:
+                if ax.uncontrolled:
+                    f = model.population(pop).drift.value(ax.flat, measures)
+                    vel = _check_finite(f, "drift f", f"axis-{k} faces (pop {pop})")
+                elif velocity is None:
                     vel = brs_drift(model, pop, t, ax.flat, measures)
                 else:
                     vel = np.asarray(velocity(pop, t, ax.flat, measures), dtype=float)

@@ -56,10 +56,15 @@ class Grid:
         if not (len(self.mins) == len(self.maxs) == len(self.cells)):
             raise ValueError("mins, maxs, cells must have equal length")
         for lo, hi, nc in zip(self.mins, self.maxs, self.cells):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid axis bounds must be finite, got [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"grid axis needs min < max, got [{lo}, {hi}]")
             if nc < 1:
                 raise ValueError("grid needs at least one cell per axis")
+        for lo, hi, width in zip(self.mins, self.maxs, self.widths):
+            if not math.isfinite(width):
+                raise ValueError(f"grid cell width must be finite, got {width} on [{lo}, {hi}]")
 
     @property
     def dim(self) -> int:
@@ -549,18 +554,19 @@ def write_grid_csv(
     """Rows ``keys...,cell indices...,midpoint coords...,value``, one per cell of each record.
 
     ``records`` yields ``(key values, cell values)`` pairs; the key values
-    lead every row of their record. Each record is formatted from column
-    lists with one row template.
+    lead every row of their record. The cell-index and midpoint columns are
+    the same in every record, so they are formatted once per file; each row
+    is then ``(key prefix, cell columns, value)``.
     """
     d = grid.dim
     header = [*keys, *(f"i{k}" for k in range(d)), *(f"x{k}" for k in range(d)), value]
     index = [ix.reshape(-1).tolist() for ix in np.indices(grid.cells)]
-    mids = grid.flat_midpoints().T.tolist()
+    cell_format = "%d," * d + "%.17g," * d
+    cell_columns = [cell_format % cell for cell in zip(*index, *grid.flat_midpoints().T.tolist())]
 
     def rows():
         for key_values, cells in records:
             prefix = "".join(format_value(v) + "," for v in key_values)
-            yield from zip(itertools.repeat(prefix), *index, *mids, cells.reshape(-1).tolist())
+            yield from zip(itertools.repeat(prefix), cell_columns, cells.reshape(-1).tolist())
 
-    row_format = "%s" + "%d," * d + "%.17g," * d + "%.17g\n"
-    write_csv(path, header, rows(), preamble=preamble, row_format=row_format)
+    write_csv(path, header, rows(), preamble=preamble, row_format="%s%s%.17g\n")

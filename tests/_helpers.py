@@ -9,7 +9,7 @@ import numpy as np
 from brsmfg.applications import WealthParams
 from brsmfg.brs import penalty_denominator
 from brsmfg.fokker_planck import NumericalError
-from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity
+from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity, format_value, write_csv
 from brsmfg.model import (
     ControlPenalty,
     CostFunction,
@@ -434,3 +434,19 @@ def em_step_oracle(model, state, dt, noises, coupling, mpc):
         new = pts + total * dt + sig * np.sqrt(dt) * noises[pop]
         new_positions.append(_reflect(new, p.reflect_lower))
     return tuple(new_positions)
+
+
+def write_grid_csv_oracle(path, grid: Grid, keys, records, value: str = "value", preamble=()) -> None:
+    """The grid writer that formats the cell-index and midpoint columns again in every record."""
+    d = grid.dim
+    header = [*keys, *(f"i{k}" for k in range(d)), *(f"x{k}" for k in range(d)), value]
+    index = [ix.reshape(-1).tolist() for ix in np.indices(grid.cells)]
+    mids = grid.flat_midpoints().T.tolist()
+
+    def rows():
+        for key_values, cells in records:
+            prefix = "".join(format_value(v) + "," for v in key_values)
+            yield from zip(itertools.repeat(prefix), *index, *mids, cells.reshape(-1).tolist())
+
+    row_format = "%s" + "%d," * d + "%.17g," * d + "%.17g\n"
+    write_csv(path, header, rows(), preamble=preamble, row_format=row_format)

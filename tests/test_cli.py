@@ -108,6 +108,10 @@ class TestConfig:
             ("wealth", "wealth.psi_width=-inf", "psi_width must be positive and finite"),
             ("wealth", "wealth.kappa=nan", "kappa must be positive"),
             ("wealth", "wealth.z_min=inf", "z_min"),
+            ("fpk", "fpk.xmax=inf", "grid axis bounds must be finite, got [-6.0, inf]"),
+            ("wealth", "wealth.zmax=inf", "grid axis bounds must be finite, got [1e-06, inf]"),
+            ("wealth", "wealth.ymin=-inf", "grid axis bounds must be finite, got [-inf, 3.0]"),
+            ("crowd", "crowd.xmax=inf", "grid axis bounds must be finite, got [-2.0, inf]"),
         ],
     )
     def test_rejected_value_is_a_config_error(self, tmp_path, capsys, subcommand, override, message):

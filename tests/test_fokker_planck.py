@@ -2,6 +2,7 @@
 
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from _helpers import (
     scalar_model,
 )
 
+from brsmfg import fokker_planck
+from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from brsmfg.fokker_planck import BOUNDARIES, FpkConfig, NumericalError, _apply, _Step, solve_fpk
 from brsmfg.measures import Grid, GridDensity, wasserstein_1d
 from brsmfg.model import (
@@ -27,6 +30,7 @@ from brsmfg.model import (
     GaussianMarginal,
     ModelSpec,
     PopulationModel,
+    brs_drift,
     product_law,
 )
 from brsmfg.particle_sim import SimConfig, simulate_brs_nplayer
@@ -223,6 +227,107 @@ class TestStepContract:
             solve_fpk(model, m0, FpkConfig(t_final=0.1))
 
 
+def _wealth_case(params=WealthParams()):
+    """The wealth model and its initial density on a small 10 x 12 grid."""
+    model = build_wealth_model(params)
+    grid = Grid((-3.0, params.z_min), (3.0, 4.0), (10, 12))
+    return model, model.population(0).initial_law.grid_density(grid)
+
+
+def _counting_gradients(model: ModelSpec, calls: list) -> ModelSpec:
+    """``model`` with each running-cost gradient recording the shape of every x it is asked at."""
+
+    def spy(grad):
+        def gradient(x, m):
+            calls.append(np.shape(x))
+            return grad(x, m)
+
+        return gradient
+
+    return replace(model, populations=tuple(_with_gradient(p, spy(p.running_cost.gradient)) for p in model.populations))
+
+
+def _with_gradient(p: PopulationModel, gradient) -> PopulationModel:
+    return replace(p, running_cost=replace(p.running_cost, gradient=gradient))
+
+
+def _with_mask(model: ModelSpec, mask) -> ModelSpec:
+    return replace(model, populations=tuple(replace(p, control_mask=mask) for p in model.populations))
+
+
+class TestUncontrolledAxes:
+    """Faces normal to an axis whose control-mask entry is 0 take the drift f alone."""
+
+    @pytest.mark.parametrize("speed", [None, lambda x: 0.5 * np.cos(np.asarray(x)[..., 0])])
+    def test_face_velocity_is_the_brs_drift_component_bit_for_bit(self, speed):
+        model, m = _wealth_case(WealthParams(v=speed))
+        (asm,) = _Step(model, m.grid, None, "absorbing").assemble((m,), 0.3)
+        for k in range(2):
+            pts = m.grid.face_points(k)
+            want = brs_drift(model, 0, 0.3, pts.reshape(-1, 2), m)[:, k].reshape(pts.shape[:-1]).swapaxes(0, k)
+            assert asm.b[k].tobytes() == want.tobytes()
+
+    def test_cost_gradient_is_evaluated_once_per_step_per_controlled_axis(self):
+        calls = []
+        model, m = _wealth_case()
+        path = solve_fpk(_counting_gradients(model, calls), m, FpkConfig(t_final=0.1))
+        assert path.report["n_steps"] >= 2
+        assert calls == [m.grid.face_points(1).reshape(-1, 2).shape] * int(path.report["n_steps"])
+
+        calls.clear()
+        model = build_crowd_model(CrowdParams())
+        grid = Grid((-2.0, -2.0), (2.0, 2.0), (16, 16))
+        m0 = tuple(model.population(p).initial_law.grid_density(grid) for p in range(2))
+        path = solve_fpk(_counting_gradients(model, calls), m0, FpkConfig(t_final=0.1))
+        assert path.report["n_steps"] >= 2
+        assert len(calls) == 2 * 2 * int(path.report["n_steps"])
+
+    @pytest.mark.parametrize("mask, per_step", [((0.5, 1.0), 2), ((0.0, 1.0), 1), (None, 2)])
+    def test_brs_drift_is_called_on_each_axis_with_a_nonzero_mask_entry(self, monkeypatch, mask, per_step):
+        calls = []
+
+        def spy(model, pop, t, x, m):
+            calls.append(np.shape(x))
+            return brs_drift(model, pop, t, x, m)
+
+        monkeypatch.setattr(fokker_planck, "brs_drift", spy)
+        model, m = _wealth_case()
+        path = solve_fpk(_with_mask(model, mask), m, FpkConfig(t_final=0.1))
+        assert len(calls) == per_step * int(path.report["n_steps"])
+
+    def test_a_closure_velocity_is_asked_on_every_axis(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(fokker_planck, "brs_drift", None)
+        model, m = _wealth_case()
+
+        def velocity(pop, t, x, measures):
+            asked.append(np.shape(x))
+            return np.stack([0.1 + 0.0 * x[:, 0], -0.2 * x[:, 1]], axis=-1)
+
+        (asm,) = _Step(model, m.grid, velocity, "absorbing").assemble((m,), 0.0)
+        assert asked == [m.grid.face_points(k).reshape(-1, 2).shape for k in range(2)]
+        assert np.all(asm.b[0] == 0.1)
+
+    def test_nonfinite_drift_on_an_uncontrolled_axis_is_named(self):
+        model, m = _wealth_case(WealthParams(v=lambda x: np.where(np.asarray(x)[..., 0] > 1.0, np.nan, 0.0)))
+        message = re.escape("drift f produced non-finite value (nan) in axis-0 faces (pop 0)")
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            solve_fpk(model, m, FpkConfig(t_final=0.01))
+
+    def test_nonfinite_cost_gradient_on_controlled_faces_is_named(self):
+        model, m = _wealth_case()
+        p = model.population(0)
+
+        def gradient(x, m):
+            g = p.running_cost.gradient(x, m)
+            g[..., 0] = np.where(np.asarray(x)[..., 1] > 2.0, np.inf, g[..., 0])
+            return g
+
+        bad = replace(model, populations=(_with_gradient(p, gradient),))
+        with pytest.raises(FloatingPointError, match=r"^grad h produced non-finite value \(inf\)"):
+            solve_fpk(bad, m, FpkConfig(t_final=0.01))
+
+
 class TestAccuracy:
     def test_first_order_convergence_on_the_advective_benchmark(self):
         # sigma = 0 keeps the flux in its donor-cell regime; m(t,x) = e^t m0(x e^t)
@@ -278,7 +383,7 @@ class TestAccuracy:
 # ---------------------------------------------------------------------------
 
 
-def _population(diffusion, drift=None, cost_gradient=None, dim=2, penalty=None):
+def _population(diffusion, drift=None, cost_gradient=None, dim=2, penalty=None, control_mask=None):
     zero = CostFunction.zero(dim)
     return PopulationModel(
         drift=drift or DriftFunction.zero(dim),
@@ -287,22 +392,25 @@ def _population(diffusion, drift=None, cost_gradient=None, dim=2, penalty=None):
         penalty=penalty or ControlPenalty.constant(1.0),
         diffusion=diffusion,
         initial_law=product_law([GaussianMarginal(0.0, 1.0)] * dim),
+        control_mask=control_mask,
     )
 
 
 def _random_model(rng, dim: int, kinds) -> ModelSpec:
     """Smooth drifts and diffusions with random coefficients.
 
-    ``kinds`` holds one (diffusion, drift, penalty) choice per population:
-    diffusion ``closure``, ``constant`` or ``constant_zero`` (a declared
-    constant with a zero entry, so that axis has donor-cell faces); drift
-    ``closure`` or ``zero``; penalty ``constant`` or ``closure`` (time-varying).
+    ``kinds`` holds one (diffusion, drift, penalty, mask) choice per
+    population: diffusion ``closure``, ``constant`` or ``constant_zero`` (a
+    declared constant with a zero entry, so that axis has donor-cell faces);
+    drift ``closure`` or ``zero``; penalty ``constant`` or ``closure``
+    (time-varying); control mask ``all`` (none declared), ``zero_axis`` or
+    ``half_axis`` (entry 0 or 0.5 on one random axis, 1 elsewhere).
     Each population is pulled toward a multiple of the other population's mean
     (its own with one population), so the drift depends on the frozen state.
     """
     n_pop = len(kinds)
     pops = []
-    for pop, (diffusion_kind, drift_kind, penalty_kind) in enumerate(kinds):
+    for pop, (diffusion_kind, drift_kind, penalty_kind, mask_kind) in enumerate(kinds):
         c, a, s0, s1 = (rng.uniform(lo, hi, dim) for lo, hi in ((-1, 1), (0.2, 1.5), (0.3, 1.0), (0, 0.3)))
         k = rng.uniform(-0.5, 0.5)
         a0, a1 = rng.uniform(0.5, 1.5), rng.uniform(-0.4, 0.4)
@@ -318,6 +426,10 @@ def _random_model(rng, dim: int, kinds) -> ModelSpec:
             if diffusion_kind == "constant_zero":
                 s0[rng.integers(dim)] = 0.0
             diffusion = DiffusionFunction.constant(s0)
+        mask = None
+        if mask_kind != "all":
+            mask = [1.0] * dim
+            mask[rng.integers(dim)] = 0.0 if mask_kind == "zero_axis" else 0.5
         pops.append(
             _population(
                 diffusion,
@@ -329,6 +441,7 @@ def _random_model(rng, dim: int, kinds) -> ModelSpec:
                     if penalty_kind == "closure"
                     else None
                 ),
+                control_mask=None if mask is None else tuple(mask),
             )
         )
     return ModelSpec(d=dim, T=1.0, populations=tuple(pops))
@@ -345,6 +458,7 @@ def fpk_problems(draw):
                 st.sampled_from(["closure", "constant", "constant_zero"]),
                 st.sampled_from(["closure", "zero"]),
                 st.sampled_from(["constant", "closure"]),
+                st.sampled_from(["all", "zero_axis", "half_axis"]),
             ),
             min_size=n_pop,
             max_size=n_pop,
@@ -379,7 +493,7 @@ class TestStepMatchesReference:
         drain = max(a[2] for a in ref)
         asm = _Step(model, fields[0].grid, velocity, boundary).assemble(fields, t)
         assert max(a.max_drain for a in asm) == drain
-        dt = fraction / drain
+        dt = fraction / drain if drain > 0.0 else fraction  # no drift or diffusion anywhere: any step
         out = _apply(fields, asm, dt)
         expected = fpk_apply_oracle(fields, ref, dt)
         for got, want in zip(out, expected):

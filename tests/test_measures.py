@@ -1,13 +1,16 @@
 """Measures: empirical clouds, grid densities, moments, Wasserstein distances."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 from scipy.stats import wasserstein_distance as scipy_w1
 
-from _helpers import wasserstein_bruteforce
+from _helpers import wasserstein_bruteforce, write_grid_csv_oracle
 
 from brsmfg.measures import (
     EmpiricalMeasure,
@@ -370,6 +373,19 @@ class TestCsv:
             GridDensity(grid, np.array(values))
 
     @pytest.mark.parametrize(
+        "mins, maxs, cells, message",
+        [
+            ((-6.0,), (np.inf,), (8,), "grid axis bounds must be finite, got [-6.0, inf]"),
+            ((0.0, -np.inf), (1.0, 3.0), (4, 4), "grid axis bounds must be finite, got [-inf, 3.0]"),
+            ((np.nan,), (1.0,), (4,), "grid axis bounds must be finite, got [nan, 1.0]"),
+            ((-1e308,), (1e308,), (1,), "grid cell width must be finite, got inf on [-1e+308, 1e+308]"),
+        ],
+    )
+    def test_non_finite_grid_rejected(self, mins, maxs, cells, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Grid(mins, maxs, cells)
+
+    @pytest.mark.parametrize(
         "values, low",
         [([1.0, -1e-14, 2.0, 1.0], 0.0), ([1.0, 0.25, 2.0, 1.0], 0.25), ([1.0, -0.0, 2.0, 1.0], -0.0)],
     )
@@ -476,6 +492,19 @@ class TestMomentsShareTheMean:
             assert np.array_equal(mom.mean, m.mean()) and np.array_equal(mom.variance, m.variance())
 
 
+# what a grid CSV's records may hold: key values of every type, '%' in strings, edge floats
+_KEY_VALUES = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.integers(-(2**31), 2**31 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(allow_nan=True),
+    st.sampled_from(["%", "%s", "%d%%", "100%", "a%.17gb"]),
+    st.text(alphabet="ab%,.sdg"),
+)
+_CELL_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1e300, 1.0 / 3.0]) | st.floats(allow_nan=True)
+_PREAMBLE_LINES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+
+
 class TestCsvBytes:
     @settings(max_examples=40, deadline=None)
     @given(grid=grids(max_dim=2), n_records=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -496,6 +525,18 @@ class TestCsvBytes:
             [*keys, *index[j], *mids[j], cells.reshape(-1)[j]] for keys, cells in records for j in range(len(index))
         ]
         assert path.read_text() == _reference_csv(header, rows, ["preset=x"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=grids(max_dim=2), data=st.data(), preamble=st.lists(_PREAMBLE_LINES, max_size=3))
+    def test_grid_writer_equals_the_per_record_writer(self, tmp_path_factory, grid, data, preamble):
+        n_keys = data.draw(st.integers(0, 3))
+        record = st.tuples(st.tuples(*[_KEY_VALUES] * n_keys), arrays(np.float64, grid.cells, elements=_CELL_VALUES))
+        records = data.draw(st.lists(record, min_size=1, max_size=3))
+        keys = [f"k{j}" for j in range(n_keys)]
+        folder = tmp_path_factory.mktemp("csv")
+        write_grid_csv(folder / "new.csv", grid, keys, iter(records), preamble=preamble)
+        write_grid_csv_oracle(folder / "old.csv", grid, keys, iter(records), preamble=preamble)
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
     def test_generic_rows_equal_the_row_by_row_writer(self, tmp_path):
         rows = [
