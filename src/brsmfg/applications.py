@@ -197,6 +197,12 @@ def build_wealth_model(params: WealthParams) -> ModelSpec:
     per distinct z; ``_contraction`` then combines them per query. Queries
     whose coordinates are all distinct, particles and single leave-one-out
     queries among them, contract exactly as a kernel evaluated per query.
+
+    ``bind(points, axes)`` fixes the queries: their distinct coordinates are
+    found once, and psi, psi', phi and phi' of the (query, node) differences
+    are kept for the last grid a measure arrived on, so a call computes only
+    rho, xi and the requested contractions. Particle supports move, so their
+    factors are rebuilt every call. ``value`` and ``gradient`` bind once.
     """
     params.validate()
     k = params.resolved()
@@ -205,34 +211,48 @@ def build_wealth_model(params: WealthParams) -> ModelSpec:
     xi, xi_prime = k["xi"], k["xi_prime"]
     v = k["v"]
 
-    def _pairwise(x, m):
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, 2)
-        yp, zp, wy, W = _product_support(m)
-        yq, iy = _distinct(flat[:, 0])
-        zq, iz = _distinct(flat[:, 1])
-        dy = yq[:, None] - yp[None, :]
-        dz = zq[:, None] - zp[None, :]
-        psi_qa = psi(np.abs(dy))
-        rho_q = psi_qa @ wy
-        rho_a = psi(np.abs(yp[:, None] - yp[None, :])) @ wy
-        arg = 0.5 * (rho_q[:, None] + rho_a[None, :])
-        return x.shape, dy, dz, psi_qa, arg, wy, iy, _contraction(W, iy, iz, flat.shape[0])
+    def evaluator(points, parts):
+        """m -> the ``parts`` at the fixed ``points``, each flat: "h" the cost, "gy" and "gz" its gradient."""
+        flat = np.asarray(points, dtype=float).reshape(-1, 2)
+        (yq, iy), (zq, iz) = _distinct(flat[:, 0]), _distinct(flat[:, 1])
+        last = None  # (grid, node factors) of the last grid measure
+
+        def node_factors(yp, zp):
+            dy, dz = yq[:, None] - yp[None, :], zq[:, None] - zp[None, :]
+            # d/dy of rho(y) feeds the xi argument; the Psi factor contributes directly
+            dpsi = psi_prime(np.abs(dy)) * np.sign(dy)
+            return psi(np.abs(dy)), psi(np.abs(yp[:, None] - yp[None, :])), dpsi, phi(dz), phi_prime(dz)
+
+        def evaluate(m):
+            nonlocal last
+            yp, zp, wy, W = _product_support(m)
+            on_grid = isinstance(m, GridDensity)
+            if on_grid and (last is None or last[0] != m.grid):
+                last = (m.grid, node_factors(yp, zp))
+            psi_qa, psi_aa, dpsi, phi_dz, dphi_dz = last[1] if on_grid else node_factors(yp, zp)
+            contract = _contraction(W, iy, iz, flat.shape[0])
+            arg = 0.5 * ((psi_qa @ wy)[:, None] + (psi_aa @ wy)[None, :])
+            xia = xi(arg)
+            compute = {
+                "h": lambda: contract(xia * psi_qa, phi_dz),
+                "gy": lambda: 0.5 * _rows(dpsi @ wy, iy) * contract(xi_prime(arg) * psi_qa, phi_dz)
+                + contract(xia * dpsi, phi_dz),
+                "gz": lambda: contract(xia * psi_qa, dphi_dz),
+            }
+            return [compute[part]() for part in parts]
+
+        return evaluate
+
+    def bind(points, axes):
+        evaluate = evaluator(points, [("gy", "gz")[a] for a in axes])
+        shape = np.shape(points)[:-1] + (len(axes),)
+        return lambda m: np.stack(evaluate(m), axis=-1).reshape(shape)
 
     def value(x, m):
-        shape, dy, dz, psi_qa, arg, wy, iy, contract = _pairwise(x, m)
-        return contract(xi(arg) * psi_qa, phi(dz)).reshape(shape[:-1])
+        return evaluator(x, ["h"])(m)[0].reshape(np.shape(x)[:-1])
 
     def gradient(x, m):
-        shape, dy, dz, psi_qa, arg, wy, iy, contract = _pairwise(x, m)
-        xia = xi(arg)
-        phi_dz = phi(dz)
-        gz = contract(xia * psi_qa, phi_prime(dz))
-        # d/dy of rho(y) feeds the xi argument; the Psi factor contributes directly
-        dpsi = psi_prime(np.abs(dy)) * np.sign(dy)
-        gy = 0.5 * _rows(dpsi @ wy, iy) * contract(xi_prime(arg) * psi_qa, phi_dz)
-        gy = gy + contract(xia * dpsi, phi_dz)
-        return np.stack([gy, gz], axis=-1).reshape(shape)
+        return bind(x, (0, 1))(m)
 
     def drift_value(x, m):
         x = np.asarray(x, dtype=float)
@@ -246,7 +266,7 @@ def build_wealth_model(params: WealthParams) -> ModelSpec:
 
     pop = PopulationModel(
         drift=DriftFunction(value=drift_value),
-        running_cost=CostFunction(value=value, gradient=gradient),
+        running_cost=CostFunction(value=value, gradient=gradient, bind=bind),
         terminal_cost=CostFunction.zero(2),
         penalty=ControlPenalty.constant(1.0),
         diffusion=DiffusionFunction(value=diffusion_value),

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import Grid, GridDensity, write_grid_csv
-from .model import ModelSpec, _check_finite, brs_drift, coupling_measure
+from .model import ModelSpec, _check_finite, bind_brs_drift, brs_drift, coupling_measure
 
 __all__ = [
     "NumericalError",
@@ -121,20 +121,27 @@ class _Faces:
     shape: tuple[int, ...]  # the face mesh shape
     dx: float
     coefficients: tuple | None  # a declared-constant diffusion's _sg_coefficients, else None
-    uncontrolled: bool  # the best reply's control mask is 0 on axis k, so its normal velocity is f_k
+    normal: Callable | None  # (t, measures) -> the normal velocity here; None: the full velocity
+
+
+def _drift_component(model: ModelSpec, pop: int, x: np.ndarray, k: int) -> Callable:
+    """(t, m) -> the drift f's component k at x, checked finite over every component."""
+    drift, context = model.population(pop).drift, f"axis-{k} faces (pop {pop})"
+    return lambda t, m: _check_finite(drift.value(x, m), "drift f", context)[:, k]
 
 
 class _Step:
     """The explicit step of one :func:`solve_fpk`, built once from (model, grid, velocity, boundary).
 
     The face centres, dx and the SG coefficients of a declared-constant
-    diffusion are fixed when it is built, and so are the faces of the axes
-    that the best reply's control mask zeroes. Each :meth:`assemble`
-    evaluates the drift (and a closure diffusion) at the faces, computes the
-    SG weights, zeroes the outer faces under no-flux walls and sums the drain.
-    On an uncontrolled axis the best reply's normal velocity
-    f_k - (0 * g_k)/alpha is f_k (up to the sign of a zero), so only the drift
-    f is evaluated there and the cost gradient is neither evaluated nor checked.
+    diffusion are fixed when it is built, and so is the best reply's normal
+    velocity on each axis where it needs less than ``brs_drift``. Each
+    :meth:`assemble` evaluates the drift (and a closure diffusion) at the
+    faces, computes the SG weights, zeroes the outer faces under no-flux walls
+    and sums the drain. On an uncontrolled axis the normal velocity
+    f_k - (0 * g_k)/alpha is f_k (up to the sign of a zero), so only f is
+    evaluated there; on a controlled axis whose costs bind, only the normal
+    component of their gradients (:func:`bind_brs_drift`).
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary: str):
@@ -149,8 +156,11 @@ class _Step:
                 coefficients = None
                 if diag is not None:
                     coefficients = _sg_coefficients((0.5 * np.full(shape, diag[k]) ** 2).swapaxes(0, k), dx)
-                uncontrolled = velocity is None and model.mask(pop)[k] == 0.0
-                per_axis.append(_Faces(k, pts.reshape(-1, grid.dim), shape, dx, coefficients, uncontrolled))
+                flat, normal = pts.reshape(-1, grid.dim), None
+                if velocity is None:
+                    bound = _drift_component if model.mask(pop)[k] == 0.0 else bind_brs_drift
+                    normal = bound(model, pop, flat, k)
+                per_axis.append(_Faces(k, flat, shape, dx, coefficients, normal))
             self.faces.append(per_axis)
 
     def assemble(self, fields: Sequence[GridDensity], t: float) -> list[_Assembled]:
@@ -162,9 +172,8 @@ class _Step:
             drain = None
             for ax in per_axis:
                 k, dx = ax.k, ax.dx
-                if ax.uncontrolled:
-                    f = model.population(pop).drift.value(ax.flat, measures)
-                    vel = _check_finite(f, "drift f", f"axis-{k} faces (pop {pop})")
+                if ax.normal is not None:
+                    vel = ax.normal(t, measures)
                 elif velocity is None:
                     vel = brs_drift(model, pop, t, ax.flat, measures)
                 else:
@@ -173,7 +182,7 @@ class _Step:
                     sig = np.asarray(model.population(pop).diffusion.value(t, ax.flat), dtype=float)
                 if not np.isfinite(vel).all():
                     raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
-                b = vel[:, k].reshape(ax.shape).swapaxes(0, k)
+                b = (vel if ax.normal is not None else vel[:, k]).reshape(ax.shape).swapaxes(0, k)
                 coefficients = ax.coefficients
                 if coefficients is None:
                     if not np.isfinite(sig).all():

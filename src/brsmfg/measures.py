@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -518,19 +518,24 @@ def format_value(v) -> str:
 
 
 def write_csv(
-    path, header: Sequence[str], rows, preamble: Sequence[str] = (), row_format: str | None = None
+    path, header: Sequence[str], rows, preamble: Sequence[str] = (), row_format: str | None = None, blocks=None
 ) -> None:
     """Write rows of numbers/strings as CSV with :func:`format_value`.
 
     ``row_format``, the printf template of a whole line, formats each row (a
     tuple) in one operation instead; its ``%.17g`` and ``%d`` print the same
-    bytes as :func:`format_value`.
+    bytes as :func:`format_value`. ``blocks`` instead yields ``(template, n)``
+    pairs, each template formatting the next n rows, single values, as n
+    lines in one operation.
     """
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        if row_format is None:
+        if blocks is not None:
+            values = iter(rows)
+            fh.writelines(template % tuple(itertools.islice(values, n)) for template, n in blocks)
+        elif row_format is None:
             fh.writelines(",".join(map(format_value, row)) + "\n" for row in rows)
         else:
             fh.writelines(map(row_format.__mod__, rows))
@@ -555,18 +560,26 @@ def write_grid_csv(
 
     ``records`` yields ``(key values, cell values)`` pairs; the key values
     lead every row of their record. The cell-index and midpoint columns are
-    the same in every record, so they are formatted once per file; each row
-    is then ``(key prefix, cell columns, value)``.
+    the same in every record, so they are formatted once per file into line
+    templates; a record is one format of those joined by its key prefix.
     """
     d = grid.dim
     header = [*keys, *(f"i{k}" for k in range(d)), *(f"x{k}" for k in range(d)), value]
-    index = [ix.reshape(-1).tolist() for ix in np.indices(grid.cells)]
-    cell_format = "%d," * d + "%.17g," * d
-    cell_columns = [cell_format % cell for cell in zip(*index, *grid.flat_midpoints().T.tolist())]
 
-    def rows():
-        for key_values, cells in records:
-            prefix = "".join(format_value(v) + "," for v in key_values)
-            yield from zip(itertools.repeat(prefix), cell_columns, cells.reshape(-1).tolist())
+    def along(k: int, columns: list[str]) -> np.ndarray:
+        return np.array(columns).reshape([-1 if j == k else 1 for j in range(d)])
 
-    write_csv(path, header, rows(), preamble=preamble, row_format="%s%s%.17g\n")
+    # each axis's index and midpoint columns are formatted once, then broadcast over the cells;
+    # the numbers hold no "%", so only the key prefixes need escaping
+    columns = [along(k, ["%d," % i for i in range(n)]) for k, n in enumerate(grid.cells)]
+    columns += [along(k, ["%.17g," % x for x in grid.midpoints(k).tolist()]) for k in range(d)]
+    lines = reduce(np.char.add, [*columns, "%.17g\n"]).reshape(-1).tolist()
+    records = list(records)
+
+    def blocks():
+        for key_values, _ in records:
+            prefix = "".join(format_value(v) + "," for v in key_values).replace("%", "%%")
+            yield prefix + prefix.join(lines), len(lines)
+
+    values = itertools.chain.from_iterable(cells.reshape(-1).tolist() for _, cells in records)
+    write_csv(path, header, values, preamble=preamble, blocks=blocks())

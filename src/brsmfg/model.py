@@ -34,6 +34,7 @@ __all__ = [
     "PopulationModel",
     "ModelSpec",
     "brs_drift",
+    "bind_brs_drift",
     "cost_gradient_sum",
     "coupling_measure",
     "is_zero",
@@ -103,11 +104,15 @@ class CostFunction:
     ``pair_gradient`` optionally declares the gradient's pairwise kernel k,
     gradient(x, m) = integral of k(x, y) m(dy), broadcasting over the leading
     axes of x and y; ``None`` when the gradient is not of that form.
+
+    ``bind(points, axes)``, optional, returns m -> ``gradient(points, m)[..., axes]``
+    bit for bit, doing the work that depends only on the points once.
     """
 
     value: Callable
     gradient: Callable
     pair_gradient: Callable | None = None
+    bind: Callable | None = None
 
     @staticmethod
     def zero(d: int) -> "CostFunction":
@@ -341,6 +346,33 @@ def brs_drift(model: ModelSpec, pop: int, t: float, x: np.ndarray, m) -> np.ndar
     f = _check_finite(p.drift.value(x, m), "drift f", "brs_drift")
     grad = cost_gradient_sum(model, pop, x, m)
     return f - grad / a
+
+
+def bind_brs_drift(model: ModelSpec, pop: int, x: np.ndarray, k: int) -> Callable | None:
+    """(t, m) -> ``brs_drift(model, pop, t, x, m)[..., k]`` bit for bit, with the costs bound to x.
+
+    None unless the running cost binds and the terminal cost is declared zero
+    or binds. :func:`brs_drift`'s operations and finite checks run on component
+    k of the gradients alone; the other components are not computed.
+    """
+    p = model.population(pop)
+    h, g = p.running_cost, None if is_zero(p.terminal_cost) else p.terminal_cost
+    if h.bind is None or (g is not None and g.bind is None):
+        return None
+    grad_h, grad_g = h.bind(x, (k,)), None if g is None else g.bind(x, (k,))
+    mask = None if p.control_mask is None else model.mask(pop)[k]
+    zero_f = is_zero(p.drift)
+
+    def drift(t: float, m) -> np.ndarray:
+        a = p.penalty.at(t)
+        f = None if zero_f else _check_finite(p.drift.value(x, m), "drift f", "brs_drift")[..., k]
+        grad = _check_finite(grad_h(m), "grad h", "cost_gradient_sum")[..., 0]
+        if grad_g is not None:
+            grad = grad + _check_finite(grad_g(m), "grad g", "cost_gradient_sum")[..., 0] / model.T
+        grad = grad if mask is None else mask * grad
+        return 0.0 - grad / a if zero_f else f - grad / a
+
+    return drift
 
 
 # ---------------------------------------------------------------------------

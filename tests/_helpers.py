@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,6 +25,15 @@ from brsmfg.model import (
     product_law,
 )
 from brsmfg.particle_sim import _leave_one_out_eval, _reflect
+
+
+def without_bind(model: ModelSpec) -> ModelSpec:
+    """``model`` with no cost offering ``bind``, so every solve takes the unbound path."""
+
+    def unbound(p: PopulationModel) -> PopulationModel:
+        return replace(p, running_cost=replace(p.running_cost, bind=None), terminal_cost=replace(p.terminal_cost, bind=None))
+
+    return replace(model, populations=tuple(unbound(p) for p in model.populations))
 
 
 def gaussian_law(mean: float = 0.0, std: float = 0.5) -> InitialLaw:

@@ -280,6 +280,60 @@ class TestWealthKernelSharing:
             assert 0 < counts[name] <= (41 + 40) * 40, name
 
 
+wealth_grids = st.builds(
+    lambda ny, nz, y0, y_span, z0, z_span: Grid((y0, z0), (y0 + y_span, z0 + z_span), (ny, nz)),
+    st.integers(2, 12),
+    st.integers(2, 12),
+    st.floats(-5.0, 1.0),
+    st.floats(0.5, 8.0),
+    st.floats(1e-6, 1.0),
+    st.floats(0.5, 6.0),
+)
+
+
+class TestWealthBind:
+    """``bind(points, axes)(m)`` is ``gradient(points, m)[..., axes]`` bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=wealth_grids, other=wealth_grids, psi_width=st.floats(0.2, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_bound_components_are_the_gradient_components(self, grid, other, psi_width, seed):
+        rng = np.random.default_rng(seed)
+        cost = build_wealth_model(WealthParams(psi_width=psi_width)).population(0).running_cost
+        scattered = np.column_stack([rng.uniform(-6.0, 10.0, 20), rng.uniform(0.0, 8.0, 20)])
+        query_sets = [
+            grid.face_points(0),
+            grid.face_points(1),
+            np.concatenate([scattered, scattered[rng.integers(0, 20, 20)]]),
+        ]
+        # a second density on the same grid reuses the bound factors; another grid rebuilds them
+        measures = [random_grid_density(grid, rng), random_grid_density(grid, rng), random_grid_density(other, rng)]
+        measures.append(measures[0])
+        for x in query_sets:
+            for j in (0, 1):
+                bound = cost.bind(x, (j,))
+                for m in measures:
+                    got, want = bound(m), cost.gradient(x, m)[..., j]
+                    assert got.shape == want.shape + (1,)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_both_axes_bind_to_the_gradient(self):
+        rng = np.random.default_rng(9)
+        cost = build_wealth_model(WealthParams()).population(0).running_cost
+        m = random_grid_density(WEALTH_GRID, rng)
+        x = WEALTH_GRID.face_points(1)
+        assert same_bytes(cost.bind(x, (0, 1))(m), cost.gradient(x, m))
+        assert same_bytes(cost.bind(x, (1, 0))(m), cost.gradient(x, m)[..., ::-1].copy())
+
+    def test_particle_measures_rebuild_the_factors_every_call(self):
+        rng = np.random.default_rng(10)
+        cost = build_wealth_model(WealthParams()).population(0).running_cost
+        x = random_wealth_points(rng, 30)
+        bound = cost.bind(x, (1,))
+        for _ in range(3):
+            m = EmpiricalMeasure(random_wealth_points(rng, 25))
+            assert bound(m).tobytes() == cost.gradient(x, m)[:, 1].tobytes()
+
+
 CROWD_GRID = Grid((-2.0, -2.0), (2.0, 2.0), (48, 48))
 
 

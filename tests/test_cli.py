@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from _helpers import without_bind
 
 from brsmfg import cli
 from brsmfg.cli import SUBCOMMANDS, ConfigError, main, resolve_config, run
@@ -366,6 +367,19 @@ class TestRuns:
         # the law and the kernel are symmetric in y, so the mean configuration stays at 0
         assert abs(float(rep["terminal_mean_y"])) <= 1e-12
         assert float(rep["min_density"]) >= -1e-13
+
+
+def test_wealth_writes_the_same_bytes_without_bind(tmp_path, monkeypatch):
+    """The costs bound to the FPK faces change no output byte of a wealth run."""
+    sets = ["wealth.ycells=12", "wealth.zcells=16", "wealth.t_final=0.05", "wealth.n_records=2"]
+    assert run("wealth", None, sets, str(tmp_path / "bound")) == 0
+    build = cli.build_wealth_model
+    monkeypatch.setattr(cli, "build_wealth_model", lambda params: without_bind(build(params)))
+    assert run("wealth", None, sets, str(tmp_path / "unbound")) == 0
+    names = sorted(p.name for p in (tmp_path / "bound").iterdir())
+    assert "density.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "unbound").iterdir())
+    assert_same_files(tmp_path / "bound", tmp_path / "unbound", names)
 
 
 def modules_after_runs(configs: dict, out) -> list[str]:

@@ -16,6 +16,7 @@ from _helpers import (
     fpk_solve_oracle,
     quadratic_cost,
     scalar_model,
+    without_bind,
 )
 
 from brsmfg import fokker_planck
@@ -235,20 +236,36 @@ def _wealth_case(params=WealthParams()):
 
 
 def _counting_gradients(model: ModelSpec, calls: list) -> ModelSpec:
-    """``model`` with each running-cost gradient recording the shape of every x it is asked at."""
+    """``model`` with each running cost recording its work.
 
-    def spy(grad):
+    Each gradient call records ``("gradient", shape of x)``, each binding
+    ``("bind", shape of the points, axes)`` and each call of a bound function
+    ``("bound", shape of the points)``. A cost without ``bind`` keeps none.
+    """
+
+    def spy(cost):
         def gradient(x, m):
-            calls.append(np.shape(x))
-            return grad(x, m)
+            calls.append(("gradient", np.shape(x)))
+            return cost.gradient(x, m)
 
-        return gradient
+        def bind(points, axes):
+            calls.append(("bind", np.shape(points), tuple(axes)))
+            bound = cost.bind(points, axes)
 
-    return replace(model, populations=tuple(_with_gradient(p, spy(p.running_cost.gradient)) for p in model.populations))
+            def evaluate(m):
+                calls.append(("bound", np.shape(points)))
+                return bound(m)
+
+            return evaluate
+
+        return replace(cost, gradient=gradient, bind=None if cost.bind is None else bind)
+
+    return replace(model, populations=tuple(replace(p, running_cost=spy(p.running_cost)) for p in model.populations))
 
 
 def _with_gradient(p: PopulationModel, gradient) -> PopulationModel:
-    return replace(p, running_cost=replace(p.running_cost, gradient=gradient))
+    """``p`` with another running-cost gradient; the old gradient's ``bind`` would not match it, so it goes."""
+    return replace(p, running_cost=replace(p.running_cost, gradient=gradient, bind=None))
 
 
 def _with_mask(model: ModelSpec, mask) -> ModelSpec:
@@ -270,9 +287,16 @@ class TestUncontrolledAxes:
     def test_cost_gradient_is_evaluated_once_per_step_per_controlled_axis(self):
         calls = []
         model, m = _wealth_case()
+        faces = m.grid.face_points(1).reshape(-1, 2).shape
+        # bound: the z faces are bound once per solve, and the bound z component is asked once per step
         path = solve_fpk(_counting_gradients(model, calls), m, FpkConfig(t_final=0.1))
         assert path.report["n_steps"] >= 2
-        assert calls == [m.grid.face_points(1).reshape(-1, 2).shape] * int(path.report["n_steps"])
+        assert calls == [("bind", faces, (1,))] + [("bound", faces)] * int(path.report["n_steps"])
+
+        calls.clear()
+        path = solve_fpk(_counting_gradients(without_bind(model), calls), m, FpkConfig(t_final=0.1))
+        assert path.report["n_steps"] >= 2
+        assert calls == [("gradient", faces)] * int(path.report["n_steps"])
 
         calls.clear()
         model = build_crowd_model(CrowdParams())
@@ -281,6 +305,7 @@ class TestUncontrolledAxes:
         path = solve_fpk(_counting_gradients(model, calls), m0, FpkConfig(t_final=0.1))
         assert path.report["n_steps"] >= 2
         assert len(calls) == 2 * 2 * int(path.report["n_steps"])
+        assert {call[0] for call in calls} == {"gradient"}
 
     @pytest.mark.parametrize("mask, per_step", [((0.5, 1.0), 2), ((0.0, 1.0), 1), (None, 2)])
     def test_brs_drift_is_called_on_each_axis_with_a_nonzero_mask_entry(self, monkeypatch, mask, per_step):
@@ -292,8 +317,19 @@ class TestUncontrolledAxes:
 
         monkeypatch.setattr(fokker_planck, "brs_drift", spy)
         model, m = _wealth_case()
-        path = solve_fpk(_with_mask(model, mask), m, FpkConfig(t_final=0.1))
+        path = solve_fpk(_with_mask(without_bind(model), mask), m, FpkConfig(t_final=0.1))
         assert len(calls) == per_step * int(path.report["n_steps"])
+
+        # a bound cost bypasses brs_drift: one binding per controlled axis, one bound call per step each
+        calls.clear()
+        counted = []
+        path = solve_fpk(_counting_gradients(_with_mask(model, mask), counted), m, FpkConfig(t_final=0.1))
+        controlled = [k for k in range(2) if mask is None or mask[k] != 0.0]
+        faces = [m.grid.face_points(k).reshape(-1, 2).shape for k in controlled]
+        assert calls == []
+        assert counted == [("bind", faces[i], (k,)) for i, k in enumerate(controlled)] + [
+            ("bound", shape) for shape in faces
+        ] * int(path.report["n_steps"])
 
     def test_a_closure_velocity_is_asked_on_every_axis(self, monkeypatch):
         asked = []
@@ -326,6 +362,55 @@ class TestUncontrolledAxes:
         bad = replace(model, populations=(_with_gradient(p, gradient),))
         with pytest.raises(FloatingPointError, match=r"^grad h produced non-finite value \(inf\)"):
             solve_fpk(bad, m, FpkConfig(t_final=0.01))
+
+    def test_nonfinite_bound_gradient_is_named_as_on_the_unbound_path(self):
+        # phi' is nan beyond a wealth gap of 3, so gz is nan on the z faces near the top wall
+        model, m = _wealth_case(WealthParams(phi_prime=lambda z: np.where(np.abs(z) > 3.0, np.nan, z)))
+        messages = []
+        for cost_model in (model, without_bind(model)):
+            with pytest.raises(FloatingPointError) as exc:
+                _Step(cost_model, m.grid, None, "no_flux").assemble((m,), 0.0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("grad h produced non-finite value (nan) in cost_gradient_sum")
+
+
+class TestBoundCosts:
+    """A cost with ``bind`` gives the face velocities of the unbound path bit for bit."""
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("mask", [(0.0, 1.0), (0.5, 1.0), None])
+    @pytest.mark.parametrize("speed", [None, lambda x: 0.5 * np.cos(np.asarray(x)[..., 0])])
+    @pytest.mark.parametrize("terminal", ["zero", "bound"])
+    def test_face_velocities_match_the_unbound_path_bit_for_bit(self, boundary, mask, speed, terminal):
+        model, m0 = _wealth_case(WealthParams(v=speed))
+        p = model.population(0)
+        if terminal == "bound":
+            p = replace(p, terminal_cost=p.running_cost)
+        model = _with_mask(replace(model, populations=(p,)), mask)
+        # a density the solve has moved, so it is not a product of marginals
+        m = solve_fpk(model, m0, FpkConfig(t_final=0.02)).final()
+        (bound,) = _Step(model, m.grid, None, boundary).assemble((m,), 0.3)
+        (unbound,) = _Step(without_bind(model), m.grid, None, boundary).assemble((m,), 0.3)
+        for k in range(2):
+            assert bound.b[k].tobytes() == unbound.b[k].tobytes()
+            assert bound.G[k].tobytes() == unbound.G[k].tobytes()
+        assert bound.drain.tobytes() == unbound.drain.tobytes()
+
+    def test_a_terminal_cost_without_bind_keeps_the_unbound_path(self, monkeypatch):
+        calls = []
+
+        def spy(model, pop, t, x, m):
+            calls.append(np.shape(x))
+            return brs_drift(model, pop, t, x, m)
+
+        monkeypatch.setattr(fokker_planck, "brs_drift", spy)
+        model, m = _wealth_case()
+        p = model.population(0)
+        terminal = replace(p.running_cost, bind=None, pair_gradient=None)
+        model = replace(model, populations=(replace(p, terminal_cost=terminal),))
+        _Step(model, m.grid, None, "no_flux").assemble((m,), 0.0)
+        assert calls == [m.grid.face_points(1).reshape(-1, 2).shape]
 
 
 class TestAccuracy:

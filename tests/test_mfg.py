@@ -74,6 +74,17 @@ class TestHjbBackward:
         with pytest.raises(NumericalError, match="HJB unstable"):
             hjb_backward(model, frozen_path(model, GRID), GRID, n_t=2)
 
+    def test_nan_running_cost_is_detected(self):
+        # NaN at one cell: the blow-up test is a single comparison, which NaN fails
+        mid = GRID.midpoints(0)[200]
+        nan_at_one_cell = CostFunction(
+            value=lambda x, m: np.where(np.asarray(x)[..., 0] == mid, np.nan, 0.0),
+            gradient=lambda x, m: np.zeros(np.shape(x)),
+        )
+        model = scalar_model(h=nan_at_one_cell, sigma=1.0)
+        with pytest.raises(NumericalError, match="HJB unstable"):
+            hjb_backward(model, frozen_path(model, GRID), GRID, n_t=2)
+
     def test_penalty_reaching_zero_is_named(self):
         # alpha(t) = t - 0.5 is positive on (0.5, T] and 0 at the slice time 0.5
         model = scalar_model(sigma=1.0, alpha=lambda t: t - 0.5, alpha_dot=lambda t: 1.0)
