@@ -16,7 +16,6 @@ from .measures import (
     leave_one_out,
     moments,
     wasserstein_1d,
-    wasserstein_small_nd,
 )
 from .mfg import (
     PicardConfig,
@@ -92,5 +91,4 @@ __all__ = [
     "solve_mfg_picard",
     "validate_assumptions",
     "wasserstein_1d",
-    "wasserstein_small_nd",
 ]

@@ -314,6 +314,9 @@ class CrowdParams:
         for (lo, hi) in self.domain:
             if not lo < hi:
                 raise ValueError("domain must be a nondegenerate rectangle")
+        for name, points in (("targets", self.targets), ("ic_centers", self.ic_centers)):
+            if not np.all(np.isfinite(points)):
+                raise ValueError(f"{name} must be finite, got {points!r}")
 
 
 def _quadratic_well(center, weight: float) -> CostFunction:

@@ -247,8 +247,8 @@ def _wealth_params(cfg: RunConfig) -> WealthParams:
 def _crowd_params(cfg: RunConfig, T: float) -> CrowdParams:
     def pair(key):
         vals = cfg.floats(key)
-        if len(vals) != 2:
-            raise ConfigError(f"key {key}: expected two comma-separated numbers")
+        if len(vals) != 2 or not np.all(np.isfinite(vals)):
+            raise ConfigError(f"key {key}: expected two comma-separated finite numbers, got {cfg.values[key]!r}")
         return (vals[0], vals[1])
 
     s = cfg.float_("crowd.sigma")

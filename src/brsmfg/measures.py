@@ -32,7 +32,6 @@ __all__ = [
     "density_at",
     "density_gradient_at",
     "wasserstein_1d",
-    "wasserstein_small_nd",
     "format_float",
     "format_value",
     "write_csv",
@@ -396,10 +395,7 @@ def _kde_kernel(m: EmpiricalMeasure, pts: np.ndarray, bw: np.ndarray) -> tuple[n
 def _require_1d(m: MeasureView, name: str) -> None:
     dim = m.dim
     if dim != 1:
-        raise ValueError(
-            f"{name} is one-dimensional only (got d={dim}); "
-            "use wasserstein_small_nd for equal-size uniform multi-dimensional clouds"
-        )
+        raise ValueError(f"{name} is one-dimensional only (got d={dim})")
 
 
 def _quantile_rep(m: MeasureView):
@@ -472,31 +468,6 @@ def wasserstein_1d(mu: MeasureView, nu: MeasureView, p: int = 1) -> float:
         0.5 * length * (va * va + vb * vb) / np.where(same, 1.0, np.abs(va - vb)),
     )
     return float(np.sum(seg))
-
-
-def wasserstein_small_nd(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int = 1) -> float:
-    """Exact W_p between equal-size uniform clouds by optimal assignment.
-
-    For uniform marginals the optimum of the transport problem is attained at
-    a permutation (Birkhoff), so the linear assignment of the N x N cost
-    matrix is exact in any dimension.
-    """
-    # imported here: at module level it would add to every import of the package
-    from scipy.optimize import linear_sum_assignment
-
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    if mu.n != nu.n:
-        raise ValueError("wasserstein_small_nd requires equal point counts")
-    if not (mu.is_uniform and nu.is_uniform):
-        raise ValueError("wasserstein_small_nd requires uniform weights")
-    diff = mu.points[:, None, :] - nu.points[None, :, :]
-    cost = np.linalg.norm(diff, axis=2)
-    if p == 2:
-        cost = cost**2
-    rows, cols = linear_sum_assignment(cost)
-    best = float(cost[rows, cols].sum()) / mu.n
-    return float(best if p == 1 else np.sqrt(best))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,14 @@ size.
 Spatial derivatives use central differences with quadratically extrapolated
 ghost cells (exact for quadratic solutions, outflow-consistent at the box
 edge); the drift handed to the forward solver uses the same discrete
-gradient, so both PDEs see one consistent field. Only one-dimensional,
-single-population models are solved here.
+gradient, so both PDEs see one consistent field. The backward sweep takes
+one TR-BDF2 step per stored slice (Bank et al., IEEE Trans. CAD 1985), each
+implicit stage with the Hamiltonian frozen at an extrapolated gradient, so
+the slice count sets its cost and no diffusion bound limits the step (the
+implicit MFG schemes of Achdou and Capuzzo-Dolcetta, SIAM J. Numer. Anal.
+2010); a drift that spreads paths apart faster than a slice can follow is
+refused by name. Only one-dimensional, single-population models are solved
+here.
 """
 
 from __future__ import annotations
@@ -52,8 +58,10 @@ __all__ = [
 ]
 
 _BLOWUP_FACTOR = 1e6
-# fraction of the HJB substep bound taken per substep
-_CFL_SAFETY = 0.9
+# TR-BDF2 stage fraction; with it both implicit stages share one coefficient
+_GAMMA = 2.0 - math.sqrt(2.0)
+# largest implicit coefficient times growth rate of the frozen drift an HJB stage accepts
+_MAX_GROWTH = 0.25
 # HJB time slices per window in mpc_reduction_check
 _WINDOW_SLICES = 4
 
@@ -104,16 +112,12 @@ class ValueField:
         write_grid_csv(path, self.grid, ["t"], records, value="w")
 
 
-def _gradient_and_laplacian(
-    w: np.ndarray, dx: float, we: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_and_laplacian(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Central first and second differences from one ghost-cell extension.
 
-    The extension attaches quadratically extrapolated ghost values on both
-    ends; it is written into ``we`` (``w.size + 2`` values) when given.
+    The extension attaches quadratically extrapolated ghost values on both ends.
     """
-    if we is None:
-        we = np.empty(w.size + 2)
+    we = np.empty(w.size + 2)
     we[0] = 3.0 * w[0] - 3.0 * w[1] + w[2]
     we[1:-1] = w
     we[-1] = 3.0 * w[-1] - 3.0 * w[-2] + w[-3]
@@ -147,6 +151,54 @@ def constant_path(grid: Grid, density: GridDensity, times: np.ndarray) -> Densit
     return DensityPath(grid, times, values)
 
 
+def _solve_slice(rhs: np.ndarray, b: np.ndarray, half_sig2: np.ndarray, theta: float, dx: float) -> np.ndarray:
+    """w with (I - theta L) w = rhs, where L w = b w' + half_sig2 w'' in the ghost-cell differences.
+
+    Interior rows are tridiagonal; the folded ghost cells give rows 0 and 1
+    entries on w_0..w_2, and rows n-2 and n-1 entries on w_{n-3}..w_{n-1}.
+    A Thomas sweep over Python floats, with partial pivoting between the two
+    top rows and an exact 2x2 solve for the bottom two, since a boundary row's
+    diagonal 1 - theta D/dx^2 +- 3 theta b/(2 dx) vanishes at some slice widths.
+    """
+    adv = (theta / (2.0 * dx)) * b
+    dif = (theta / dx**2) * half_sig2
+    sub = (adv - dif).tolist()
+    piv = (1.0 + 2.0 * dif).tolist()
+    sup = (-adv - dif).tolist()
+    y = rhs.tolist()
+    n = len(y)
+    a, d = float(adv[0]), float(dif[0])
+    top = (1.0 + 3.0 * a - d, 2.0 * d - 4.0 * a, a - d, y[0])
+    second = (sub[1], piv[1], sup[1], y[1])
+    if abs(second[0]) > abs(top[0]):
+        top, second = second, top
+    a, d = float(adv[-1]), float(dif[-1])
+    last = (-a - d, 4.0 * a + 2.0 * d, 1.0 - 3.0 * a - d, y[n - 1])
+    try:
+        l = second[0] / top[0]
+        pv, sv, yv = second[1] - l * top[1], second[2] - l * top[2], second[3] - l * top[3]
+        piv[1], sup[1], y[1] = pv, sv, yv
+        for i in range(2, n - 2):
+            l = sub[i] / pv
+            pv = piv[i] = piv[i] - l * sv
+            yv = y[i] = y[i] - l * yv
+            sv = sup[i]
+        # both bottom rows lose w_{n-3} against row n-3, leaving a 2x2 block
+        l = sub[n - 2] / piv[n - 3]
+        p1, q1, r1 = piv[n - 2] - l * sup[n - 3], sup[n - 2], y[n - 2] - l * y[n - 3]
+        l = last[0] / piv[n - 3]
+        p2, q2, r2 = last[1] - l * sup[n - 3], last[2], last[3] - l * y[n - 3]
+        det = p1 * q2 - q1 * p2
+        w = y[n - 2] = (r1 * q2 - q1 * r2) / det
+        y[n - 1] = (p1 * r2 - p2 * r1) / det
+        for i in range(n - 3, 0, -1):
+            w = y[i] = (y[i] - sup[i] * w) / piv[i]
+        y[0] = (top[3] - top[1] * y[1] - top[2] * y[2]) / top[0]
+    except ZeroDivisionError:
+        raise NumericalError("HJB unstable, refine grid/time") from None
+    return np.array(y)
+
+
 def hjb_backward(
     model: ModelSpec,
     density_path: DensityPath,
@@ -155,13 +207,25 @@ def hjb_backward(
 ) -> ValueField:
     """March the value function from w(T) = g back to t = 0.
 
-    Explicit in time with internal substeps of 0.9 times the stable bound from
-    the parabolic limit of sigma^2 and an advective limit from
-    |f| + |grad w|/alpha; the stored slices live on the uniform grid of
-    ``n_t + 1`` times. The density path must cover [0, T]; it is interpolated
-    linearly at substep times. alpha is checked at every slice time after
-    t = 0, latest first, before the sweep starts; the sweep never evaluates
-    alpha at t = 0.
+    One TR-BDF2 step per stored slice of the uniform grid of ``n_t + 1``
+    times, of width delta: a trapezoidal stage from t_{k+1} to
+    t_{k+1} - gamma delta, then a BDF2 stage through the three values to
+    t_k, with gamma = 2 - sqrt(2) so that both implicit stages solve with one
+    coefficient theta = gamma delta / 2. Each implicit stage freezes the
+    Hamiltonian at p, the gradient extrapolated linearly from the two latest
+    values (grad g alone on the first stage), so it solves a linear equation
+    with drift b = f - p/alpha and source h + |p|^2/(2 alpha); the explicit
+    half of the trapezoidal stage uses the full Hamiltonian. h, f, sigma and
+    alpha are read at each stage's time, where the density path is
+    interpolated linearly; the path must cover [0, T]. The stage ending at
+    t = 0 reads alpha at the first slice time instead, so alpha is never read
+    at t = 0.
+
+    Where b spreads paths apart faster than a stage can follow (theta times
+    the largest increase of b per unit length above 1/4, so the fastest
+    growing mode of the frozen operator could come close to making the stage
+    singular) the sweep raises ``NumericalError`` naming the regime; more
+    slices resolve it.
     """
     pmod = _require_scalar_1d(model, grid)
     _require_slices(n_t)
@@ -170,10 +234,6 @@ def hjb_backward(
     if density_path.times[0] > 1e-9 or density_path.times[-1] < model.T - 1e-9:
         raise ValueError("density path must cover [0, T]")
     times = np.linspace(0.0, model.T, n_t + 1)
-    # a closure alpha that is not positive at a slice time is named before the
-    # sweep, which would otherwise blow up while alpha is still positive
-    for t in times[:0:-1]:
-        pmod.penalty.at(float(t))
     mids = grid.midpoints(0)
     pts = mids[:, None]
     dx = grid.widths[0]
@@ -183,40 +243,52 @@ def hjb_backward(
     values = np.empty((n_t + 1, mids.size))
     values[n_t] = w
 
-    def sigma_terms(tau: float) -> tuple[np.ndarray, float]:
-        sig2 = np.asarray(pmod.diffusion.value(tau, pts), dtype=float)[:, 0] ** 2
-        return 0.5 * sig2, float(sig2.max()) / dx**2
+    def half_sig2_at(t: float) -> np.ndarray:
+        return 0.5 * np.asarray(pmod.diffusion.value(t, pts), dtype=float)[:, 0] ** 2
 
-    # a declared-constant diffusion is evaluated once per solve, a closure every substep
-    fixed_sigma = None if pmod.diffusion.diag is None else sigma_terms(model.T)
-    zero_f = is_zero(pmod.drift)
-    we = np.empty(mids.size + 2)
+    # a declared-constant diffusion is evaluated once per solve, a closure every stage
+    fixed_half_sig2 = None if pmod.diffusion.diag is None else half_sig2_at(model.T)
+    t_1 = float(times[1])
+    delta = model.T / n_t
+    theta = 0.5 * _GAMMA * delta
+
+    def coefficients(t: float):
+        """alpha, f, h and sigma^2/2 at time t."""
+        alpha = pmod.penalty.at(t if t > 0.0 else t_1)
+        m = density_path.at_time(t)
+        f = np.asarray(pmod.drift.value(pts, m), dtype=float)[:, 0]
+        h = np.asarray(pmod.running_cost.value(pts, m), dtype=float)
+        return alpha, f, h, half_sig2_at(t) if fixed_half_sig2 is None else fixed_half_sig2
+
+    def implicit(t: float, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """w at time t from (I - theta L) w = rhs + theta * source, L and source frozen at p."""
+        alpha, f, h, half_sig2 = coefficients(t)
+        b = f - p / alpha
+        rate = float(np.max(np.diff(b))) / dx
+        if theta * rate > _MAX_GROWTH:
+            raise NumericalError(
+                f"HJB slices too wide near t = {t:.6g}: the frozen drift spreads paths apart "
+                f"at rate {rate:.4g} with an implicit coefficient of {theta:.4g}; use more time slices"
+            )
+        w = _solve_slice(rhs + theta * (h + p**2 / (2.0 * alpha)), b, half_sig2, theta, dx)
+        # a NaN or an infinity fails the comparison too
+        if not np.abs(w).max() <= _BLOWUP_FACTOR * scale:
+            raise NumericalError("HJB unstable, refine grid/time")
+        return w
+
+    (grad, lap), grad_prev = _gradient_and_laplacian(w, dx), None
     for k in range(n_t - 1, -1, -1):
-        t_hi, t_lo = times[k + 1], times[k]
-        tau = t_hi
-        while tau > t_lo + 1e-13:
-            m = density_path.at_time(tau)
-            alpha = pmod.penalty.at(tau)
-            two_alpha = 2.0 * alpha
-            grad, lap = _gradient_and_laplacian(w, dx, we)
-            f = None if zero_f else np.asarray(pmod.drift.value(pts, m), dtype=float)[:, 0]
-            h = np.asarray(pmod.running_cost.value(pts, m), dtype=float)
-            half_sig2, sig2_dx2 = fixed_sigma or sigma_terms(tau)
-            # a zero f would add only signed zeros to the right-hand side and 0.0 to the speed
-            if f is None:
-                rhs = h + half_sig2 * lap - grad**2 / two_alpha
-                speed = float(np.abs(grad).max() / alpha)
-            else:
-                rhs = h + f * grad + half_sig2 * lap - grad**2 / two_alpha
-                speed = float(np.abs(f).max() + np.abs(grad).max() / alpha)
-            denom = speed / dx + sig2_dx2
-            delta = (tau - t_lo) if denom <= 0.0 else min(_CFL_SAFETY / denom, tau - t_lo)
-            w = w + delta * rhs
-            tau -= delta
-            # a NaN or an infinity fails the comparison too
-            if not np.abs(w).max() <= _BLOWUP_FACTOR * scale:
-                raise NumericalError("HJB unstable, refine grid/time")
-        values[k] = w
+        t_hi = float(times[k + 1])
+        alpha, f, h, half_sig2 = coefficients(t_hi)
+        rhs = w + theta * (h + f * grad + half_sig2 * lap - grad**2 / (2.0 * alpha))
+        p = grad if grad_prev is None else grad + _GAMMA * (grad - grad_prev)
+        w_stage = implicit(t_hi - _GAMMA * delta, p, rhs)
+        grad_stage = _gradient_and_laplacian(w_stage, dx)[0]
+        p = grad_stage + (1.0 / _GAMMA - 1.0) * (grad_stage - grad)
+        rhs = (w_stage - (1.0 - _GAMMA) ** 2 * w) / (_GAMMA * (2.0 - _GAMMA))
+        w = values[k] = implicit(float(times[k]), p, rhs)
+        grad_prev = grad
+        grad, lap = _gradient_and_laplacian(w, dx)
     return ValueField(grid, times, values)
 
 

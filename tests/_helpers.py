@@ -6,6 +6,7 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from brsmfg.applications import WealthParams
 from brsmfg.brs import penalty_denominator
@@ -217,6 +218,28 @@ def wealth_row_kernel_oracle(params: WealthParams, x, m):
     return value.reshape(x.shape[:-1]), np.stack([gy, gz], axis=-1).reshape(x.shape)
 
 
+def wasserstein_small_nd(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int = 1) -> float:
+    """Exact W_p between equal-size uniform clouds by optimal assignment.
+
+    For uniform marginals the optimum of the transport problem is attained at
+    a permutation (Birkhoff), so the linear assignment of the N x N cost
+    matrix is exact in any dimension.
+    """
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    if mu.n != nu.n:
+        raise ValueError("wasserstein_small_nd requires equal point counts")
+    if not (mu.is_uniform and nu.is_uniform):
+        raise ValueError("wasserstein_small_nd requires uniform weights")
+    diff = mu.points[:, None, :] - nu.points[None, :, :]
+    cost = np.linalg.norm(diff, axis=2)
+    if p == 2:
+        cost = cost**2
+    rows, cols = linear_sum_assignment(cost)
+    best = float(cost[rows, cols].sum()) / mu.n
+    return float(best if p == 1 else np.sqrt(best))
+
+
 def wasserstein_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int) -> float:
     """W_p between equal-size uniform clouds as the minimum over all N! pairings."""
     n = mu.n
@@ -353,9 +376,12 @@ def fpk_solve_oracle(model, fields, t_final, record_times, boundary="no_flux", v
 
 
 # ---------------------------------------------------------------------------
-# Reference backward HJB sweep: the straightforward form of the solver's sweep,
-# which evaluates alpha, f and sigma every substep and extends w with a fresh
-# concatenation. ``hjb_backward`` must reproduce it bit for bit.
+# Reference backward HJB sweep: explicit Euler substeps of 0.9 times the
+# parabolic and advective stability bound, with the same central differences
+# and ghost cells as ``hjb_backward``. It evaluates alpha, f and sigma every
+# substep and extends w with a fresh concatenation. The implicit sweep must
+# agree with it up to the two schemes' time errors, and stay finite where it
+# stops with "HJB unstable".
 # ---------------------------------------------------------------------------
 
 
@@ -371,7 +397,7 @@ def _oracle_gradient_and_laplacian(w, dx):
 
 
 def hjb_backward_oracle(model, density_path, grid, n_t):
-    """(times, values (n_t + 1, cells)) of the reference backward sweep."""
+    """(times, values (n_t + 1, cells)) of the explicit reference backward sweep."""
     pmod = model.population(0)
     times = np.linspace(0.0, model.T, n_t + 1)
     mids = grid.midpoints(0)

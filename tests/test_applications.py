@@ -351,6 +351,13 @@ class TestCrowdModel:
         with pytest.raises(ValueError, match="kde_bandwidth must be positive"):
             build_crowd_model(CrowdParams(kde_bandwidth=bandwidth))
 
+    @pytest.mark.parametrize("field", ["targets", "ic_centers"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_points_rejected(self, field, bad):
+        points = ((0.0, bad), (-1.0, 0.0))
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            build_crowd_model(CrowdParams(**{field: points}))
+
     def test_mismatched_grids_rejected(self):
         model = build_crowd_model(CrowdParams())
         g1 = CROWD_GRID

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 from scipy.stats import wasserstein_distance as scipy_w1
 
-from _helpers import wasserstein_bruteforce, write_grid_csv_oracle
+from _helpers import wasserstein_bruteforce, wasserstein_small_nd, write_grid_csv_oracle
 
 from brsmfg.measures import (
     EmpiricalMeasure,
@@ -23,7 +23,6 @@ from brsmfg.measures import (
     moments,
     wasserstein_1d,
     format_float,
-    wasserstein_small_nd,
     write_csv,
     write_empirical_csv,
     write_grid_csv,
@@ -241,7 +240,7 @@ class TestWasserstein1d:
 
     def test_rejects_multidimensional(self):
         m = EmpiricalMeasure(np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="wasserstein_small_nd"):
+        with pytest.raises(ValueError, match=r"^wasserstein_1d is one-dimensional only \(got d=2\)$"):
             wasserstein_1d(m, m, p=1)
 
 

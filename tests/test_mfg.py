@@ -20,6 +20,7 @@ from brsmfg.mfg import (
     mpc_reduction_check,
     solve_mfg_picard,
 )
+from brsmfg.mfg import _GAMMA, _gradient_and_laplacian
 from brsmfg.model import ControlPenalty, CostFunction, DiffusionFunction, DriftFunction
 from brsmfg.presets import lq_model, mean_coupling_model, ou_model
 
@@ -50,6 +51,33 @@ class TestHjbBackward:
         oracle = riccati_value(1.0, sigma=1.0, alpha=1.0, t_eval=w.times, x=mid)
         worst = max(np.abs(w.values[k] - oracle[float(t)]).max() for k, t in enumerate(w.times))
         assert worst <= 2e-2
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.3, 0.1, 0.03])
+    def test_lq_value_is_exact(self, sigma):
+        # w = x^2/2 + sigma^2 (T - t)/2 is quadratic in x and linear in t, and the
+        # frozen Hamiltonian is exact at its gradient, so only round-off remains;
+        # the explicit sweep stopped with "HJB unstable" at sigma = 0.03
+        model = lq_model(T=1.0, sigma=sigma)
+        w = hjb_backward(model, frozen_path(model, GRID), GRID, n_t=8)
+        mid = GRID.midpoints(0)
+        worst = max(np.abs(w.values[k] - (mid**2 / 2 + sigma**2 * (1.0 - t) / 2)).max() for k, t in enumerate(w.times))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [None, lambda t: 1.0 + 0.5 * t], ids=["constant_alpha", "varying_alpha"])
+    def test_second_order_in_the_slice_count(self, alpha):
+        # the gap to a 1024-slice reference falls about 4x per doubling; backward
+        # Euler, or an alpha read at the wrong end of each step, would give 2x
+        model = mean_coupling_model(T=1.0)
+        if alpha is not None:
+            pop = replace(model.population(0), penalty=ControlPenalty(alpha=alpha, alpha_dot=lambda t: 0.5))
+            model = replace(model, populations=(pop,))
+        path = frozen_path(model, GRID)
+        reference = hjb_backward(model, path, GRID, n_t=1024)
+        gaps = [
+            np.abs(hjb_backward(model, path, GRID, n_t).values - reference.values[:: 1024 // n_t]).max()
+            for n_t in (32, 64)
+        ]
+        assert gaps[1] <= gaps[0] / 3.0
 
     def test_linear_terminal_cost_characteristic_solution(self):
         # h = 0, g = x, sigma = 0: w(t, x) = x - (T - t)/(2 alpha)
@@ -248,7 +276,7 @@ class TestArguments:
 
 
 @st.composite
-def hjb_problems(draw):
+def hjb_problems(draw, slices):
     """(model, density path, grid, n_t): a scalar preset, optionally with a nonzero f,
     a closure diffusion and a time-varying alpha, against a random density path."""
     preset = draw(st.sampled_from([ou_model, lq_model, mean_coupling_model]))
@@ -273,7 +301,23 @@ def hjb_problems(draw):
     vals = rng.uniform(0.05, 1.0, (n_slices, 1, cells))
     vals /= vals.sum(axis=2, keepdims=True) * grid.cell_volume
     path = DensityPath(grid, np.linspace(0.0, T, n_slices), vals)
-    return model, path, grid, draw(st.integers(1, 6))
+    return model, path, grid, draw(slices)
+
+
+def fine_reference(model, path, grid, n_t):
+    """The explicit reference sweep on the n_t + 1 slice times, with substeps of at most 1/64 of a slice."""
+    times, values = hjb_backward_oracle(model, path, grid, 64 * n_t)
+    return times[::64], values[::64]
+
+
+def assert_second_order_close(w, times, values, n_t):
+    # Both sweeps discretise one equation with one spatial operator, so they
+    # differ by their time errors only: the reference's, first order in its
+    # substep of at most 1/64 of a slice, and this sweep's, second order in the
+    # slice width. The bound is 1 / n_t^2 relative to max(1, max |w_ref|).
+    assert np.array_equal(w.times, times)
+    scale = max(1.0, float(np.abs(values).max()))
+    assert np.abs(w.values - values).max() <= scale / n_t**2
 
 
 class TestTimeInterpolation:
@@ -303,20 +347,69 @@ class TestTimeInterpolation:
 
 class TestHjbMatchesReference:
     @settings(max_examples=40, deadline=None)
-    @given(problem=hjb_problems())
-    def test_hjb_backward_is_bit_identical(self, problem):
+    @given(problem=hjb_problems(st.integers(8, 24)))
+    def test_hjb_backward_agrees_with_the_explicit_reference(self, problem):
+        # At these slice widths the worst of 3,000 drawn problems read 0.25 of the
+        # bound; a sweep of backward-Euler steps exceeds it on about one draw in two.
         model, path, grid, n_t = problem
+        w = hjb_backward(model, path, grid, n_t)
+        assert np.isfinite(w.values).all()
         try:
-            times, values = hjb_backward_oracle(model, path, grid, n_t)
+            times, values = fine_reference(model, path, grid, n_t)
         except NumericalError:
-            with pytest.raises(NumericalError, match="HJB unstable"):
+            return  # the explicit sweep is unstable here, the implicit one is not
+        assert_second_order_close(w, times, values, n_t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=hjb_problems(st.integers(1, 6)))
+    def test_wide_slices_are_accurate_or_refused_by_name(self, problem):
+        # A drift that spreads paths apart makes w grow across a slice; an implicit
+        # stage follows the fastest growth only while its coefficient times the
+        # growth rate stays small. The first stage's drift f - grad g / alpha is
+        # known here, so where it is too fast the sweep must refuse; a later stage
+        # may be refused for the same reason, and whatever is returned must be accurate
+        # (of 3,000 drawn problems 2 were refused, and the worst read 0.34 of the bound).
+        model, path, grid, n_t = problem
+        pop = model.population(0)
+        mids = grid.midpoints(0)[:, None]
+        dx = grid.widths[0]
+        delta = model.T / n_t
+        t = model.T - _GAMMA * delta
+        g = np.asarray(pop.terminal_cost.value(mids, path.at_time(model.T)), dtype=float)
+        grad_g = _gradient_and_laplacian(g, dx)[0]
+        b = np.asarray(pop.drift.value(mids, path.at_time(t)), dtype=float)[:, 0] - grad_g / pop.penalty.at(t)
+        if 0.5 * _GAMMA * delta * (float(np.max(np.diff(b))) / dx) > 0.25:
+            with pytest.raises(NumericalError, match=r"^HJB slices too wide near t = "):
                 hjb_backward(model, path, grid, n_t)
             return
-        w = hjb_backward(model, path, grid, n_t)
-        assert np.array_equal(w.times, times)
-        assert np.array_equal(w.values, values)
+        try:
+            w = hjb_backward(model, path, grid, n_t)
+        except NumericalError as err:
+            assert str(err).startswith("HJB slices too wide near t = ")
+            return
+        assert np.isfinite(w.values).all()
+        try:
+            times, values = fine_reference(model, path, grid, n_t)
+        except NumericalError:
+            return
+        assert_second_order_close(w, times, values, n_t)
 
-    def test_declared_constant_diffusion_is_not_evaluated_per_substep(self):
+    def test_too_wide_slice_is_refused_by_name(self):
+        # f = 0.9 sin x spreads paths apart near x = 0 at about twice 0.9 per unit
+        # time; one slice of width 3 takes the implicit stages past singular, and
+        # without the check the sweep returned values off by twice the value's
+        # size, while the explicit reference stays finite
+        model = ou_model(T=3.0, sigma=0.5)
+        pop = replace(model.population(0), drift=DriftFunction(lambda x, m: 0.9 * np.sin(np.asarray(x))))
+        model = replace(model, populations=(pop,))
+        grid = Grid((-1.44,), (0.56,), (8,))
+        path = frozen_path(model, grid)
+        with pytest.raises(NumericalError, match=r"^HJB slices too wide near t = 1\.24264: the frozen drift spreads"):
+            hjb_backward(model, path, grid, n_t=1)
+        times, values = fine_reference(model, path, grid, 4)
+        assert_second_order_close(hjb_backward(model, path, grid, n_t=4), times, values, 4)
+
+    def test_declared_constant_diffusion_is_not_evaluated_per_slice(self):
         calls = []
 
         def sigma(t, x):
