@@ -12,7 +12,6 @@ from .measures import (
     Grid,
     GridDensity,
     density_at,
-    kernel_integral,
     leave_one_out,
     moments,
     wasserstein_1d,
@@ -26,7 +25,6 @@ from .mfg import (
     solve_mfg_picard,
 )
 from .model import (
-    AssumptionReport,
     ControlPenalty,
     CostFunction,
     DiffusionFunction,
@@ -35,7 +33,6 @@ from .model import (
     ModelSpec,
     PopulationModel,
     brs_drift,
-    validate_assumptions,
 )
 from .particle_sim import (
     EnsembleState,
@@ -48,7 +45,6 @@ from .presets import lq_model, mean_coupling_model, ou_model
 
 __all__ = [
     "__version__",
-    "AssumptionReport",
     "ControlPenalty",
     "CostFunction",
     "CrowdParams",
@@ -77,7 +73,6 @@ __all__ = [
     "compare_brs_mfg",
     "density_at",
     "hjb_backward",
-    "kernel_integral",
     "leave_one_out",
     "lq_model",
     "mean_coupling_model",
@@ -89,6 +84,5 @@ __all__ = [
     "simulate_brs_nplayer",
     "solve_fpk",
     "solve_mfg_picard",
-    "validate_assumptions",
     "wasserstein_1d",
 ]

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import Grid, GridDensity, write_grid_csv
-from .model import ModelSpec, _check_finite, bind_brs_drift, brs_drift, coupling_measure
+from .model import ModelSpec, coupling_measure, face_velocity
 
 __all__ = [
     "NumericalError",
@@ -121,31 +121,28 @@ class _Faces:
     shape: tuple[int, ...]  # the face mesh shape
     dx: float
     coefficients: tuple | None  # a declared-constant diffusion's _sg_coefficients, else None
-    normal: Callable | None  # (t, measures) -> the normal velocity here; None: the full velocity
+    normal: Callable  # (t, measures) -> the normal velocity at the face centres
 
 
-def _drift_component(model: ModelSpec, pop: int, x: np.ndarray, k: int) -> Callable:
-    """(t, m) -> the drift f's component k at x, checked finite over every component."""
-    drift, context = model.population(pop).drift, f"axis-{k} faces (pop {pop})"
-    return lambda t, m: _check_finite(drift.value(x, m), "drift f", context)[:, k]
+def _velocity_component(velocity: Callable, pop: int, x: np.ndarray, k: int) -> Callable:
+    """(t, measures) -> component k of a ``solve_fpk`` velocity closure at x."""
+    return lambda t, m: np.asarray(velocity(pop, t, x, m), dtype=float)[:, k]
 
 
 class _Step:
     """The explicit step of one :func:`solve_fpk`, built once from (model, grid, velocity, boundary).
 
-    The face centres, dx and the SG coefficients of a declared-constant
-    diffusion are fixed when it is built, and so is the best reply's normal
-    velocity on each axis where it needs less than ``brs_drift``. Each
-    :meth:`assemble` evaluates the drift (and a closure diffusion) at the
-    faces, computes the SG weights, zeroes the outer faces under no-flux walls
-    and sums the drain. On an uncontrolled axis the normal velocity
-    f_k - (0 * g_k)/alpha is f_k (up to the sign of a zero), so only f is
-    evaluated there; on a controlled axis whose costs bind, only the normal
-    component of their gradients (:func:`bind_brs_drift`).
+    The face centres, dx, the SG coefficients of a declared-constant diffusion
+    and each face set's normal velocity are fixed when it is built: the
+    best reply's (:func:`face_velocity`, which evaluates only what axis k
+    needs), or component k of a ``velocity`` closure. Each :meth:`assemble`
+    evaluates the normal velocity (and a closure diffusion) at the faces,
+    computes the SG weights, zeroes the outer faces under no-flux walls and
+    sums the drain.
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary: str):
-        self.model, self.velocity = model, velocity
+        self.model = model
         self.closed = boundary == "no_flux"
         self.faces = []
         for pop, p in enumerate(model.populations):
@@ -156,15 +153,16 @@ class _Step:
                 coefficients = None
                 if diag is not None:
                     coefficients = _sg_coefficients((0.5 * np.full(shape, diag[k]) ** 2).swapaxes(0, k), dx)
-                flat, normal = pts.reshape(-1, grid.dim), None
+                flat = pts.reshape(-1, grid.dim)
                 if velocity is None:
-                    bound = _drift_component if model.mask(pop)[k] == 0.0 else bind_brs_drift
-                    normal = bound(model, pop, flat, k)
+                    normal = face_velocity(model, pop, flat, k)
+                else:
+                    normal = _velocity_component(velocity, pop, flat, k)
                 per_axis.append(_Faces(k, flat, shape, dx, coefficients, normal))
             self.faces.append(per_axis)
 
     def assemble(self, fields: Sequence[GridDensity], t: float) -> list[_Assembled]:
-        model, velocity = self.model, self.velocity
+        model = self.model
         measures = coupling_measure(fields)
         out = []
         for pop, per_axis in enumerate(self.faces):
@@ -172,17 +170,12 @@ class _Step:
             drain = None
             for ax in per_axis:
                 k, dx = ax.k, ax.dx
-                if ax.normal is not None:
-                    vel = ax.normal(t, measures)
-                elif velocity is None:
-                    vel = brs_drift(model, pop, t, ax.flat, measures)
-                else:
-                    vel = np.asarray(velocity(pop, t, ax.flat, measures), dtype=float)
+                vel = ax.normal(t, measures)
                 if ax.coefficients is None:
                     sig = np.asarray(model.population(pop).diffusion.value(t, ax.flat), dtype=float)
                 if not np.isfinite(vel).all():
                     raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
-                b = (vel if ax.normal is not None else vel[:, k]).reshape(ax.shape).swapaxes(0, k)
+                b = vel.reshape(ax.shape).swapaxes(0, k)
                 coefficients = ax.coefficients
                 if coefficients is None:
                     if not np.isfinite(sig).all():
@@ -331,7 +324,7 @@ def solve_fpk(
     mass0 = [f.mass for f in fields]
     mass_drift = 0.0
     min_density = min(f.min_value for f in fields)
-    boundary_mass = _boundary_mass_fraction(fields[0].values, grid)
+    boundary_mass = max(_boundary_mass_fraction(f.values, grid) for f in fields)
 
     steps = 0
     for target in record[1:] if record[0] <= 1e-12 else record:

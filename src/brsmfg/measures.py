@@ -6,8 +6,8 @@ Two concrete measure representations are used throughout the package:
 * :class:`GridDensity` -- cell-averaged nonnegative density on a rectangular
   grid (finite-volume convention, so mass bookkeeping is exact).
 
-Free functions (``kernel_integral``, ``moments``, ``density_at``, the
-Wasserstein distances, ...) accept either representation.
+Free functions (``moments``, ``density_at``, the Wasserstein distances, ...)
+accept either representation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "MeasureView",
     "Moments",
     "leave_one_out",
-    "kernel_integral",
     "moments",
     "density_at",
     "density_gradient_at",
@@ -107,10 +106,6 @@ class Grid:
         """All cell midpoints, shape ``cells + (dim,)``."""
         return self._meshes[0]
 
-    def flat_midpoints(self) -> np.ndarray:
-        """Cell midpoints flattened to shape (n_cells_total, dim)."""
-        return self._meshes[0].reshape(-1, self.dim)
-
     def face_points(self, axis: int) -> np.ndarray:
         """Centres of the faces normal to ``axis``, shape (faces..., dim)."""
         return self._meshes[1:][axis]
@@ -172,10 +167,6 @@ class EmpiricalMeasure:
         """Per-axis variance; ``mean``, when the caller holds it, is not recomputed."""
         mu = self.mean() if mean is None else mean
         return self.weights @ (self.points - mu) ** 2
-
-    def translate(self, shift) -> "EmpiricalMeasure":
-        shift = np.atleast_1d(np.asarray(shift, dtype=float))
-        return EmpiricalMeasure(self.points + shift, self.weights.copy())
 
 
 class GridDensity:
@@ -296,30 +287,6 @@ def leave_one_out(m: EmpiricalMeasure, i: int) -> EmpiricalMeasure:
         raise IndexError(f"index {i} out of range for {m.n} points")
     pts = np.delete(m.points, i, axis=0)
     return EmpiricalMeasure(pts)
-
-
-def kernel_integral(m: MeasureView, kernel: Callable[[np.ndarray], np.ndarray]):
-    """Integral of ``kernel`` against the measure.
-
-    Empirical measures use the weighted sum over particles, grid densities the
-    midpoint rule over cells. ``kernel`` receives a batch of points with shape
-    (M, d) and returns shape (M,) or (M, k).
-    """
-    if isinstance(m, EmpiricalMeasure):
-        pts, w = m.points, m.weights
-    elif isinstance(m, GridDensity):
-        pts = m.grid.flat_midpoints()
-        w = m.values.reshape(-1) * m.grid.cell_volume
-    else:
-        raise TypeError(f"unsupported measure type {type(m).__name__}")
-    vals = np.asarray(kernel(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals.reshape(vals.shape[0], -1)).all(axis=1))
-        j = int(bad[0, 0])
-        raise ValueError(f"kernel returned non-finite value at point {pts[j]}")
-    if vals.ndim == 1:
-        return float(w @ vals)
-    return w @ vals
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ threads; stored callables must be pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, Grid, GridDensity, wasserstein_1d
+from .measures import Grid, GridDensity
 
 __all__ = [
     "ControlPenalty",
@@ -34,21 +34,11 @@ __all__ = [
     "PopulationModel",
     "ModelSpec",
     "brs_drift",
-    "bind_brs_drift",
+    "face_velocity",
     "cost_gradient_sum",
     "coupling_measure",
     "is_zero",
-    "validate_assumptions",
-    "AssumptionReport",
-    "PopulationQuotients",
 ]
-
-
-# ControlPenalty.check: sample times on [0, T] and the relative tolerance of alpha_dot
-_PENALTY_SAMPLES = 33
-_PENALTY_TOL = 1e-4
-# validate_assumptions: particles per sampled population measure
-_N_SUPPORT = 24
 
 
 @dataclass(frozen=True)
@@ -76,21 +66,6 @@ class ControlPenalty:
         if not np.isfinite(a) or a <= 0:
             raise FloatingPointError(f"alpha({t}) = {a} is not a positive finite number")
         return a
-
-    def check(self, horizon: float) -> None:
-        """Sample positivity of alpha and consistency of alpha_dot on [0, T]."""
-        ts = np.linspace(0.0, horizon, _PENALTY_SAMPLES)
-        eps = max(1e-6 * horizon, 1e-9)
-        for t in ts:
-            a = self.alpha(float(t))
-            if not a > 0:
-                raise ValueError(f"alpha({t}) = {a} is not positive")
-            fd = (self.alpha(float(t) + eps) - a) / eps
-            ad = self.alpha_dot(float(t))
-            if abs(fd - ad) > _PENALTY_TOL * (1.0 + abs(ad)):
-                raise ValueError(
-                    f"alpha_dot inconsistent with alpha at t={t}: fd={fd}, stored={ad}"
-                )
 
 
 def _zero_kernel(x, y) -> np.ndarray:
@@ -348,17 +323,23 @@ def brs_drift(model: ModelSpec, pop: int, t: float, x: np.ndarray, m) -> np.ndar
     return f - grad / a
 
 
-def bind_brs_drift(model: ModelSpec, pop: int, x: np.ndarray, k: int) -> Callable | None:
-    """(t, m) -> ``brs_drift(model, pop, t, x, m)[..., k]`` bit for bit, with the costs bound to x.
+def face_velocity(model: ModelSpec, pop: int, x: np.ndarray, k: int) -> Callable:
+    """(t, m) -> ``brs_drift(model, pop, t, x, m)[..., k]``, the best reply's velocity along axis k at x.
 
-    None unless the running cost binds and the terminal cost is declared zero
-    or binds. :func:`brs_drift`'s operations and finite checks run on component
-    k of the gradients alone; the other components are not computed.
+    On an axis the control mask zeroes, f_k - (0 * g_k)/alpha is f_k up to the
+    sign of a zero, so only f is evaluated. When the running cost binds and the
+    terminal cost is declared zero or binds, the costs are bound to x once and
+    :func:`brs_drift`'s operations and finite checks run on component k of the
+    gradients alone, bit for bit. Any other cost gives :func:`brs_drift` in
+    full, sliced to k.
     """
     p = model.population(pop)
+    if model.mask(pop)[k] == 0.0:
+        context = f"axis-{k} faces (pop {pop})"
+        return lambda t, m: _check_finite(p.drift.value(x, m), "drift f", context)[..., k]
     h, g = p.running_cost, None if is_zero(p.terminal_cost) else p.terminal_cost
     if h.bind is None or (g is not None and g.bind is None):
-        return None
+        return lambda t, m: brs_drift(model, pop, t, x, m)[..., k]
     grad_h, grad_g = h.bind(x, (k,)), None if g is None else g.bind(x, (k,))
     mask = None if p.control_mask is None else model.mask(pop)[k]
     zero_f = is_zero(p.drift)
@@ -373,132 +354,3 @@ def bind_brs_drift(model: ModelSpec, pop: int, x: np.ndarray, k: int) -> Callabl
         return 0.0 - grad / a if zero_f else f - grad / a
 
     return drift
-
-
-# ---------------------------------------------------------------------------
-# Empirical assumption audit
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PopulationQuotients:
-    """Max sampled Lipschitz quotients for one population's ingredients."""
-
-    drift_x: float
-    drift_measure: float
-    running_grad_x: float
-    running_grad_measure: float
-    terminal_grad_x: float
-    terminal_grad_measure: float
-    diffusion_t: float
-    diffusion_x: float
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.__dict__)
-
-
-@dataclass
-class AssumptionReport:
-    populations: list[PopulationQuotients]
-    cap: float
-    flagged: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged
-
-
-def _measure_tuple(model: ModelSpec, rng: np.random.Generator):
-    return tuple(EmpiricalMeasure(p.initial_law.sample(rng, _N_SUPPORT)) for p in model.populations)
-
-
-def _translate_views(views, shift):
-    return tuple(v.translate(shift) for v in views)
-
-
-def validate_assumptions(
-    model: ModelSpec,
-    sample_count: int,
-    seed: int,
-    cap: float = 1e3,
-) -> AssumptionReport:
-    """Empirical Lipschitz audit of the model's standing regularity hypotheses.
-
-    Samples pairs differing in the state (same measure) and pairs differing in
-    the measure by a translation (whose 1-Wasserstein distance is exactly the
-    shift length; 1-d models also audit general jittered pairs through the
-    exact quantile distance). Degenerate zero-distance pairs are skipped;
-    quotients above ``cap`` are flagged.
-    """
-    if sample_count < 2:
-        raise ValueError("sample_count must be >= 2")
-    rng = np.random.default_rng(seed)
-    reports: list[PopulationQuotients] = []
-    flagged: list[str] = []
-    for pop in range(model.n_populations):
-        p = model.population(pop)
-        # (quotient name prefix, evaluate(x, m)) of each audited ingredient
-        ingredients = (
-            ("drift", p.drift.value),
-            ("running_grad", p.running_cost.gradient),
-            ("terminal_grad", p.terminal_cost.gradient),
-        )
-        q = dict.fromkeys((f.name for f in fields(PopulationQuotients)), 0.0)
-        used = 0
-        for _ in range(sample_count):
-            views = _measure_tuple(model, rng)
-            marg = coupling_measure(views)
-            x1 = p.initial_law.sample(rng, 1)[0]
-            step = 10.0 ** rng.uniform(-3, 0)
-            direction = rng.standard_normal(model.d)
-            nrm = np.linalg.norm(direction)
-            if nrm == 0.0:
-                continue
-            x2 = x1 + step * direction / nrm
-            dx = float(np.linalg.norm(x2 - x1))
-            if dx == 0.0:
-                continue
-            used += 1
-
-            def quot_x(fn) -> float:
-                return float(np.linalg.norm(np.asarray(fn(x2)) - np.asarray(fn(x1))) / dx)
-
-            for name, fn in ingredients:
-                q[f"{name}_x"] = max(q[f"{name}_x"], quot_x(lambda y: fn(y, marg)))
-
-            # exact-distance measure perturbation: translate every population
-            shift = step * rng.standard_normal(model.d)
-            w1 = float(np.linalg.norm(shift))
-            if w1 > 0.0:
-                marg2 = coupling_measure(_translate_views(views, shift))
-                if model.d == 1:
-                    # cross-check the translation distance through the 1-d solver
-                    w1 = wasserstein_1d(views[0], views[0].translate(shift), p=1)
-                if w1 > 0.0:
-                    def quot_m(fn) -> float:
-                        return float(
-                            np.linalg.norm(np.asarray(fn(marg2)) - np.asarray(fn(marg))) / w1
-                        )
-
-                    for name, fn in ingredients:
-                        q[f"{name}_measure"] = max(q[f"{name}_measure"], quot_m(lambda mm: fn(x1, mm)))
-
-            # diffusion in t and x
-            t1, t2 = rng.uniform(0.0, model.T, size=2)
-            if t1 != t2:
-                s1 = np.asarray(p.diffusion.value(float(t1), x1))
-                s2 = np.asarray(p.diffusion.value(float(t2), x1))
-                q["diffusion_t"] = max(
-                    q["diffusion_t"], float(np.linalg.norm(s2 - s1) / abs(t2 - t1))
-                )
-            s1 = np.asarray(p.diffusion.value(float(t1), x1))
-            s2 = np.asarray(p.diffusion.value(float(t1), x2))
-            q["diffusion_x"] = max(q["diffusion_x"], float(np.linalg.norm(s2 - s1) / dx))
-        if used == 0:
-            raise ValueError("all sampled pairs were degenerate")
-        pq = PopulationQuotients(**q)
-        for name, val in pq.as_dict().items():
-            if val > cap:
-                flagged.append(f"pop {pop}: {name} quotient {val:.3e} exceeds cap {cap:.3e}")
-        reports.append(pq)
-    return AssumptionReport(populations=reports, cap=cap, flagged=flagged)

@@ -167,7 +167,7 @@ def wealth_cost_oracle(params: WealthParams, x, m):
     if isinstance(m, EmpiricalMeasure):
         pts, w = m.points, m.weights
     else:
-        pts, w = m.grid.flat_midpoints(), m.values.reshape(-1) * m.grid.cell_volume
+        pts, w = m.grid.midpoint_mesh().reshape(-1, m.grid.dim), m.values.reshape(-1) * m.grid.cell_volume
     dy = flat[:, 0, None] - pts[None, :, 0]
     dz = flat[:, 1, None] - pts[None, :, 1]
     psi_qp = k["psi"](np.abs(dy))
@@ -477,7 +477,7 @@ def write_grid_csv_oracle(path, grid: Grid, keys, records, value: str = "value",
     d = grid.dim
     header = [*keys, *(f"i{k}" for k in range(d)), *(f"x{k}" for k in range(d)), value]
     index = [ix.reshape(-1).tolist() for ix in np.indices(grid.cells)]
-    mids = grid.flat_midpoints().T.tolist()
+    mids = grid.midpoint_mesh().reshape(-1, grid.dim).T.tolist()
 
     def rows():
         for key_values, cells in records:

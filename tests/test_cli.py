@@ -1,8 +1,10 @@
 """CLI runner: config handling, manifests, determinism, report contents."""
 
 import filecmp
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 from _helpers import without_bind
 
+import brsmfg
 from brsmfg import cli
 from brsmfg.cli import SUBCOMMANDS, ConfigError, main, resolve_config, run
 
@@ -429,3 +432,10 @@ def test_runs_load_no_scipy(tmp_path):
 def test_runs_load_no_numpy_ma(tmp_path):
     """No run imports numpy.ma; np.unique would on its first call, inside the W1 distance of compare and chaos-study."""
     assert "numpy.ma" not in modules_after_runs(TINY, tmp_path)
+
+
+@pytest.mark.parametrize("module", ["brsmfg"] + [f"brsmfg.{m.name}" for m in pkgutil.iter_modules(brsmfg.__path__)])
+def test_every_exported_name_resolves(module):
+    """Each name in ``__all__`` is an attribute, so ``from <module> import *`` cannot fail."""
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -19,7 +19,6 @@ from _helpers import (
     without_bind,
 )
 
-from brsmfg import fokker_planck
 from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from brsmfg.fokker_planck import BOUNDARIES, FpkConfig, NumericalError, _apply, _Step, solve_fpk
 from brsmfg.measures import Grid, GridDensity, wasserstein_1d
@@ -32,10 +31,11 @@ from brsmfg.model import (
     ModelSpec,
     PopulationModel,
     brs_drift,
+    coupling_measure,
     product_law,
 )
 from brsmfg.particle_sim import SimConfig, simulate_brs_nplayer
-from brsmfg.presets import mean_coupling_model, ou_model
+from brsmfg.presets import lq_model, mean_coupling_model, ou_model
 
 
 def gaussian_field(grid: Grid, std: float, mean: float = 0.0) -> GridDensity:
@@ -112,6 +112,16 @@ class TestConservation:
         m0 = gaussian_field(grid, 0.5)
         path = solve_fpk(model, m0, FpkConfig(t_final=1.0, record_times=(0.0, 1.0)))
         assert path.report["boundary_mass_flag"] == 1.0
+
+    def test_boundary_mass_counts_every_population_at_the_start(self):
+        # population 1 starts across the right wall's layer; population 0 well inside
+        model = build_crowd_model(CrowdParams(ic_centers=((-0.5, 0.0), (1.9, 0.0)), ic_std=0.3, horizon=0.05))
+        grid = Grid((-2.0, -2.0), (2.0, 2.0), (24, 24))
+        m0 = tuple(model.population(p).initial_law.grid_density(grid) for p in range(2))
+        outer = [(m.values.sum() - m.values[1:-1, 1:-1].sum()) / m.values.sum() for m in m0]
+        assert outer[0] < 1e-4 < 0.3 < outer[1]
+        path = solve_fpk(model, m0, FpkConfig(t_final=0.05))
+        assert path.report["boundary_mass_max"] >= outer[1]
 
 
 def max_drain(model, fields, t=0.0, velocity=None, boundary="no_flux"):
@@ -272,17 +282,42 @@ def _with_mask(model: ModelSpec, mask) -> ModelSpec:
     return replace(model, populations=tuple(replace(p, control_mask=mask) for p in model.populations))
 
 
+def _densities_case(model: ModelSpec, grid: Grid):
+    return model, tuple(p.initial_law.grid_density(grid) for p in model.populations)
+
+
+def _wealth_fields(params=WealthParams(), bind=True):
+    model, m = _wealth_case(params)
+    return (model if bind else without_bind(model)), (m,)
+
+
+_LINE = Grid((-4.0,), (4.0,), (40,))
+# (model, initial densities) per name: every kind of cost the FPK's face velocity meets
+_FACE_VELOCITY_CASES = {
+    "ou": lambda: _densities_case(ou_model(T=1.0), _LINE),
+    "lq": lambda: _densities_case(lq_model(), _LINE),
+    "mean_coupling": lambda: _densities_case(mean_coupling_model(), _LINE),
+    "crowd": lambda: _densities_case(build_crowd_model(CrowdParams()), Grid((-2.0, -2.0), (2.0, 2.0), (12, 14))),
+    "wealth": _wealth_fields,
+    "wealth_moving": lambda: _wealth_fields(WealthParams(v=lambda x: 0.5 * np.cos(np.asarray(x)[..., 0]))),
+    "wealth_without_bind": lambda: _wealth_fields(bind=False),
+}
+
+
 class TestUncontrolledAxes:
     """Faces normal to an axis whose control-mask entry is 0 take the drift f alone."""
 
-    @pytest.mark.parametrize("speed", [None, lambda x: 0.5 * np.cos(np.asarray(x)[..., 0])])
-    def test_face_velocity_is_the_brs_drift_component_bit_for_bit(self, speed):
-        model, m = _wealth_case(WealthParams(v=speed))
-        (asm,) = _Step(model, m.grid, None, "absorbing").assemble((m,), 0.3)
-        for k in range(2):
-            pts = m.grid.face_points(k)
-            want = brs_drift(model, 0, 0.3, pts.reshape(-1, 2), m)[:, k].reshape(pts.shape[:-1]).swapaxes(0, k)
-            assert asm.b[k].tobytes() == want.tobytes()
+    @pytest.mark.parametrize("case", sorted(_FACE_VELOCITY_CASES))
+    def test_face_velocity_is_the_brs_drift_component_bit_for_bit(self, case):
+        model, fields = _FACE_VELOCITY_CASES[case]()
+        grid, measures = fields[0].grid, coupling_measure(fields)
+        asm = _Step(model, grid, None, "absorbing").assemble(fields, 0.3)
+        for pop in range(model.n_populations):
+            for k in range(grid.dim):
+                pts = grid.face_points(k)
+                vel = brs_drift(model, pop, 0.3, pts.reshape(-1, grid.dim), measures)
+                want = vel[:, k].reshape(pts.shape[:-1]).swapaxes(0, k)
+                assert asm[pop].b[k].tobytes() == want.tobytes()
 
     def test_cost_gradient_is_evaluated_once_per_step_per_controlled_axis(self):
         calls = []
@@ -307,41 +342,35 @@ class TestUncontrolledAxes:
         assert len(calls) == 2 * 2 * int(path.report["n_steps"])
         assert {call[0] for call in calls} == {"gradient"}
 
-    @pytest.mark.parametrize("mask, per_step", [((0.5, 1.0), 2), ((0.0, 1.0), 1), (None, 2)])
-    def test_brs_drift_is_called_on_each_axis_with_a_nonzero_mask_entry(self, monkeypatch, mask, per_step):
-        calls = []
-
-        def spy(model, pop, t, x, m):
-            calls.append(np.shape(x))
-            return brs_drift(model, pop, t, x, m)
-
-        monkeypatch.setattr(fokker_planck, "brs_drift", spy)
+    @pytest.mark.parametrize("mask", [(0.5, 1.0), (0.0, 1.0), None])
+    def test_brs_drift_is_called_on_each_axis_with_a_nonzero_mask_entry(self, mask):
         model, m = _wealth_case()
-        path = solve_fpk(_with_mask(without_bind(model), mask), m, FpkConfig(t_final=0.1))
-        assert len(calls) == per_step * int(path.report["n_steps"])
-
-        # a bound cost bypasses brs_drift: one binding per controlled axis, one bound call per step each
-        calls.clear()
-        counted = []
-        path = solve_fpk(_counting_gradients(_with_mask(model, mask), counted), m, FpkConfig(t_final=0.1))
         controlled = [k for k in range(2) if mask is None or mask[k] != 0.0]
         faces = [m.grid.face_points(k).reshape(-1, 2).shape for k in controlled]
-        assert calls == []
-        assert counted == [("bind", faces[i], (k,)) for i, k in enumerate(controlled)] + [
+        # unbound: one whole gradient per controlled axis per step, none on a masked-out axis
+        calls = []
+        path = solve_fpk(_counting_gradients(_with_mask(without_bind(model), mask), calls), m, FpkConfig(t_final=0.1))
+        assert path.report["n_steps"] >= 2
+        assert calls == [("gradient", shape) for shape in faces] * int(path.report["n_steps"])
+
+        # bound: one binding per controlled axis per solve, one bound call per step each
+        calls.clear()
+        path = solve_fpk(_counting_gradients(_with_mask(model, mask), calls), m, FpkConfig(t_final=0.1))
+        assert calls == [("bind", faces[i], (k,)) for i, k in enumerate(controlled)] + [
             ("bound", shape) for shape in faces
         ] * int(path.report["n_steps"])
 
-    def test_a_closure_velocity_is_asked_on_every_axis(self, monkeypatch):
-        asked = []
-        monkeypatch.setattr(fokker_planck, "brs_drift", None)
+    def test_a_closure_velocity_is_asked_on_every_axis(self):
+        asked, calls = [], []
         model, m = _wealth_case()
 
         def velocity(pop, t, x, measures):
             asked.append(np.shape(x))
             return np.stack([0.1 + 0.0 * x[:, 0], -0.2 * x[:, 1]], axis=-1)
 
-        (asm,) = _Step(model, m.grid, velocity, "absorbing").assemble((m,), 0.0)
+        (asm,) = _Step(_counting_gradients(model, calls), m.grid, velocity, "absorbing").assemble((m,), 0.0)
         assert asked == [m.grid.face_points(k).reshape(-1, 2).shape for k in range(2)]
+        assert calls == []
         assert np.all(asm.b[0] == 0.1)
 
     def test_nonfinite_drift_on_an_uncontrolled_axis_is_named(self):
@@ -397,20 +426,15 @@ class TestBoundCosts:
             assert bound.G[k].tobytes() == unbound.G[k].tobytes()
         assert bound.drain.tobytes() == unbound.drain.tobytes()
 
-    def test_a_terminal_cost_without_bind_keeps_the_unbound_path(self, monkeypatch):
+    def test_a_terminal_cost_without_bind_keeps_the_unbound_path(self):
         calls = []
-
-        def spy(model, pop, t, x, m):
-            calls.append(np.shape(x))
-            return brs_drift(model, pop, t, x, m)
-
-        monkeypatch.setattr(fokker_planck, "brs_drift", spy)
         model, m = _wealth_case()
         p = model.population(0)
         terminal = replace(p.running_cost, bind=None, pair_gradient=None)
         model = replace(model, populations=(replace(p, terminal_cost=terminal),))
-        _Step(model, m.grid, None, "no_flux").assemble((m,), 0.0)
-        assert calls == [m.grid.face_points(1).reshape(-1, 2).shape]
+        _Step(_counting_gradients(model, calls), m.grid, None, "no_flux").assemble((m,), 0.0)
+        # the running cost binds but is not bound: its whole gradient is asked on the z faces alone
+        assert calls == [("gradient", m.grid.face_points(1).reshape(-1, 2).shape)]
 
 
 class TestAccuracy:

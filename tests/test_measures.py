@@ -18,7 +18,6 @@ from brsmfg.measures import (
     GridDensity,
     density_at,
     density_gradient_at,
-    kernel_integral,
     leave_one_out,
     moments,
     wasserstein_1d,
@@ -67,47 +66,6 @@ class TestEmpirical:
     def test_leave_one_out_single_point_errors(self):
         with pytest.raises(ValueError, match="empty leave-one-out"):
             leave_one_out(EmpiricalMeasure(np.array([1.0])), 0)
-
-
-class TestKernelIntegral:
-    def test_normalization(self):
-        m = EmpiricalMeasure(np.array([0.0, 2.0, 5.0]))
-        assert kernel_integral(m, lambda y: np.ones(y.shape[0])) == pytest.approx(1.0)
-        g = gaussian_grid(128)
-        assert kernel_integral(g, lambda y: np.ones(y.shape[0])) == pytest.approx(1.0)
-
-    def test_mean(self):
-        m = EmpiricalMeasure(np.array([0.0, 2.0]))
-        assert kernel_integral(m, lambda y: y[:, 0]) == pytest.approx(1.0)
-
-    def test_grid_against_refined_quadrature(self):
-        # 10x finer quadrature of the analytic integrand is the oracle
-        g = gaussian_grid(200)
-        K = lambda y: np.exp(-((y[:, 0] - 0.3) ** 2))
-        val = kernel_integral(g, K)
-        fine = gaussian_grid(2000)
-        oracle = kernel_integral(fine, K)
-        assert abs(val - oracle) < 1e-3
-
-    def test_second_order_convergence(self):
-        K = lambda y: np.cos(y[:, 0])
-        exact = np.exp(-0.125)  # E cos(X), X ~ N(0, 0.25)
-        errs = []
-        for nc in (100, 200, 400):
-            errs.append(abs(kernel_integral(gaussian_grid(nc), K) - exact))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
-        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
-
-    def test_nonfinite_kernel_reports_point(self):
-        m = EmpiricalMeasure(np.array([0.0, 3.0]))
-
-        def bad(y):
-            out = np.ones(y.shape[0])
-            out[y[:, 0] > 2] = np.inf
-            return out
-
-        with pytest.raises(ValueError, match="non-finite"):
-            kernel_integral(m, bad)
 
 
 class TestMoments:
@@ -204,7 +162,7 @@ class TestWasserstein1d:
         rng = np.random.default_rng(5)
         m = EmpiricalMeasure(rng.standard_normal(101))
         for c in (0.37, -1.25):
-            assert abs(wasserstein_1d(m, m.translate(c), p=1) - abs(c)) < 1e-12
+            assert abs(wasserstein_1d(m, EmpiricalMeasure(m.points + c, m.weights), p=1) - abs(c)) < 1e-12
 
     def test_matches_scipy_on_unequal_clouds(self):
         rng = np.random.default_rng(9)
@@ -290,7 +248,8 @@ class TestWasserstein1dProperties:
     @settings(max_examples=80, deadline=None)
     @given(m=_CLOUDS, shift=st.floats(-5.0, 5.0))
     def test_translating_a_cloud_moves_it_by_the_shift(self, m, shift):
-        assert wasserstein_1d(m, m.translate(shift), p=1) == pytest.approx(abs(shift), abs=1e-11)
+        shifted = EmpiricalMeasure(m.points + shift, m.weights)
+        assert wasserstein_1d(m, shifted, p=1) == pytest.approx(abs(shift), abs=1e-11)
 
 
 class TestWassersteinSmallNd:
@@ -413,7 +372,7 @@ def _fresh_geometry(grid: Grid) -> dict:
         coords = list(mids)
         coords[axis] = edges[axis]
         faces.append(np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1))
-    return {"edges": edges, "midpoints": mids, "mesh": mesh, "flat": mesh.reshape(-1, grid.dim), "faces": faces}
+    return {"edges": edges, "midpoints": mids, "mesh": mesh, "faces": faces}
 
 
 def _cached_geometry(grid: Grid) -> dict:
@@ -421,7 +380,6 @@ def _cached_geometry(grid: Grid) -> dict:
         "edges": [grid.edges(k) for k in range(grid.dim)],
         "midpoints": [grid.midpoints(k) for k in range(grid.dim)],
         "mesh": grid.midpoint_mesh(),
-        "flat": grid.flat_midpoints(),
         "faces": [grid.face_points(k) for k in range(grid.dim)],
     }
 
@@ -519,7 +477,7 @@ class TestCsvBytes:
         d = grid.dim
         header = ["t", "pop"] + [f"i{k}" for k in range(d)] + [f"x{k}" for k in range(d)] + ["value"]
         index = np.stack(np.meshgrid(*[np.arange(nc) for nc in grid.cells], indexing="ij"), -1).reshape(-1, d)
-        mids = grid.flat_midpoints()
+        mids = grid.midpoint_mesh().reshape(-1, d)
         rows = [
             [*keys, *index[j], *mids[j], cells.reshape(-1)[j]] for keys, cells in records for j in range(len(index))
         ]

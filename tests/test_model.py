@@ -1,4 +1,4 @@
-"""Model ingredients: analytic gradients, the best-reply drift, assumption audit."""
+"""Model ingredients: analytic gradients, the best-reply drift, the checked penalty."""
 
 import re
 
@@ -21,7 +21,6 @@ from brsmfg.model import (
     cost_gradient_sum,
     is_zero,
     product_law,
-    validate_assumptions,
 )
 from brsmfg.presets import lq_model, mean_coupling_model, ou_model
 
@@ -195,19 +194,6 @@ class TestBrsDrift:
 
 
 class TestControlPenalty:
-    def test_positivity_checked(self):
-        pen = ControlPenalty(alpha=lambda t: 1.0 - t, alpha_dot=lambda t: -1.0)
-        with pytest.raises(ValueError, match="not positive"):
-            pen.check(horizon=2.0)
-
-    def test_inconsistent_derivative_rejected(self):
-        pen = ControlPenalty(alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 5.0)
-        with pytest.raises(ValueError, match="alpha_dot"):
-            pen.check(horizon=1.0)
-
-    def test_valid_penalty_passes(self):
-        ControlPenalty(alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0).check(1.0)
-
     @pytest.mark.parametrize("bad, shown", [(0.0, "0.0"), (-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf")])
     def test_at_reads_a_declared_value_and_checks_a_closure(self, bad, shown):
         assert ControlPenalty.constant(2.5).at(0.3) == 2.5
@@ -215,61 +201,6 @@ class TestControlPenalty:
         message = f"alpha(0.2) = {shown} is not a positive finite number"
         with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
             ControlPenalty(alpha=lambda t: bad, alpha_dot=lambda t: 0.0).at(0.2)
-
-
-class TestValidateAssumptions:
-    def test_quadratic_gradient_quotient_is_one(self):
-        model = scalar_model(h=quadratic_cost())
-        rep = validate_assumptions(model, sample_count=50, seed=0)
-        q = rep.populations[0]
-        assert q.running_grad_x == pytest.approx(1.0, abs=1e-6)
-        assert q.running_grad_measure == pytest.approx(0.0, abs=1e-12)
-        assert rep.ok
-
-    def test_constant_diffusion_quotients_vanish(self):
-        model = scalar_model(h=quadratic_cost(), sigma=1.0)
-        rep = validate_assumptions(model, sample_count=30, seed=1)
-        q = rep.populations[0]
-        assert q.diffusion_t == 0.0 and q.diffusion_x == 0.0
-
-    def test_wealth_quotients_bounded_by_kernel_derivatives(self):
-        params = WealthParams()
-        model = build_wealth_model(params)
-        rep = validate_assumptions(model, sample_count=40, seed=2)
-        q = rep.populations[0]
-        k = params.resolved()
-        # dense grid search for the kernel derivative extrema
-        r = np.linspace(-8.0, 8.0, 200_001)
-        psi_max = float(np.abs(k["psi"](r)).max())
-        dpsi_max = float(np.abs(k["psi_prime"](r)).max())
-        assert np.isfinite(q.running_grad_x)
-        # crude but rigorous envelope for the sampled cloud scale
-        rng = np.random.default_rng(2)
-        pts = model.population(0).initial_law.sample(rng, 4000)
-        z_span = float(pts[:, 1].max() - pts[:, 1].min())
-        rho_max = psi_max
-        xi_lip = 1.0  # xi is the identity by default
-        bound = (
-            rho_max * psi_max  # d/dz branch: xi * psi * phi'' with phi'' = 1
-            + xi_lip * dpsi_max * (psi_max + dpsi_max * z_span) * 4.0
-            + dpsi_max * z_span * 2.0
-            + psi_max
-        )
-        assert q.running_grad_x <= bound
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            validate_assumptions(scalar_model(), sample_count=1, seed=0)
-
-    def test_cap_flags_fast_growth(self):
-        steep = CostFunction(
-            value=lambda x, m: np.asarray(x)[..., 0] ** 4 * 1e6,
-            gradient=lambda x, m: 4e6 * np.asarray(x, dtype=float) ** 3,
-        )
-        model = scalar_model(h=steep)
-        rep = validate_assumptions(model, sample_count=40, seed=3, cap=10.0)
-        assert not rep.ok
-        assert any("running_grad_x" in f for f in rep.flagged)
 
 
 def scipy_normal_cdf(z, loc, scale):
