@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from .brs import MpcConfig
-from .fokker_planck import FpkConfig, NumericalError, solve_fpk
+from .fokker_planck import MIN_CELLS, FpkConfig, NumericalError, solve_fpk
 from .measures import Grid, format_float, format_value, moments, write_csv, write_empirical_csv
 from .mfg import PicardConfig, compare_brs_mfg, mpc_reduction_check, solve_mfg_picard
 from .model import ModelSpec, coupling_measure
@@ -267,6 +267,14 @@ def _crowd_params(cfg: RunConfig, T: float) -> CrowdParams:
     )
 
 
+def _cells(cfg: RunConfig, key: str) -> int:
+    """The key's cell count along one axis, at least the FPK solver's MIN_CELLS."""
+    n = cfg.int_(key)
+    if n < MIN_CELLS:
+        raise ConfigError(f"key {key}: the grid needs at least {MIN_CELLS} cells per axis, got {n}")
+    return n
+
+
 def _model_1d(cfg: RunConfig, subcommand: str) -> tuple[ModelSpec, Grid]:
     """The model and its ``fpk.*`` grid, for the one-dimensional subcommands."""
     model = _model(cfg)
@@ -275,7 +283,7 @@ def _model_1d(cfg: RunConfig, subcommand: str) -> tuple[ModelSpec, Grid]:
     grid = Grid(
         mins=(cfg.float_("fpk.xmin"),),
         maxs=(cfg.float_("fpk.xmax"),),
-        cells=(cfg.int_("fpk.cells"),),
+        cells=(_cells(cfg, "fpk.cells"),),
     )
     return model, grid
 
@@ -489,7 +497,7 @@ def _run_wealth(cfg: RunConfig, out: Path) -> Report:
         grid = Grid(
             mins=(cfg.float_("wealth.ymin"), params.z_min),
             maxs=(cfg.float_("wealth.ymax"), cfg.float_("wealth.zmax")),
-            cells=(cfg.int_("wealth.ycells"), cfg.int_("wealth.zcells")),
+            cells=(_cells(cfg, "wealth.ycells"), _cells(cfg, "wealth.zcells")),
         )
         fpk = _fpk_config(cfg, "wealth", cfg.float_("wealth.t_final"))
         m0 = _initial_density(model, grid)
@@ -508,7 +516,7 @@ def _run_crowd(cfg: RunConfig, out: Path) -> Report:
     with _building():
         params = _crowd_params(cfg, cfg.auto_float("crowd.t_final", 0.5))
         model = build_crowd_model(params)
-        nc = cfg.int_("crowd.cells")
+        nc = _cells(cfg, "crowd.cells")
         grid = Grid(
             mins=(params.domain[0][0], params.domain[1][0]),
             maxs=(params.domain[0][1], params.domain[1][1]),

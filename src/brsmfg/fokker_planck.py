@@ -84,6 +84,7 @@ def _sg_coefficients(D: np.ndarray, dx: float) -> tuple:
     return D / dx, np.where(diffusive, D, 1.0), mask
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # cheaper per call than a with block
 def _sg_weight(b: np.ndarray, dx: float, coefficients: tuple) -> np.ndarray:
     """G = (D/dx) * B(P) with B the Bernoulli function and P = b*dx/D; stable in all limits.
 
@@ -92,24 +93,13 @@ def _sg_weight(b: np.ndarray, dx: float, coefficients: tuple) -> np.ndarray:
     D_dx, safe, diffusive = coefficients
     if diffusive is False:
         return np.maximum(-b, 0.0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        P = b * dx / safe
-        small = np.abs(P) < 1e-8
-        if small.any():
-            G = np.where(small, D_dx - 0.5 * b, b / np.expm1(np.where(small, 1.0, P)))
-        else:
-            G = b / np.expm1(P)
+    P = b * dx
+    P /= safe
+    magnitude = np.abs(P)
+    G = np.divide(b, np.expm1(P, out=P), out=P)  # b / expm1(P)
+    if np.fmin.reduce(magnitude, axis=None) < 1e-8:  # some |P| < 1e-8 (fmin skips NaNs)
+        np.subtract(D_dx, 0.5 * b, out=G, where=magnitude < 1e-8)  # the limit there overwrites b/expm1(P), 0/0 too
     return G if diffusive is None else np.where(diffusive, G, np.maximum(-b, 0.0))
-
-
-@dataclass
-class _Assembled:
-    """Per-population face coefficients for one frozen step."""
-
-    b: list[np.ndarray]  # per axis, face-normal velocity (axis swapped to the front)
-    G: list[np.ndarray]
-    drain: np.ndarray  # per cell, the rate at which the explicit step drains it
-    max_drain: float
 
 
 @dataclass(frozen=True)
@@ -135,15 +125,22 @@ class _Step:
     The face centres, dx, the SG coefficients of a declared-constant diffusion
     and each face set's normal velocity are fixed when it is built: the
     best reply's (:func:`face_velocity`, which evaluates only what axis k
-    needs), or component k of a ``velocity`` closure. Each :meth:`assemble`
-    evaluates the normal velocity (and a closure diffusion) at the faces,
-    computes the SG weights, zeroes the outer faces under no-flux walls and
-    sums the drain.
+    needs), or component k of a ``velocity`` closure. So is one zero-padded
+    density buffer per axis, with its two shifted views. Each
+    :meth:`assemble` evaluates the normal velocity (and a closure diffusion)
+    at the faces, computes the SG weights (axis k swapped to the front),
+    zeroes the outer faces under no-flux walls and sums the drain;
+    :meth:`apply` copies each density into the padded buffer and updates it
+    by the flux differences. A step works on a few hundred or thousand
+    values, so its cost is per-call overhead: both work in place on fresh
+    temporaries and reduce with ufuncs directly, and give the plain
+    expressions in the comments bit for bit.
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary: str):
         self.model = model
         self.closed = boundary == "no_flux"
+        self.widths = grid.widths
         self.faces = []
         for pop, p in enumerate(model.populations):
             per_axis = []
@@ -160,25 +157,29 @@ class _Step:
                     normal = _velocity_component(velocity, pop, flat, k)
                 per_axis.append(_Faces(k, flat, shape, dx, coefficients, normal))
             self.faces.append(per_axis)
+        self.pads = []  # per axis k, swapped to the front: (cell view, mL = (0, m), mR = (m, 0)) of a zeroed buffer
+        for k in range(grid.dim):
+            padded = np.zeros((grid.cells[k] + 2,) + np.empty(grid.cells).swapaxes(0, k).shape[1:])
+            self.pads.append((padded[1:-1].swapaxes(0, k), padded[:-1], padded[1:]))
 
-    def assemble(self, fields: Sequence[GridDensity], t: float) -> list[_Assembled]:
-        model = self.model
+    def assemble(self, fields: Sequence[GridDensity], t: float) -> tuple[list[tuple], float]:
+        """Per population (face velocities, SG weights, cell drains, largest drain or 0), and the largest of all."""
         measures = coupling_measure(fields)
         out = []
+        worst = 0.0
         for pop, per_axis in enumerate(self.faces):
             bs, Gs = [], []
-            drain = None
             for ax in per_axis:
                 k, dx = ax.k, ax.dx
                 vel = ax.normal(t, measures)
                 if ax.coefficients is None:
-                    sig = np.asarray(model.population(pop).diffusion.value(t, ax.flat), dtype=float)
-                if not np.isfinite(vel).all():
+                    sig = np.asarray(self.model.population(pop).diffusion.value(t, ax.flat), dtype=float)
+                if not np.logical_and.reduce(np.isfinite(vel), axis=None):
                     raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
                 b = vel.reshape(ax.shape).swapaxes(0, k)
                 coefficients = ax.coefficients
                 if coefficients is None:
-                    if not np.isfinite(sig).all():
+                    if not np.logical_and.reduce(np.isfinite(sig), axis=None):
                         raise NumericalError(f"non-finite diffusion on axis-{k} faces (pop {pop})")
                     coefficients = _sg_coefficients((0.5 * sig[:, k].reshape(ax.shape) ** 2).swapaxes(0, k), dx)
                 G = _sg_weight(b, dx, coefficients)
@@ -188,42 +189,41 @@ class _Step:
                     G[0] = G[-1] = 0.0
                 bs.append(b)
                 Gs.append(G)
-                # positivity drain of each cell: (b + G) from its upper face, G from lower
-                d = (((b + G)[1:] + G[:-1]) / dx).swapaxes(0, k)
-                drain = d if drain is None else drain + d
-            mx = float(drain.max())
-            out.append(_Assembled(b=bs, G=Gs, drain=drain, max_drain=mx if mx > 0.0 else 0.0))
-        return out
+                # positivity drain of each cell, ((b + G)[1:] + G[:-1]) / dx: (b + G) from its upper face, G from lower
+                d = (b + G)[1:]
+                d += G[:-1]
+                d /= dx
+                drain = d if k == 0 else drain + d.swapaxes(0, k)
+            mx = float(np.maximum.reduce(drain, axis=None))
+            worst = max(worst, mx)  # a NaN or a negative mx leaves it
+            out.append((bs, Gs, drain, mx if mx > 0.0 else 0.0))
+        return out, worst
+
+    def apply(self, fields: Sequence[GridDensity], assembled: list[tuple], dt: float) -> tuple[GridDensity, ...]:
+        """The densities one step of length dt after ``fields``, with the fluxes :meth:`assemble` gave."""
+        new_fields = []
+        for f, (bs, Gs, _, _) in zip(fields, assembled):
+            for k, (b, G, (cells, mL, mR), dx) in enumerate(zip(bs, Gs, self.pads, self.widths)):
+                cells[...] = f.values
+                # F = b * mL + G * (mL - mR), then vals += -(dt / dx) * (F[1:] - F[:-1])
+                F = b * mL
+                jump = mL - mR
+                jump *= G
+                F += jump
+                dvals = F[1:] - F[:-1]
+                dvals *= -(dt / dx)
+                vals = np.add(f.values, dvals, out=dvals) if k == 0 else vals + dvals.swapaxes(0, k)
+            try:
+                new_fields.append(GridDensity(f.grid, vals))
+            except ValueError as exc:  # the shape is the grid's, so only a value check fails
+                raise NumericalError(f"{exc} after step") from None
+        return tuple(new_fields)
 
 
-def _apply(
-    fields: Sequence[GridDensity], assembled: list[_Assembled], dt: float
-) -> tuple[GridDensity, ...]:
-    grid = fields[0].grid
-    new_fields = []
-    for f, asm in zip(fields, assembled):
-        vals = f.values
-        for k in range(grid.dim):
-            dx = grid.widths[k]
-            m = f.values.swapaxes(0, k)
-            # zero-padded copy: mL = (0, m) and mR = (m, 0) are its two shifted views
-            padded = np.zeros((m.shape[0] + 2,) + m.shape[1:])
-            padded[1:-1] = m
-            mL, mR = padded[:-1], padded[1:]
-            F = asm.b[k] * mL + asm.G[k] * (mL - mR)
-            dvals = -(dt / dx) * (F[1:] - F[:-1])
-            vals = vals + dvals.swapaxes(0, k)
-        try:
-            new_fields.append(GridDensity(grid, vals))
-        except ValueError as exc:  # the shape is the grid's, so only a value check fails
-            raise NumericalError(f"{exc} after step") from None
-    return tuple(new_fields)
-
-
-def _worst_cell(assembled: list[_Assembled]) -> str:
+def _worst_cell(assembled: list[tuple]) -> str:
     """The population and the cell with the largest drain."""
-    pop, worst = max(enumerate(assembled), key=lambda pa: pa[1].max_drain)
-    cell = np.unravel_index(int(np.argmax(worst.drain)), worst.drain.shape)
+    pop, (_, _, drain, _) = max(enumerate(assembled), key=lambda pa: pa[1][3])
+    cell = np.unravel_index(int(np.argmax(drain)), drain.shape)
     return f"pop {pop}, cell {tuple(int(i) for i in cell)}"
 
 
@@ -236,7 +236,7 @@ def _interpolate_in_time(times: np.ndarray, t: float, at: Callable[[int], np.nda
         return at(0)
     if t >= times[-1]:
         return at(len(times) - 1)
-    j = int(np.searchsorted(times, t, side="right") - 1)
+    j = int(times.searchsorted(t, side="right")) - 1
     lam = (t - times[j]) / (times[j + 1] - times[j])
     return (1.0 - lam) * at(j) + lam * at(j + 1)
 
@@ -329,8 +329,7 @@ def solve_fpk(
     steps = 0
     for target in record[1:] if record[0] <= 1e-12 else record:
         while t < target - 1e-12:
-            asm = step.assemble(fields, t)
-            drain = max(a.max_drain for a in asm)
+            asm, drain = step.assemble(fields, t)
             dt = target - t if drain <= 0.0 else cfg.cfl_safety / drain
             if drain > 0.0 and dt < min_dt:  # the chopped remainder before a record may be shorter
                 raise NumericalError(
@@ -338,13 +337,14 @@ def solve_fpk(
                     f"1e-12 * t_final (worst drain at {_worst_cell(asm)})"
                 )
             dt = min(dt, target - t)
-            fields = _apply(fields, asm, dt)
+            fields = step.apply(fields, asm, dt)
             t += dt
             steps += 1
             if steps > MAX_STEPS:
                 raise NumericalError(f"exceeded max_steps={MAX_STEPS} before t_final")
-            min_density = min(min_density, min(f.min_value for f in fields))
-            mass_drift = max(mass_drift, max(abs(f.mass - m) for f, m in zip(fields, mass0)))
+            for f, m in zip(fields, mass0):
+                min_density = min(min_density, f.min_value)
+                mass_drift = max(mass_drift, abs(f.mass - m))
         times.append(t)
         values.append(np.stack([f.values for f in fields]))
         boundary_mass = max(boundary_mass, max(_boundary_mass_fraction(f.values, grid) for f in fields))

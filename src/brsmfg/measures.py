@@ -182,20 +182,20 @@ class GridDensity:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.cells:
             raise ValueError(f"values shape {values.shape} != grid cells {grid.cells}")
-        lo = values.min()
+        lo = float(np.minimum.reduce(values, axis=None))  # .min() and .sum() without their Python wrappers
         if not lo >= _NEG_TOL:  # a NaN fails this comparison too
             if not math.isfinite(lo):
-                raise ValueError(f"non-finite density value {float(lo)}")
+                raise ValueError(f"non-finite density value {lo}")
             raise ValueError(f"negative density {lo:.3e} beyond {_NEG_TOL:.0e}")
         if lo < 0.0:
             values = np.maximum(values, 0.0)
-            lo = values.min()
-        mass = float(values.sum() * grid.cell_volume)
+            lo = float(np.minimum.reduce(values, axis=None))
+        mass = float(np.add.reduce(values, axis=None)) * grid.cell_volume
         if not math.isfinite(mass):
             raise ValueError(f"non-finite density mass {mass}")
         self.grid = grid
         self.values = values
-        self.min_value = float(lo)
+        self.min_value = lo
         self.mass = mass
 
     @property

@@ -299,10 +299,10 @@ def _mfg_velocity(model: ModelSpec, value: ValueField, grid: Grid):
     zero_f = is_zero(pmod.drift)
 
     def velocity(pop: int, t: float, x: np.ndarray, measures) -> np.ndarray:
-        grad_mid = value.gradient_at(t)
-        gx = np.interp(x[:, 0], mids, grad_mid)
-        # subtracting from zeros keeps the signed zeros of the general form
-        out = np.zeros(x.shape) if zero_f else np.asarray(pmod.drift.value(x, measures), dtype=float).copy()
+        gx = np.interp(x[:, 0], mids, value.gradient_at(t))
+        if zero_f:  # 0.0 - v is zeros - v bit for bit, signed zeros included
+            return (0.0 - gx / pmod.penalty.at(t))[:, None]
+        out = np.asarray(pmod.drift.value(x, measures), dtype=float).copy()
         out[:, 0] -= gx / pmod.penalty.at(t)
         return out
 

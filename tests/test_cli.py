@@ -122,6 +122,21 @@ class TestConfig:
             ("crowd", f"{key}={pair}", f"key {key}: expected two comma-separated finite numbers")
             for key in ("crowd.target1", "crowd.target2", "crowd.center1", "crowd.center2")
             for pair in ("nan,0", "0,inf", "-inf,0.5")
+        ]
+        # too few cells for the FPK solver, named where the grid is built
+        + [
+            ("fpk", f"fpk.cells={n}", f"key fpk.cells: the grid needs at least 8 cells per axis, got {n}")
+            for n in range(-1, 8)
+        ]
+        + [
+            (subcommand, f"fpk.cells={n}", f"key fpk.cells: the grid needs at least 8 cells per axis, got {n}")
+            for subcommand in ("mfg", "compare", "chaos-study", "mpc-order")
+            for n in (1, 7)
+        ]
+        + [
+            (subcommand, f"{key}={n}", f"key {key}: the grid needs at least 8 cells per axis, got {n}")
+            for subcommand, key in (("crowd", "crowd.cells"), ("wealth", "wealth.ycells"), ("wealth", "wealth.zcells"))
+            for n in (1, 7)
         ],
     )
     def test_rejected_value_is_a_config_error(self, tmp_path, capsys, subcommand, override, message):

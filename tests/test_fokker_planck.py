@@ -20,7 +20,7 @@ from _helpers import (
 )
 
 from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
-from brsmfg.fokker_planck import BOUNDARIES, FpkConfig, NumericalError, _apply, _Step, solve_fpk
+from brsmfg.fokker_planck import BOUNDARIES, FpkConfig, NumericalError, _Step, solve_fpk
 from brsmfg.measures import Grid, GridDensity, wasserstein_1d
 from brsmfg.model import (
     ControlPenalty,
@@ -126,7 +126,7 @@ class TestConservation:
 
 def max_drain(model, fields, t=0.0, velocity=None, boundary="no_flux"):
     """The largest per-cell drain of the solver's step at t; 1 / it is the positivity bound."""
-    return max(a.max_drain for a in _Step(model, fields[0].grid, velocity, boundary).assemble(fields, t))
+    return _Step(model, fields[0].grid, velocity, boundary).assemble(fields, t)[1]
 
 
 class TestStepContract:
@@ -216,8 +216,9 @@ class TestStepContract:
     def test_single_step_preserves_mass(self):
         model = ou_model(T=1.0)
         m0 = gaussian_field(GRID, 0.5)
-        asm = _Step(model, GRID, None, "no_flux").assemble((m0,), 0.0)
-        (out,) = _apply((m0,), asm, 0.5 / max(a.max_drain for a in asm))
+        step = _Step(model, GRID, None, "no_flux")
+        asm, drain = step.assemble((m0,), 0.0)
+        (out,) = step.apply((m0,), asm, 0.5 / drain)
         assert out.mass == pytest.approx(m0.mass, abs=1e-13)
 
     @pytest.mark.parametrize("boundary", ["reflecting", ("no_flux", "absorbing"), ["no_flux"]])
@@ -236,6 +237,43 @@ class TestStepContract:
         m0 = GridDensity(grid, np.full(4, 1.0 / 12.0))
         with pytest.raises(ValueError, match="cells"):
             solve_fpk(model, m0, FpkConfig(t_final=0.1))
+
+    @pytest.mark.parametrize("case", ["ou_1d", "crowd_2d"])
+    def test_no_step_writes_into_a_density_it_handed_out(self, case):
+        if case == "ou_1d":
+            model, grid = ou_model(T=1.0), GRID
+            m0 = (gaussian_field(GRID, 0.5),)
+        else:
+            model, grid = build_crowd_model(CrowdParams()), Grid((-2.0, -2.0), (2.0, 2.0), (16, 16))
+            m0 = tuple(model.population(p).initial_law.grid_density(grid) for p in range(2))
+        seen = []  # (t, the densities the velocity was handed, copies of their values)
+
+        def velocity(pop, t, x, measures):
+            fields = (measures,) if isinstance(measures, GridDensity) else measures
+            if pop == 0 and (not seen or seen[-1][0] != t):
+                seen.append((t, fields, [f.values.copy() for f in fields]))
+            return -3.0 * x + 0.1 * pop
+
+        def assert_unchanged():
+            for _, fields, copies in seen:
+                for f, values in zip(fields, copies):
+                    assert f.values.tobytes() == values.tobytes()
+            assert path.values.tobytes() == recorded
+
+        record = tuple(np.linspace(0.0, 0.1, 5))
+        cfg = FpkConfig(t_final=0.1, record_times=record)
+        path = solve_fpk(model, m0, cfg, velocity=velocity)
+        recorded = path.values.tobytes()
+        assert len(seen) == path.report["n_steps"] > len(record)
+        assert_unchanged()
+        # each recorded slice is the density the next step was handed
+        starts = {t: copies for t, _, copies in seen}
+        for k, t in enumerate(path.times[:-1]):
+            assert np.stack(starts[t]).tobytes() == path.values[k].tobytes()
+        n_seen = len(seen)
+        solve_fpk(model, m0, cfg, velocity=velocity)
+        assert len(seen) == 2 * n_seen
+        assert_unchanged()
 
 
 def _wealth_case(params=WealthParams()):
@@ -311,13 +349,13 @@ class TestUncontrolledAxes:
     def test_face_velocity_is_the_brs_drift_component_bit_for_bit(self, case):
         model, fields = _FACE_VELOCITY_CASES[case]()
         grid, measures = fields[0].grid, coupling_measure(fields)
-        asm = _Step(model, grid, None, "absorbing").assemble(fields, 0.3)
-        for pop in range(model.n_populations):
+        asm, _ = _Step(model, grid, None, "absorbing").assemble(fields, 0.3)
+        for pop, (bs, _, _, _) in enumerate(asm):
             for k in range(grid.dim):
                 pts = grid.face_points(k)
                 vel = brs_drift(model, pop, 0.3, pts.reshape(-1, grid.dim), measures)
                 want = vel[:, k].reshape(pts.shape[:-1]).swapaxes(0, k)
-                assert asm[pop].b[k].tobytes() == want.tobytes()
+                assert bs[k].tobytes() == want.tobytes()
 
     def test_cost_gradient_is_evaluated_once_per_step_per_controlled_axis(self):
         calls = []
@@ -368,10 +406,11 @@ class TestUncontrolledAxes:
             asked.append(np.shape(x))
             return np.stack([0.1 + 0.0 * x[:, 0], -0.2 * x[:, 1]], axis=-1)
 
-        (asm,) = _Step(_counting_gradients(model, calls), m.grid, velocity, "absorbing").assemble((m,), 0.0)
+        step = _Step(_counting_gradients(model, calls), m.grid, velocity, "absorbing")
+        ((bs, _, _, _),), _ = step.assemble((m,), 0.0)
         assert asked == [m.grid.face_points(k).reshape(-1, 2).shape for k in range(2)]
         assert calls == []
-        assert np.all(asm.b[0] == 0.1)
+        assert np.all(bs[0] == 0.1)
 
     def test_nonfinite_drift_on_an_uncontrolled_axis_is_named(self):
         model, m = _wealth_case(WealthParams(v=lambda x: np.where(np.asarray(x)[..., 0] > 1.0, np.nan, 0.0)))
@@ -419,12 +458,13 @@ class TestBoundCosts:
         model = _with_mask(replace(model, populations=(p,)), mask)
         # a density the solve has moved, so it is not a product of marginals
         m = solve_fpk(model, m0, FpkConfig(t_final=0.02)).final()
-        (bound,) = _Step(model, m.grid, None, boundary).assemble((m,), 0.3)
-        (unbound,) = _Step(without_bind(model), m.grid, None, boundary).assemble((m,), 0.3)
+        (bound,), _ = _Step(model, m.grid, None, boundary).assemble((m,), 0.3)
+        (unbound,), _ = _Step(without_bind(model), m.grid, None, boundary).assemble((m,), 0.3)
+        (b, G, drain, _), (b_unbound, G_unbound, drain_unbound, _) = bound, unbound
         for k in range(2):
-            assert bound.b[k].tobytes() == unbound.b[k].tobytes()
-            assert bound.G[k].tobytes() == unbound.G[k].tobytes()
-        assert bound.drain.tobytes() == unbound.drain.tobytes()
+            assert b[k].tobytes() == b_unbound[k].tobytes()
+            assert G[k].tobytes() == G_unbound[k].tobytes()
+        assert drain.tobytes() == drain_unbound.tobytes()
 
     def test_a_terminal_cost_without_bind_keeps_the_unbound_path(self):
         calls = []
@@ -600,13 +640,16 @@ class TestStepMatchesReference:
         model, fields, boundary, velocity = problem
         ref = fpk_assemble_oracle(model, fields, t, velocity, boundary)
         drain = max(a[2] for a in ref)
-        asm = _Step(model, fields[0].grid, velocity, boundary).assemble(fields, t)
-        assert max(a.max_drain for a in asm) == drain
+        step = _Step(model, fields[0].grid, velocity, boundary)
+        asm, got_drain = step.assemble(fields, t)
+        assert got_drain == drain
         dt = fraction / drain if drain > 0.0 else fraction  # no drift or diffusion anywhere: any step
-        out = _apply(fields, asm, dt)
+        out = step.apply(fields, asm, dt)
         expected = fpk_apply_oracle(fields, ref, dt)
         for got, want in zip(out, expected):
+            # tobytes() pins the signed zeros that array_equal lets pass
             assert np.array_equal(got.values, want.values)
+            assert got.values.tobytes() == want.values.tobytes()
             assert got.mass == want.mass
             assert got.min_value == float(want.values.min())
 
@@ -620,6 +663,8 @@ class TestStepMatchesReference:
         times, values, report = fpk_solve_oracle(model, fields, t_final, record, boundary, velocity)
         assert np.array_equal(path.times, times)
         assert np.array_equal(path.values, values)
+        assert path.times.tobytes() == times.tobytes()
+        assert path.values.tobytes() == values.tobytes()
         for key, value in report.items():
             assert path.report[key] == value, key
 

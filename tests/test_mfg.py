@@ -20,7 +20,7 @@ from brsmfg.mfg import (
     mpc_reduction_check,
     solve_mfg_picard,
 )
-from brsmfg.mfg import _GAMMA, _gradient_and_laplacian
+from brsmfg.mfg import _GAMMA, _gradient_and_laplacian, _mfg_velocity
 from brsmfg.model import ControlPenalty, CostFunction, DiffusionFunction, DriftFunction
 from brsmfg.presets import lq_model, mean_coupling_model, ou_model
 
@@ -343,6 +343,33 @@ class TestTimeInterpolation:
             got, want = path.at_time(t).values, reference(values[:, 0], t)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
             assert np.array_equal(field.gradient_at(t), reference([field.gradient(k) for k in range(4)], t))
+
+
+class TestMfgVelocity:
+    @pytest.mark.parametrize("drift", ["zero", "nonzero"])
+    def test_face_velocity_is_the_general_form_bit_for_bit(self, drift):
+        # the general form subtracts grad(w)/alpha from f, or from zeros when f is declared zero
+        grid = Grid((-1.0,), (1.0,), (12,))
+        times = np.array([0.0, 0.5, 1.0])
+        f = None if drift == "zero" else DriftFunction(value=lambda x, m: np.where(x < 0.0, -0.0, np.sin(3.0 * x)))
+        model = scalar_model(f=f, alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0)
+        field = ValueField(grid, times, np.zeros((3, 12)))
+        grads = np.linspace(-1.0, 1.0, 36).reshape(3, 12)
+        grads[:, :3] = [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]
+        grads[:, -2:] = -0.0
+        field._gradients = grads  # set directly, to place signed zeros where the test needs them
+        x = np.concatenate([grid.face_points(0).reshape(-1, 1), grid.midpoint_mesh().reshape(-1, 1), [[-3.0], [3.0]]])
+        velocity = _mfg_velocity(model, field, grid)
+        signed_zeros = 0
+        for t in (-0.5, 0.0, 0.3, 0.5, 0.75, 1.0, 2.0):
+            gx = np.interp(x[:, 0], grid.midpoints(0), field.gradient_at(t))
+            want = np.zeros(x.shape) if f is None else np.asarray(f.value(x, None), dtype=float).copy()
+            want[:, 0] -= gx / (1.0 + t)
+            got = velocity(0, t, x, None)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            signed_zeros += int(np.sum((gx == 0.0) & np.signbit(gx)))
+        assert signed_zeros > 0
 
 
 class TestHjbMatchesReference:
