@@ -450,12 +450,21 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model, grid = _model_1d(cfg, "chaos-study")
         n_values = cfg.ints("chaos.n_values")
-        if len(n_values) < 2:
-            raise ConfigError("key chaos.n_values: strictly_decreasing needs at least two particle counts")
+        if len(n_values) < 2 or min(n_values) < 2 or any(a >= b for a, b in zip(n_values, n_values[1:])):
+            raise ConfigError(
+                "key chaos.n_values: expected at least two particle counts, strictly increasing, "
+                f"of at least two particles each, got {cfg.values['chaos.n_values']!r}"
+            )
         seed0 = cfg.int_("chaos.seed0")
+        if seed0 < 0:
+            raise ConfigError(f"key chaos.seed0: expected a non-negative integer, got {seed0}")
         # the study sets each run's particle count and seed, and reads only its
         # final snapshot; the smallest count is checked here
-        sim = _sim_config(cfg, model, min(n_values), seed0, record_every=sys.maxsize)
+        sim = _sim_config(cfg, model, n_values[0], seed0, record_every=sys.maxsize)
+        try:
+            sim.n_steps(exact=True)
+        except ValueError as exc:
+            raise ConfigError(f"key sim.dt: {exc}, not at sim.t_final={sim.t_final}") from exc
         fpk = _fpk_config(cfg, "fpk", sim.t_final)
         m0 = _initial_density(model, grid)
         seeds = [seed0 + k for k in range(cfg.int_("chaos.n_seeds"))]

@@ -14,6 +14,7 @@ by player.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -77,15 +78,16 @@ class SimConfig:
         if self.coupling not in COUPLINGS:
             raise ValueError(f"coupling must be one of {COUPLINGS}")
 
-    def n_steps(self) -> int:
+    def n_steps(self, exact: bool = False) -> int:
+        """t_final/dt rounded, at least 1; warns if it rounds, or with ``exact`` raises."""
         steps = self.t_final / self.dt
         rounded = round(steps)
+        n = max(int(rounded), 1)
         if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
-            warnings.warn(
-                f"t_final/dt = {steps} is not an integer; rounding to {rounded}",
-                stacklevel=2,
-            )
-        return max(int(rounded), 1)
+            if exact:
+                raise ValueError(f"t_final/dt = {steps} is not an integer: {n} steps end at t={n * self.dt}")
+            warnings.warn(f"t_final/dt = {steps} is not an integer; rounding to {rounded}", stacklevel=2)
+        return n
 
 
 @dataclass
@@ -212,6 +214,26 @@ def initial_state(model: ModelSpec, cfg: SimConfig) -> EnsembleState:
     return EnsembleState(positions=positions, t=0.0, seed=cfg.seed)
 
 
+def _noise_generator(seed: int):
+    # apart from the initial-condition draws but from the same seed, which pins the run
+    return default_rng(SeedSequence(seed).spawn(1)[0])
+
+
+def _run(model: ModelSpec, cfg: SimConfig, noise) -> TrajectoryRecord:
+    """One run whose steps draw from ``noise.standard_normal(shape)``."""
+    state = initial_state(model, cfg)
+    step = _particle_step(model, cfg.dt, cfg.coupling, cfg.n_particles)
+    n_steps = cfg.n_steps()
+    times = [state.t]
+    snaps = [state]
+    for k in range(n_steps):
+        state = step(state, noise)
+        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
+            times.append(state.t)
+            snaps.append(state)
+    return TrajectoryRecord(times=np.asarray(times), snapshots=snaps)
+
+
 def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig) -> TrajectoryRecord:
     """Simulate the N-player game under the finite-window best reply.
 
@@ -223,20 +245,73 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig) -> TrajectoryRecord:
     initial and final state.
     """
     MpcConfig(dt=cfg.dt).validate(model.T)
-    state = initial_state(model, cfg)
-    # noise generator is separate from the initial-condition draws but derived
-    # from the same seed, so one integer pins the whole run
-    rng = default_rng(SeedSequence(cfg.seed).spawn(1)[0])
-    step = _particle_step(model, cfg.dt, cfg.coupling, cfg.n_particles)
-    n_steps = cfg.n_steps()
-    times = [state.t]
-    snaps = [state]
-    for k in range(n_steps):
-        state = step(state, rng)
-        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-            times.append(state.t)
-            snaps.append(state)
-    return TrajectoryRecord(times=np.asarray(times), snapshots=snaps)
+    return _run(model, cfg, _noise_generator(cfg.seed))
+
+
+# a block holds whole steps, at most _BLOCK values (128 KiB) or else one step
+_BLOCK = 1 << 14
+_RING = 3
+
+
+class _NoiseStream:
+    """``standard_normal(shape)`` for a sequence of runs, drawn ahead on one thread.
+
+    ``runs`` lists (generator, step count, values per step) in run order. The
+    thread fills blocks of whole steps from each generator in turn (numpy
+    draws without the GIL), so every value is the one sequential calls give.
+    A returned view into the ring is valid until the next step's first draw.
+    Leaving the ``with`` block stops and joins the thread; its errors are
+    raised in the caller.
+    """
+
+    def __init__(self, runs):
+        # imported here: only the study needs it, and other runs' start-up should not pay for it
+        from queue import SimpleQueue
+
+        self._runs = [(rng, n_steps, per_step, max(1, _BLOCK // per_step)) for rng, n_steps, per_step in runs]
+        self._ring = [np.empty(max(p * b for _, _, p, b in self._runs)) for _ in range(_RING)]
+        self._free, self._full = SimpleQueue(), SimpleQueue()
+        for i in range(_RING):
+            self._free.put(i)
+        self._held, self._block, self._pos = None, self._ring[0][:0], 0
+        self._thread = threading.Thread(target=self._produce, daemon=True)
+
+    def _produce(self):
+        try:
+            for rng, n_steps, per_step, per_block in self._runs:
+                for first in range(0, n_steps, per_block):
+                    i = self._free.get()
+                    if i is None:
+                        return
+                    n = min(per_block, n_steps - first) * per_step
+                    rng.standard_normal(out=self._ring[i][:n])
+                    self._full.put((i, n))
+            raise IndexError("the noise of every run has been taken")
+        except BaseException as exc:
+            # the caller raises it; anything not handed over would leave it waiting
+            self._full.put(exc)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._free.put(None)
+        self._thread.join()
+
+    def standard_normal(self, shape):
+        if self._pos == self._block.size:
+            # the step that took the held block's last values has read them by now
+            if self._held is not None:
+                self._free.put(self._held)
+            item = self._full.get()
+            if isinstance(item, BaseException):
+                raise item
+            self._held, n = item
+            self._block, self._pos = self._ring[self._held][:n], 0
+        start = self._pos
+        self._pos += math.prod(shape)
+        return self._block[start : self._pos].reshape(shape)
 
 
 @dataclass
@@ -259,8 +334,10 @@ def propagation_of_chaos_study(
     ``reference`` is a density path (anything with ``times`` and a
     ``density(k, pop)`` accessor, e.g. the finite-volume solver's output) that
     must contain the simulation's final time on its own grid of record times.
-    Each run is :func:`simulate_brs_nplayer`, whose window is the time step.
-    Returns one row per N with the mean and standard deviation over seeds.
+    Each run is :func:`simulate_brs_nplayer`'s, whose window is the time step,
+    and must end at ``t_final``: a step count that rounds is rejected. The
+    runs' noise is drawn ahead on one thread, with the same bits. Returns one
+    row per N with the mean and standard deviation over seeds.
     """
     if model.d != 1:
         raise ValueError("the W1 study metric is one-dimensional")
@@ -273,15 +350,15 @@ def propagation_of_chaos_study(
             f"mismatched time grids: reference has no snapshot at t={cfg_base.t_final}"
         )
     ref_density: GridDensity = reference.density(int(idx[0]), 0)
+    MpcConfig(dt=cfg_base.dt).validate(model.T)
+    n_steps = cfg_base.n_steps(exact=True)
+    runs = [replace(cfg_base, n_particles=int(n), seed=int(seed)) for n in n_list for seed in seeds]
+    noise = _NoiseStream([(_noise_generator(c.seed), n_steps, c.n_particles * model.n_populations) for c in runs])
+    with noise:
+        w1 = [wasserstein_1d(_run(model, c, noise).final().empirical(0), ref_density, p=1) for c in runs]
     rows = []
-    for n in n_list:
-        vals = []
-        for seed in seeds:
-            cfg = replace(cfg_base, n_particles=int(n), seed=int(seed))
-            rec = simulate_brs_nplayer(model, cfg)
-            emp = rec.final().empirical(0)
-            vals.append(wasserstein_1d(emp, ref_density, p=1))
-        vals = np.asarray(vals)
+    for k, n in enumerate(n_list):
+        vals = np.asarray(w1[k * len(seeds) : (k + 1) * len(seeds)])
         rows.append(
             ChaosRow(
                 n_particles=int(n),

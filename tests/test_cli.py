@@ -81,6 +81,14 @@ class TestConfig:
             ("chaos-study", "chaos.n_values=10", "at least two particle counts"),
             ("chaos-study", "chaos.n_values=", "at least two particle counts"),
             ("chaos-study", "chaos.n_seeds=0", "at least one seed"),
+            # particle counts below two, or not increasing, and a negative first seed
+            ("chaos-study", "chaos.n_values=1,40", "key chaos.n_values: "),
+            ("chaos-study", "chaos.n_values=10,0", "key chaos.n_values: "),
+            ("chaos-study", "chaos.n_values=40,10", "key chaos.n_values: "),
+            ("chaos-study", "chaos.n_values=40,40", "key chaos.n_values: "),
+            ("chaos-study", "chaos.seed0=-1", "key chaos.seed0: expected a non-negative integer, got -1"),
+            # 7 steps of 0.03 end at t = 0.21, not at the reference's t = 0.2
+            ("chaos-study", "model.T=0.2 sim.dt=0.03", "key sim.dt: t_final/dt = 6.66"),
             ("fpk", "fpk.n_records=0", "key fpk.n_records:"),
             ("wealth", "wealth.n_records=0", "key wealth.n_records:"),
             ("crowd", "crowd.n_records=0", "key crowd.n_records:"),

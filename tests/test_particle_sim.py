@@ -2,6 +2,8 @@
 
 import itertools
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -559,9 +561,11 @@ class TestChaosStudy:
         # a time-varying penalty, so the window's dt * alpha_dot term is in the control
         model = scalar_model(h=quadratic_cost(), alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0)
         cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0, record_every=1000)
-        rows = propagation_of_chaos_study(model, cfg, [30, 40], path, seeds=[4, 5])
+        # nine runs, more than the noise stream's ring holds blocks
+        rows = propagation_of_chaos_study(model, cfg, [30, 40, 50], path, seeds=[4, 5, 6])
+        assert [row.n_particles for row in rows] == [30, 40, 50]
         for row in rows:
-            for seed, value in zip([4, 5], row.values):
+            for seed, value in zip([4, 5, 6], row.values):
                 run = replace(cfg, n_particles=row.n_particles, seed=seed)
                 emp = simulate_brs_nplayer(model, run).final().empirical(0)
                 assert value == wasserstein_1d(emp, path.final(0), p=1)
@@ -578,3 +582,133 @@ class TestChaosStudy:
         cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=10, seed=0)
         with pytest.raises(ValueError, match="at least one particle count and at least one seed"):
             propagation_of_chaos_study(model, cfg, n_list, path, seeds)
+
+    def test_a_rounded_step_count_is_rejected(self, reference):
+        # 1.0 / 0.3 rounds to 3 steps, which end at t = 0.9, not at the reference's t = 1
+        model, path = reference
+        cfg = SimConfig(dt=0.3, t_final=1.0, n_particles=10, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=r"^t_final/dt = 3\.33+[0-9]* is not an integer: 3 steps end at t=0\.8999"):
+            propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[0])
+        assert threading.active_count() == threads
+        with pytest.warns(UserWarning, match="rounding to 3"):
+            assert simulate_brs_nplayer(model, cfg).times[-1] == pytest.approx(0.9)
+
+
+class BrokenGenerator:
+    """Stand-in generator whose every draw fails."""
+
+    def standard_normal(self, out=None):
+        raise RuntimeError("generator failed")
+
+
+class TestNoiseStream:
+    """The study's noise, drawn ahead on one thread, against sequential draws."""
+
+    # (seed, shapes one step requests, steps): two populations of different
+    # sizes in d = 2 (1024 steps a block, then a partial block), steps of 7000
+    # values (2 a block, then 1), one step above the block size (a block each),
+    # and one population of 4000 (4 a block, then 2)
+    RUNS = [
+        (11, [(5, 2), (3, 2)], 1500),
+        (12, [(7000, 1)], 5),
+        (13, [(20000, 1)], 3),
+        (14, [(4000, 1)], 10),
+    ]
+
+    # the default switch interval, and a short one that makes the two threads
+    # interleave often, so a block handed back too early would be overwritten
+    @pytest.mark.parametrize("switch_s", [None, 1e-6])
+    def test_values_are_the_sequential_draws_bit_for_bit(self, switch_s):
+        threads = threading.active_count()
+        stream = particle_sim._NoiseStream(
+            [(np.random.default_rng(seed), n, sum(int(np.prod(s)) for s in shapes)) for seed, shapes, n in self.RUNS]
+        )
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(switch_s or interval)
+            with stream:
+                for seed, shapes, n in self.RUNS:
+                    rng = np.random.default_rng(seed)
+                    for step in range(n):
+                        # a step takes all of its draws before it reads any of them
+                        got = [stream.standard_normal(shape) for shape in shapes]
+                        for shape, values in zip(shapes, got):
+                            want = rng.standard_normal(shape)
+                            assert values.shape == shape
+                            assert values.tobytes() == want.tobytes(), (seed, step, shape)
+                with pytest.raises(IndexError, match="the noise of every run has been taken"):
+                    stream.standard_normal((1,))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    def test_producer_error_is_raised_in_the_caller(self):
+        threads = threading.active_count()
+        stream = particle_sim._NoiseStream([(np.random.default_rng(0), 2, 3), (BrokenGenerator(), 2, 3)])
+        with stream:
+            for _ in range(2):
+                stream.standard_normal((3,))
+            with pytest.raises(RuntimeError, match="^generator failed$"):
+                stream.standard_normal((3,))
+        assert threading.active_count() == threads
+
+    def test_a_failing_generator_fails_the_study(self, reference, monkeypatch):
+        model, path = reference
+
+        real = particle_sim._noise_generator
+        monkeypatch.setattr(particle_sim, "_noise_generator", lambda seed: BrokenGenerator() if seed == 5 else real(seed))
+        cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^generator failed$"):
+            propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4, 5])
+        assert threading.active_count() == threads
+
+    def test_a_failing_run_raises_its_own_error(self, reference):
+        _, path = reference
+        calls = []
+
+        def value(x, m):
+            calls.append(1)
+            if len(calls) == 30:  # the second run's tenth step
+                raise FloatingPointError("drift failed")
+            return np.zeros_like(x)
+
+        model = scalar_model(f=DriftFunction(value))
+        cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="^drift failed$"):
+            propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4, 5])
+        assert len(calls) == 30
+        assert threading.active_count() == threads
+
+    def test_an_interrupt_stops_the_thread(self, reference, monkeypatch):
+        model, path = reference
+        w1 = particle_sim.wasserstein_1d
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return w1(*args, **kwargs)
+
+        monkeypatch.setattr(particle_sim, "wasserstein_1d", interrupted)
+        cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4, 5])
+        assert threading.active_count() == threads
+
+    def test_a_lone_run_starts_no_thread(self, reference, monkeypatch):
+        model, path = reference
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=10, seed=3)
+        simulate_brs_nplayer(model, cfg)
+        # the patch does see the study's thread
+        with pytest.raises(AssertionError, match="a thread was started"):
+            propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4])
