@@ -5,7 +5,7 @@ forward-backward system, with tools to quantify the agreement between them."""
 __version__ = "0.1.0"
 
 from .applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
-from .brs import MpcConfig, brs_control_finite, brs_control_limit, mpc_value_surrogate
+from .brs import brs_control_finite, brs_control_limit, mpc_value_surrogate
 from .fokker_planck import DensityPath, FpkConfig, NumericalError, solve_fpk
 from .measures import (
     EmpiricalMeasure,
@@ -58,7 +58,6 @@ __all__ = [
     "GridDensity",
     "InitialLaw",
     "ModelSpec",
-    "MpcConfig",
     "NumericalError",
     "PicardConfig",
     "PopulationModel",

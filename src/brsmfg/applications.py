@@ -50,6 +50,7 @@ from .model import (
     LognormalMarginal,
     ModelSpec,
     PopulationModel,
+    _check_width,
     product_law,
 )
 
@@ -116,6 +117,8 @@ class WealthParams:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("y_std", "z_log_std"):
+            _check_width(name, getattr(self, name))
         k = self.resolved()
         r = np.linspace(0.1, 3.0, 7)
         if np.abs(k["psi"](r) - k["psi"](-r)).max() > 1e-12:
@@ -311,6 +314,7 @@ class CrowdParams:
             raise ValueError("sigma entries must be nonnegative")
         if not self.kde_bandwidth > 0:
             raise ValueError("kde_bandwidth must be positive")
+        _check_width("ic_std", self.ic_std)
         for (lo, hi) in self.domain:
             if not lo < hi:
                 raise ValueError("domain must be a nondegenerate rectangle")

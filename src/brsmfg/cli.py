@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
-from .brs import MpcConfig
 from .fokker_planck import MIN_CELLS, FpkConfig, NumericalError, solve_fpk
 from .measures import Grid, format_float, format_value, moments, write_csv, write_empirical_csv
 from .mfg import PicardConfig, compare_brs_mfg, mpc_reduction_check, solve_mfg_picard
@@ -334,8 +333,7 @@ def _sim_config(cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int, r
         record_every=record_every,
         coupling=cfg.str_("sim.coupling"),
     )
-    # the run's best reply takes the default window, which must fit in the horizon
-    MpcConfig(dt=sim.dt).validate(model.T)
+    model.check_window(sim.dt)
     return sim
 
 

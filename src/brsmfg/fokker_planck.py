@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,18 +115,13 @@ class _Faces:
     normal: Callable  # (t, measures) -> the normal velocity at the face centres
 
 
-def _velocity_component(velocity: Callable, pop: int, x: np.ndarray, k: int) -> Callable:
-    """(t, measures) -> component k of a ``solve_fpk`` velocity closure at x."""
-    return lambda t, m: np.asarray(velocity(pop, t, x, m), dtype=float)[:, k]
-
-
 class _Step:
     """The explicit step of one :func:`solve_fpk`, built once from (model, grid, velocity, boundary).
 
     The face centres, dx, the SG coefficients of a declared-constant diffusion
     and each face set's normal velocity are fixed when it is built: the
     best reply's (:func:`face_velocity`, which evaluates only what axis k
-    needs), or component k of a ``velocity`` closure. So is one zero-padded
+    needs), or a ``velocity`` of the same shape. So is one zero-padded
     density buffer per axis, with its two shifted views. Each
     :meth:`assemble` evaluates the normal velocity (and a closure diffusion)
     at the faces, computes the SG weights (axis k swapped to the front),
@@ -139,6 +135,7 @@ class _Step:
 
     def __init__(self, model: ModelSpec, grid: Grid, velocity: Callable | None, boundary: str):
         self.model = model
+        velocity = velocity or partial(face_velocity, model)
         self.closed = boundary == "no_flux"
         self.widths = grid.widths
         self.faces = []
@@ -151,11 +148,7 @@ class _Step:
                 if diag is not None:
                     coefficients = _sg_coefficients((0.5 * np.full(shape, diag[k]) ** 2).swapaxes(0, k), dx)
                 flat = pts.reshape(-1, grid.dim)
-                if velocity is None:
-                    normal = face_velocity(model, pop, flat, k)
-                else:
-                    normal = _velocity_component(velocity, pop, flat, k)
-                per_axis.append(_Faces(k, flat, shape, dx, coefficients, normal))
+                per_axis.append(_Faces(k, flat, shape, dx, coefficients, velocity(pop, flat, k)))
             self.faces.append(per_axis)
         self.pads = []  # per axis k, swapped to the front: (cell view, mL = (0, m), mR = (m, 0)) of a zeroed buffer
         for k in range(grid.dim):
@@ -264,10 +257,6 @@ class DensityPath:
         """Density linearly interpolated in time (clamped to the range)."""
         return GridDensity(self.grid, _interpolate_in_time(self.times, t, lambda k: self.values[k, pop]))
 
-    def masses(self) -> np.ndarray:
-        vol = self.grid.cell_volume
-        return self.values.reshape(self.values.shape[0], self.n_populations, -1).sum(axis=2) * vol
-
     def write_csv(self, path, preamble: Sequence[str] = ()) -> None:
         """Rows ``t,pop,cell...,midpoint...,value`` with a key=value header block."""
         records = (
@@ -300,7 +289,8 @@ def solve_fpk(
     path's ``report`` collects the mass drift, the minimum density seen, and
     the worst boundary-layer mass fraction (flag for a too-small domain). A
     CFL-limited step below ``1e-12 * t_final`` raises ``NumericalError``
-    naming the population and the cell that limit it.
+    naming the population and the cell that limit it. ``velocity(pop, x, k) -> (t, measures) ->``
+    the velocity along axis k at face centres x, built once per face set, replaces :func:`face_velocity`.
     """
     fields = (m0,) if isinstance(m0, GridDensity) else tuple(m0)
     if len(fields) != model.n_populations:

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -292,21 +293,19 @@ def hjb_backward(
     return ValueField(grid, times, values)
 
 
-def _mfg_velocity(model: ModelSpec, value: ValueField, grid: Grid):
-    """Forward drift f - grad(w)/alpha using the value field's own gradient."""
-    mids = grid.midpoints(0)
+def _mfg_velocity(model: ModelSpec, value: ValueField, pop: int, x: np.ndarray, k: int) -> Callable:
+    """(t, m) -> f - grad(w)/alpha at x from the value field's own gradient: the forward solve's velocity (1-d)."""
+    mids = value.grid.midpoints(0)
     pmod = model.population(0)
     zero_f = is_zero(pmod.drift)
 
-    def velocity(pop: int, t: float, x: np.ndarray, measures) -> np.ndarray:
+    def normal(t: float, measures) -> np.ndarray:
         gx = np.interp(x[:, 0], mids, value.gradient_at(t))
         if zero_f:  # 0.0 - v is zeros - v bit for bit, signed zeros included
-            return (0.0 - gx / pmod.penalty.at(t))[:, None]
-        out = np.asarray(pmod.drift.value(x, measures), dtype=float).copy()
-        out[:, 0] -= gx / pmod.penalty.at(t)
-        return out
+            return 0.0 - gx / pmod.penalty.at(t)
+        return np.asarray(pmod.drift.value(x, measures), dtype=float)[:, 0] - gx / pmod.penalty.at(t)
 
-    return velocity
+    return normal
 
 
 @dataclass
@@ -352,7 +351,7 @@ def solve_mfg_picard(
     vol = grid.cell_volume
     for _ in range(cfg.max_iters):
         value = hjb_backward(model, input_path, grid, n_t)
-        new_path = solve_fpk(model, m0, fpk_cfg, velocity=_mfg_velocity(model, value, grid))
+        new_path = solve_fpk(model, m0, fpk_cfg, velocity=partial(_mfg_velocity, model, value))
         ref = input_path if prev_new is None else prev_new
         res = float(
             np.max(np.sum(np.abs(new_path.values - ref.values), axis=tuple(range(2, new_path.values.ndim)))) * vol

@@ -58,13 +58,14 @@ class ControlPenalty:
     def constant(value: float) -> "ControlPenalty":
         return ControlPenalty(alpha=lambda t: value, alpha_dot=lambda t: 0.0, value=value)
 
-    def at(self, t: float) -> float:
-        """alpha(t): the declared value as it is, a closure's value checked positive and finite."""
+    def at(self, t: float, window: float = 0.0) -> float:
+        """alpha(t) + window * alpha_dot(t): a declared value as it is, a closure's checked positive and finite."""
         if self.value is not None:
             return self.value
-        a = self.alpha(t)
+        a = self.alpha(t) + window * self.alpha_dot(t) if window else self.alpha(t)
         if not np.isfinite(a) or a <= 0:
-            raise FloatingPointError(f"alpha({t}) = {a} is not a positive finite number")
+            name = f"alpha({t}) + {window} * alpha_dot({t})" if window else f"alpha({t})"
+            raise FloatingPointError(f"{name} = {a} is not a positive finite number")
         return a
 
 
@@ -147,10 +148,18 @@ def is_zero(fn: CostFunction | DriftFunction) -> bool:
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
+def _check_width(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaussianMarginal:
     mean: float
     std: float
+
+    def __post_init__(self):
+        _check_width("std", self.std)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.mean + self.std * rng.standard_normal(n)
@@ -163,6 +172,9 @@ class GaussianMarginal:
 class LognormalMarginal:
     mu: float
     sigma: float
+
+    def __post_init__(self):
+        _check_width("sigma", self.sigma)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=n)
@@ -276,6 +288,11 @@ class ModelSpec:
     def with_horizon(self, horizon: float) -> "ModelSpec":
         return replace(self, T=horizon)
 
+    def check_window(self, dt: float) -> None:
+        """Reject an MPC window dt of the best reply outside (0, T]."""
+        if not 0.0 < dt <= self.T:
+            raise ValueError(f"MPC window dt={dt} must lie in (0, T={self.T}]")
+
 
 def coupling_measure(views: Sequence):
     """The measure argument for per-population ``views``: one population's bare view, else the tuple."""
@@ -299,7 +316,7 @@ def cost_gradient_sum(model: ModelSpec, pop: int, x: np.ndarray, m) -> np.ndarra
     A zero terminal cost and an all-ones mask are skipped: adding 0 can change
     only the sign of a zero, and multiplying by 1 is exact.
     """
-    p = model.population(pop)
+    p = model.populations[pop]
     grad = _check_finite(p.running_cost.gradient(x, m), "grad h", "cost_gradient_sum")
     if not is_zero(p.terminal_cost):
         gg = _check_finite(p.terminal_cost.gradient(x, m), "grad g", "cost_gradient_sum")
@@ -307,15 +324,15 @@ def cost_gradient_sum(model: ModelSpec, pop: int, x: np.ndarray, m) -> np.ndarra
     return grad if p.control_mask is None else model.mask(pop) * grad
 
 
-def brs_drift(model: ModelSpec, pop: int, t: float, x: np.ndarray, m) -> np.ndarray:
-    """Limiting best-reply drift f(x, m) - (1/alpha(t)) grad(h + g/T)(x, m).
+def brs_drift(model: ModelSpec, pop: int, t: float, x: np.ndarray, m, window: float = 0.0) -> np.ndarray:
+    """Best-reply drift f(x, m) - grad(h + g/T)(x, m) / (alpha(t) + window * alpha_dot(t)).
 
-    Pure composition of the stored analytic gradients; vectorized over leading
-    axes of ``x``. Non-finite output reports which ingredient produced it. A
+    The MPC window is the particle step's dt, or 0 for the FPK's limit. Vectorized over
+    leading axes of ``x``; non-finite output reports which ingredient produced it. A
     declared-zero f is skipped: ``0.0 - v`` is ``zeros - v`` bit for bit.
     """
-    p = model.population(pop)
-    a = p.penalty.at(t)
+    p = model.populations[pop]
+    a = p.penalty.at(t, window)
     if is_zero(p.drift):
         return 0.0 - cost_gradient_sum(model, pop, x, m) / a
     f = _check_finite(p.drift.value(x, m), "drift f", "brs_drift")

@@ -23,9 +23,8 @@ import numpy as np
 # first generator of a solve would otherwise pay for it
 from numpy.random import SeedSequence, default_rng
 
-from .brs import MpcConfig, control_batch, penalty_denominator
 from .measures import EmpiricalMeasure, GridDensity, _frozen, leave_one_out, wasserstein_1d
-from .model import DriftFunction, ModelSpec, _check_finite, coupling_measure, is_zero
+from .model import ModelSpec, _check_finite, brs_drift, coupling_measure, is_zero
 
 __all__ = [
     "EnsembleState",
@@ -128,7 +127,7 @@ def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarra
     # a single particle falls through to leave_one_out, which rejects it
     if pair is not None and len(views) == 1 and n > 1:
         full = fn(pts, views[0])
-        diag = _check_finite(pair(pts, pts), "pairwise kernel", f"pop {pop} self-interaction")
+        diag = _check_finite(pair(pts, pts), "pairwise kernel", "self-interaction")
         return (n * full - diag) / (n - 1)
     out = np.empty_like(pts)
     for i in range(n):
@@ -143,67 +142,58 @@ def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarra
 def _particle_step(model: ModelSpec, dt: float, coupling: str, n_particles: int):
     """The Euler-Maruyama step of one run, ``step(state, rng) -> state``.
 
-    X += (f + u) dt + sigma(t, X) sqrt(dt) xi, with u the best reply on the
-    window of one step, u = -mask * grad(h + g/T) / (alpha + dt * alpha_dot).
-    f + u is evaluated against the full empirical measure, or per player
-    against its leave-one-out measure; its pairwise kernel exists when f, h
-    and g all declare theirs.
-
-    Built once: one read-only uniform weight vector for ``n_particles``
-    particles, the kernels of mask * grad(h + g/T), sigma sqrt(dt) of a
-    declared-constant diffusion, and one f + u per population for a
-    declared-constant penalty (alpha + dt * 0.0 is alpha). A zero f is
-    skipped: adding it can change only the sign of a zero.
+    X += b dt + sigma(t, X) sqrt(dt) xi, with b = ``brs_drift(..., window=dt)``
+    against the full empirical measure, or per player against its
+    leave-one-out measure, through b's pairwise kernel
+    kf - mask * (kh + kg/T) / (alpha + dt * alpha_dot) when f, h and g all
+    declare theirs. Built once: one read-only uniform weight vector for
+    ``n_particles`` particles, the kernels, and sigma sqrt(dt) of a
+    declared-constant diffusion. Errors of non-finite values name the population.
     """
-    mpc = MpcConfig(dt=dt)
     sqrt_dt = np.sqrt(dt)
     weights = _frozen(np.full(n_particles, 1.0 / n_particles))
     scales = [None if p.diffusion.diag is None else np.asarray(p.diffusion.diag) * sqrt_dt for p in model.populations]
 
-    def kernel(p, mask):
-        kh, kg = p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
-        return None if kh is None or kg is None else (lambda x, y: mask * (kh(x, y) + kg(x, y) / model.T))
+    def kernel(pop, p):
+        kf, kh, kg = p.drift.pair_value, p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
+        if kf is None or kh is None or kg is None:
+            return None
+        mask, zero_f = model.mask(pop), is_zero(p.drift)
 
-    kernels = [kernel(p, model.mask(pop)) for pop, p in enumerate(model.populations)]
+        def pair(t, x, y):  # a zero f is skipped, as in brs_drift
+            ku = mask * (kh(x, y) + kg(x, y) / model.T) / p.penalty.at(t, dt)
+            return -ku if zero_f else kf(x, y) - ku
 
-    def drift_at(pop: int, t: float) -> DriftFunction:
-        f = model.population(pop).drift
-        denom = penalty_denominator(model, pop, t, mpc)
-        k = kernels[pop]
-        ku = None if k is None else (lambda x, y: -k(x, y) / denom)
-        if is_zero(f):
-            return DriftFunction(lambda x, m: control_batch(model, pop, t, x, m, denom), ku)
+        return pair
 
-        def value(x, m):
-            total = _check_finite(f.value(x, m), "drift f", f"step pop {pop}")
-            return total + control_batch(model, pop, t, x, m, denom)
-
-        kf = f.pair_value
-        return DriftFunction(value, None if kf is None or ku is None else (lambda x, y: kf(x, y) + ku(x, y)))
-
-    fixed = [None if p.penalty.value is None else drift_at(pop, 0.0) for pop, p in enumerate(model.populations)]
+    kernels = [kernel(pop, p) for pop, p in enumerate(model.populations)]
 
     def step(state: EnsembleState, rng) -> EnsembleState:
+        t = state.t
         views = tuple(EmpiricalMeasure(p, weights, checked=True) for p in state.positions)
         noises = [rng.standard_normal(p.shape) for p in state.positions]
         new_positions = []
         for pop, pmod in enumerate(model.populations):
             pts = state.positions[pop]
-            drift = fixed[pop] or drift_at(pop, state.t)
-            if coupling == "full_empirical":
-                total = drift.value(pts, coupling_measure(views))
-            else:
-                total = _leave_one_out_eval(drift.value, drift.pair_value, pts, views, pop)
+            try:
+                if coupling == "full_empirical":
+                    total = brs_drift(model, pop, t, pts, coupling_measure(views), dt)
+                else:
+                    k = kernels[pop]
+                    pair = None if k is None else lambda x, y: k(t, x, y)
+                    total = _leave_one_out_eval(lambda x, m: brs_drift(model, pop, t, x, m, dt), pair, pts, views, pop)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} in step pop {pop}") from exc
             scale = scales[pop]
             if scale is None:
-                sig = pmod.diffusion.value(state.t, pts)
+                sig = pmod.diffusion.value(t, pts)
                 scale = _check_finite(sig, "diffusion sigma", f"step pop {pop}") * sqrt_dt
             new = pts + total * dt + scale * noises[pop]
             if not np.isfinite(new).all():
                 bad = int(np.argwhere(~np.isfinite(new).all(axis=1))[0, 0])
                 raise FloatingPointError(f"non-finite update for pop {pop} particle {bad}")
             new_positions.append(_reflect(new, pmod.reflect_lower))
-        return EnsembleState(positions=tuple(new_positions), t=state.t + dt, seed=state.seed)
+        return EnsembleState(positions=tuple(new_positions), t=t + dt, seed=state.seed)
 
     return step
 
@@ -237,14 +227,14 @@ def _run(model: ModelSpec, cfg: SimConfig, noise) -> TrajectoryRecord:
 def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig) -> TrajectoryRecord:
     """Simulate the N-player game under the finite-window best reply.
 
-    The MPC window is the time step, ``MpcConfig(dt=cfg.dt)``, and must fit in
-    the horizon. ``leave_one_out`` coupling uses each player's own exclusion
+    The MPC window is the time step, ``cfg.dt``, and must fit in the
+    horizon. ``leave_one_out`` coupling uses each player's own exclusion
     measure (the N-player game); ``full_empirical`` uses the whole-cloud
     measure (the interacting-particle approximation of the mean-field
     dynamics). Snapshots are recorded every ``record_every`` steps plus the
     initial and final state.
     """
-    MpcConfig(dt=cfg.dt).validate(model.T)
+    model.check_window(cfg.dt)
     return _run(model, cfg, _noise_generator(cfg.seed))
 
 
@@ -350,7 +340,7 @@ def propagation_of_chaos_study(
             f"mismatched time grids: reference has no snapshot at t={cfg_base.t_final}"
         )
     ref_density: GridDensity = reference.density(int(idx[0]), 0)
-    MpcConfig(dt=cfg_base.dt).validate(model.T)
+    model.check_window(cfg_base.dt)
     n_steps = cfg_base.n_steps(exact=True)
     runs = [replace(cfg_base, n_particles=int(n), seed=int(seed)) for n in n_list for seed in seeds]
     noise = _NoiseStream([(_noise_generator(c.seed), n_steps, c.n_particles * model.n_populations) for c in runs])
@@ -359,12 +349,6 @@ def propagation_of_chaos_study(
     rows = []
     for k, n in enumerate(n_list):
         vals = np.asarray(w1[k * len(seeds) : (k + 1) * len(seeds)])
-        rows.append(
-            ChaosRow(
-                n_particles=int(n),
-                mean_w1=float(vals.mean()),
-                std_w1=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-                values=vals,
-            )
-        )
+        std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+        rows.append(ChaosRow(n_particles=int(n), mean_w1=float(vals.mean()), std_w1=std, values=vals))
     return rows

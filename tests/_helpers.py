@@ -9,7 +9,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from brsmfg.applications import WealthParams
-from brsmfg.brs import penalty_denominator
 from brsmfg.fokker_planck import NumericalError
 from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity, format_value, write_csv
 from brsmfg.model import (
@@ -290,13 +289,16 @@ def fpk_assemble_oracle(model, fields, t, velocity, boundary):
             flat = pts.reshape(-1, grid.dim)
             if velocity is None:
                 vel = brs_drift(model, pop, t, flat, measures)
+                if not np.all(np.isfinite(vel)):
+                    raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
+                vel = vel[:, k]
             else:
-                vel = np.asarray(velocity(pop, t, flat, measures), dtype=float)
+                vel = np.asarray(velocity(pop, flat, k)(t, measures), dtype=float)
+                if not np.all(np.isfinite(vel)):
+                    raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
             sig = np.asarray(pmod.diffusion.value(t, flat), dtype=float)
-            if not np.all(np.isfinite(vel)):
-                raise NumericalError(f"non-finite drift on axis-{k} faces (pop {pop})")
             shape = pts.shape[:-1]
-            b = vel[:, k].reshape(shape)
+            b = vel.reshape(shape)
             D = 0.5 * sig[:, k].reshape(shape) ** 2
             dx = grid.widths[k]
             b = np.moveaxis(b, k, 0)
@@ -375,6 +377,11 @@ def fpk_solve_oracle(model, fields, t_final, record_times, boundary="no_flux", v
     return np.asarray(times), np.asarray(values), report
 
 
+def path_masses(path) -> np.ndarray:
+    """Total mass per recorded time and population of a ``DensityPath``, shape (K, P)."""
+    return path.values.reshape(path.values.shape[0], path.n_populations, -1).sum(axis=2) * path.grid.cell_volume
+
+
 # ---------------------------------------------------------------------------
 # Reference backward HJB sweep: explicit Euler substeps of 0.9 times the
 # parabolic and advective stability bound, with the same central differences
@@ -434,19 +441,20 @@ def hjb_backward_oracle(model, density_path, grid, n_t):
 # Reference particle step: the straightforward composition of the best-reply
 # drift, which evaluates every ingredient (zero ones included), multiplies by
 # the control mask even when it is all ones, and rebuilds the mask and the
-# pairwise kernel every step. ``em_step`` under ``best_reply`` must reproduce
-# it exactly.
+# pairwise kernel every step. The library's particle step must reproduce it
+# exactly.
 # ---------------------------------------------------------------------------
 
 
-def em_step_oracle(model, state, dt, noises, coupling, mpc):
-    """Positions per population after one best-reply Euler-Maruyama step with the given noise blocks."""
+def em_step_oracle(model, state, dt, noises, coupling):
+    """Positions per population after one best-reply Euler-Maruyama step, on the window dt, with the given noise blocks."""
     views = tuple(EmpiricalMeasure(p) for p in state.positions)
     new_positions = []
     for pop in range(model.n_populations):
         p = model.population(pop)
         pts = state.positions[pop]
-        denom = penalty_denominator(model, pop, state.t, mpc)
+        denom = p.penalty.alpha(state.t) + dt * p.penalty.alpha_dot(state.t)
+        assert denom > 0.0
         cm = p.control_mask
         mask = np.ones(model.d) if cm is None else np.asarray(cm, dtype=float)
         h, g, f = p.running_cost, p.terminal_cost, p.drift

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
-from brsmfg.brs import MpcConfig, brs_control_finite, brs_control_limit, mpc_value_surrogate
+from brsmfg.brs import brs_control_finite, brs_control_limit, mpc_value_surrogate
 from brsmfg.cli import run as cli_run
 from brsmfg.fokker_planck import FpkConfig, solve_fpk
 from brsmfg.measures import EmpiricalMeasure, Grid, leave_one_out, wasserstein_1d
@@ -93,16 +93,16 @@ class TestCriterion1MethodEquivalence:
     def test_finite_control_matches_grid_search(self):
         t0 = time.time()
         u_grid = np.arange(-10.0, 10.0 + 1e-9, 1e-3)
-        cfg = MpcConfig(dt=0.05)
+        dt = 0.05
         for name in PRESETS:
             rng = np.random.default_rng(202)
             model, samples = _preset_states(name, rng, 10)
             for pop, state, i in samples[:10]:
                 m = _views_for_player(model, state, pop, i)
                 x = state.positions[pop][i]
-                u = brs_control_finite(model, pop, i, state, 0.0, cfg)
+                u = brs_control_finite(model, pop, i, state, 0.0, dt)
                 pen = model.population(pop).penalty
-                denom = pen.alpha(0.0) + cfg.dt * pen.alpha_dot(0.0)
+                denom = pen.alpha(0.0) + dt * pen.alpha_dot(0.0)
                 mask = model.mask(pop)
                 for k in range(model.d):
                     if mask[k] == 0.0:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
-from brsmfg.brs import MpcConfig, brs_control_finite
+from brsmfg.brs import brs_control_finite
 from brsmfg.fokker_planck import FpkConfig, solve_fpk
 from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity, leave_one_out
 from brsmfg.model import brs_drift
@@ -44,7 +44,7 @@ class TestWealthModel:
         pts = np.column_stack([rng.standard_normal(6), rng.lognormal(0, 0.3, 6)])
         state = EnsembleState(positions=(pts,), t=0.0, seed=0)
         for i in range(6):
-            u = brs_control_finite(model, 0, i, state, 0.0, MpcConfig(dt=0.01))
+            u = brs_control_finite(model, 0, i, state, 0.0, 0.01)
             mean_rest = (pts[:, 1].sum() - pts[i, 1]) / 5
             assert u[1] == pytest.approx(-(pts[i, 1] - mean_rest), abs=1e-12)
             assert u[0] == 0.0

@@ -6,7 +6,7 @@ import pytest
 from _helpers import quadratic_cost, scalar_model
 
 from brsmfg.applications import CrowdParams, build_crowd_model
-from brsmfg.brs import MpcConfig, brs_control_finite, brs_control_limit, mpc_value_surrogate
+from brsmfg.brs import brs_control_finite, brs_control_limit, mpc_value_surrogate
 from brsmfg.measures import EmpiricalMeasure, Grid, density_at
 from brsmfg.mfg import mpc_reduction_check
 from brsmfg.particle_sim import EnsembleState
@@ -21,13 +21,13 @@ class TestFiniteControl:
     def test_quadratic_constant_penalty(self):
         model = scalar_model(h=quadratic_cost())
         state = ensemble([2.0, 0.0])
-        u = brs_control_finite(model, 0, 0, state, 0.0, MpcConfig(dt=0.1))
+        u = brs_control_finite(model, 0, 0, state, 0.0, 0.1)
         assert u[0] == pytest.approx(-2.0)
 
     def test_time_varying_penalty_denominator(self):
         model = scalar_model(h=quadratic_cost(), alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0)
         state = ensemble([2.0, 0.0])
-        u = brs_control_finite(model, 0, 0, state, 0.0, MpcConfig(dt=0.1))
+        u = brs_control_finite(model, 0, 0, state, 0.0, 0.1)
         assert u[0] == pytest.approx(-1.8181818181818181, abs=1e-12)
 
     def test_grid_search_oracle_on_coupled_cost(self):
@@ -36,10 +36,10 @@ class TestFiniteControl:
         rng = np.random.default_rng(8)
         pts = rng.standard_normal(4)
         state = ensemble(pts)
-        cfg = MpcConfig(dt=0.05)
+        dt = 0.05
         grid_u = np.arange(-10.0, 10.0 + 1e-9, 1e-3)
         for i in range(4):
-            u = brs_control_finite(model, 0, i, state, 0.0, cfg)
+            u = brs_control_finite(model, 0, i, state, 0.0, dt)
             m = EmpiricalMeasure(np.delete(pts, i))
             eps = 1e-6
             x = np.array([pts[i]])
@@ -57,20 +57,21 @@ class TestFiniteControl:
             h=quadratic_cost(), alpha=lambda t: 0.1, alpha_dot=lambda t: -10.0
         )
         state = ensemble([1.0, 2.0])
-        with pytest.raises(ValueError, match="denominator nonpositive"):
-            brs_control_finite(model, 0, 0, state, 0.0, MpcConfig(dt=0.1))
+        message = r"^alpha\(0\.0\) \+ 0\.1 \* alpha_dot\(0\.0\) = -0\.9 is not a positive finite number$"
+        with pytest.raises(FloatingPointError, match=message):
+            brs_control_finite(model, 0, 0, state, 0.0, 0.1)
 
     def test_needs_two_particles(self):
         model = scalar_model(h=quadratic_cost())
         state = EnsembleState(positions=(np.array([[1.0]]),), t=0.0, seed=0)
         with pytest.raises(ValueError, match="two particles"):
-            brs_control_finite(model, 0, 0, state, 0.0, MpcConfig(dt=0.1))
+            brs_control_finite(model, 0, 0, state, 0.0, 0.1)
 
     def test_magnitude_decreasing_in_window_when_alpha_grows(self):
         model = scalar_model(h=quadratic_cost(), alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0)
         state = ensemble([1.5, -0.5, 2.0])
         mags = [
-            abs(brs_control_finite(model, 0, 0, state, 0.2, MpcConfig(dt=dt))[0])
+            abs(brs_control_finite(model, 0, 0, state, 0.2, dt)[0])
             for dt in (0.05, 0.1, 0.2, 0.4)
         ]
         assert all(a > b for a, b in zip(mags, mags[1:]))
@@ -84,7 +85,7 @@ class TestLimitControl:
         state = ensemble(pts)
         m = EmpiricalMeasure(np.delete(pts, 1))
         lim = brs_control_limit(model, 0, 0.0, np.array([pts[1]]), m)
-        fin = brs_control_finite(model, 0, 1, state, 0.0, MpcConfig(dt=1e-8))
+        fin = brs_control_finite(model, 0, 1, state, 0.0, 1e-8)
         assert abs(lim[0] - fin[0]) <= 1e-6 * max(1.0, abs(lim[0]))
 
     def test_nonpositive_penalty_is_named(self):

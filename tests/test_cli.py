@@ -125,6 +125,11 @@ class TestConfig:
             ("wealth", "wealth.ymin=-inf", "grid axis bounds must be finite, got [-inf, 3.0]"),
             ("crowd", "crowd.xmax=inf", "grid axis bounds must be finite, got [-2.0, inf]"),
             ("simulate", "model.preset=crowd crowd.target1=nan,0", "key crowd.target1: expected two"),
+            # negative initial-law widths, named by their field
+            ("crowd", "crowd.ic_std=-0.5 crowd.cells=16 crowd.t_final=0.05", "ic_std must be nonnegative and finite, got -0.5"),
+            ("simulate", "model.preset=wealth wealth.y_std=-1", "y_std must be nonnegative and finite, got -1.0"),
+            ("simulate", "model.preset=wealth wealth.z_log_std=-0.3", "z_log_std must be nonnegative and finite, got -0.3"),
+            ("wealth", "wealth.y_std=-1", "y_std must be nonnegative and finite, got -1.0"),
         ]
         + [
             ("crowd", f"{key}={pair}", f"key {key}: expected two comma-separated finite numbers")

@@ -14,6 +14,7 @@ from _helpers import (
     fpk_apply_oracle,
     fpk_assemble_oracle,
     fpk_solve_oracle,
+    path_masses,
     quadratic_cost,
     scalar_model,
     without_bind,
@@ -92,7 +93,7 @@ class TestConservation:
         path = solve_fpk(model, m0, FpkConfig(t_final=8.0, record_times=tuple(np.linspace(0, 8, 9))))
         assert path.report["mass_drift_max"] <= 1e-12
         assert path.report["min_density"] >= -1e-13
-        masses = path.masses()
+        masses = path_masses(path)
         assert np.abs(masses - 1.0).max() <= 1e-12
 
     def test_absorbing_boundary_loses_mass_monotonically(self):
@@ -102,7 +103,7 @@ class TestConservation:
         path = solve_fpk(
             model, m0, FpkConfig(t_final=1.0, boundary="absorbing", record_times=tuple(np.linspace(0, 1, 5)))
         )
-        masses = path.masses()[:, 0]
+        masses = path_masses(path)[:, 0]
         assert masses[-1] < masses[0]
         assert np.all(np.diff(masses) <= 1e-14)
 
@@ -248,11 +249,14 @@ class TestStepContract:
             m0 = tuple(model.population(p).initial_law.grid_density(grid) for p in range(2))
         seen = []  # (t, the densities the velocity was handed, copies of their values)
 
-        def velocity(pop, t, x, measures):
-            fields = (measures,) if isinstance(measures, GridDensity) else measures
-            if pop == 0 and (not seen or seen[-1][0] != t):
-                seen.append((t, fields, [f.values.copy() for f in fields]))
-            return -3.0 * x + 0.1 * pop
+        def velocity(pop, x, k):
+            def normal(t, measures):
+                fields = (measures,) if isinstance(measures, GridDensity) else measures
+                if pop == 0 and (not seen or seen[-1][0] != t):
+                    seen.append((t, fields, [f.values.copy() for f in fields]))
+                return -3.0 * x[:, k] + 0.1 * pop
+
+            return normal
 
         def assert_unchanged():
             for _, fields, copies in seen:
@@ -402,9 +406,9 @@ class TestUncontrolledAxes:
         asked, calls = [], []
         model, m = _wealth_case()
 
-        def velocity(pop, t, x, measures):
+        def velocity(pop, x, k):
             asked.append(np.shape(x))
-            return np.stack([0.1 + 0.0 * x[:, 0], -0.2 * x[:, 1]], axis=-1)
+            return lambda t, measures: np.stack([0.1 + 0.0 * x[:, 0], -0.2 * x[:, 1]], axis=-1)[:, k]
 
         step = _Step(_counting_gradients(model, calls), m.grid, velocity, "absorbing")
         ((bs, _, _, _),), _ = step.assemble((m,), 0.0)
@@ -627,8 +631,8 @@ def fpk_problems(draw):
     if draw(st.booleans()):
         phase = rng.uniform(0.0, np.pi, dim)
 
-        def velocity(pop, t, x, measures):
-            return np.cos(x + phase + t) - 0.5 * pop
+        def velocity(pop, x, k):
+            return lambda t, measures: (np.cos(x + phase + t) - 0.5 * pop)[:, k]
 
     return _random_model(rng, dim, kinds), tuple(fields), boundary, velocity
 
@@ -676,6 +680,6 @@ class TestConservationProperty:
         model, fields, _, _ = problem
         path = solve_fpk(model, fields, FpkConfig(t_final=t_final, record_times=(0.0, t_final)))
         assert path.report["mass_drift_max"] <= 1e-12
-        assert np.abs(path.masses() - 1.0).max() <= 1e-12
+        assert np.abs(path_masses(path) - 1.0).max() <= 1e-12
         assert path.report["min_density"] >= 0.0
         assert path.values.min() >= 0.0

@@ -359,13 +359,14 @@ class TestMfgVelocity:
         grads[:, -2:] = -0.0
         field._gradients = grads  # set directly, to place signed zeros where the test needs them
         x = np.concatenate([grid.face_points(0).reshape(-1, 1), grid.midpoint_mesh().reshape(-1, 1), [[-3.0], [3.0]]])
-        velocity = _mfg_velocity(model, field, grid)
+        normal = _mfg_velocity(model, field, 0, x, 0)
         signed_zeros = 0
         for t in (-0.5, 0.0, 0.3, 0.5, 0.75, 1.0, 2.0):
             gx = np.interp(x[:, 0], grid.midpoints(0), field.gradient_at(t))
             want = np.zeros(x.shape) if f is None else np.asarray(f.value(x, None), dtype=float).copy()
             want[:, 0] -= gx / (1.0 + t)
-            got = velocity(0, t, x, None)
+            want = want[:, 0]
+            got = normal(t, None)
             assert got.shape == want.shape
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
             signed_zeros += int(np.sum((gx == 0.0) & np.signbit(gx)))

@@ -208,6 +208,19 @@ def scipy_normal_cdf(z, loc, scale):
     return 0.5 * (1.0 + erf((z - loc) / (scale * np.sqrt(2.0))))
 
 
+class TestMarginalWidths:
+    @pytest.mark.parametrize("bad, shown", [(-0.5, "-0.5"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_a_negative_or_nonfinite_width_is_rejected(self, bad, shown):
+        for marginal, name in ((GaussianMarginal, "std"), (LognormalMarginal, "sigma")):
+            message = f"{name} must be nonnegative and finite, got {shown}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                marginal(0.0, bad)
+
+    def test_a_zero_width_is_accepted(self):
+        assert GaussianMarginal(1.0, 0.0).std == 0.0
+        assert LognormalMarginal(0.0, 0.0).sigma == 0.0
+
+
 class TestMarginalCdf:
     # erf saturates to +-1 well inside +-40 standard deviations, so the tails are covered
     @pytest.mark.parametrize("mean, std", [(0.0, 1.0), (1.5, 0.3), (-2.0, 4.0)])

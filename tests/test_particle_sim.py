@@ -15,7 +15,7 @@ from _helpers import FixedNoise, em_step_oracle, gaussian_law, point_law, quadra
 
 import brsmfg.particle_sim as particle_sim
 from brsmfg.applications import WealthParams, build_wealth_model
-from brsmfg.brs import MpcConfig, brs_control_finite, penalty_denominator
+from brsmfg.brs import brs_control_finite
 from brsmfg.fokker_planck import FpkConfig, solve_fpk
 from brsmfg.measures import EmpiricalMeasure, Grid, leave_one_out, wasserstein_1d
 from brsmfg.model import (
@@ -25,6 +25,7 @@ from brsmfg.model import (
     DriftFunction,
     ModelSpec,
     PopulationModel,
+    brs_drift,
 )
 from brsmfg.particle_sim import (
     COUPLINGS,
@@ -165,7 +166,6 @@ class TestStepOracle:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_best_reply_step_matches_reference_composition(self, n, t, seed):
-        mpc = MpcConfig(dt=0.05)
         rng = np.random.default_rng(seed)
         for (d, mask), n_pops, f_coef, g_coef, floors, coupling, kernels in self.STRUCTURES:
             model = step_model(d, n_pops, f_coef, g_coef, mask, floors)
@@ -174,7 +174,7 @@ class TestStepOracle:
             state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), t, 0)
             noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
             out = particle_sim._particle_step(model, 0.05, coupling, n)(state, FixedNoise(noises))
-            want = em_step_oracle(model, state, 0.05, noises, coupling, mpc)
+            want = em_step_oracle(model, state, 0.05, noises, coupling)
             for got, ref in zip(out.positions, want):
                 assert np.array_equal(got, ref)
 
@@ -204,14 +204,14 @@ class TestPerRunStep:
         self, d, n_pops, f_coef, floors, coupling, constant_penalty, constant_diffusion
     ):
         model = run_model(d, n_pops, f_coef, floors, constant_penalty, constant_diffusion)
-        mpc, n, dt = MpcConfig(dt=0.05), 9, 0.05
+        n, dt = 9, 0.05
         rng = np.random.default_rng(7)
         state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), 0.0, 0)
         step = particle_sim._particle_step(model, dt, coupling, n)
         want = state.positions
         for _ in range(6):
             noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
-            want = em_step_oracle(model, EnsembleState(want, state.t, 0), dt, noises, coupling, mpc)
+            want = em_step_oracle(model, EnsembleState(want, state.t, 0), dt, noises, coupling)
             state = step(state, FixedNoise(noises))
             for got, ref in zip(state.positions, want):
                 assert np.array_equal(got, ref)
@@ -226,25 +226,62 @@ class TestPerRunStep:
         t = 0.0
         for _ in range(cfg.n_steps()):
             noises = [rng.standard_normal((7, 1)) for _ in range(2)]
-            positions = em_step_oracle(model, EnsembleState(positions, t, 0), cfg.dt, noises, coupling, MpcConfig(dt=cfg.dt))
+            positions = em_step_oracle(model, EnsembleState(positions, t, 0), cfg.dt, noises, coupling)
             t += cfg.dt
         for got, ref in zip(simulate_brs_nplayer(model, cfg).final().positions, positions):
             assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("constant, denominators", [(True, 2), (False, 2 * 5)])
-    def test_constant_penalty_builds_one_drift_per_population(self, monkeypatch, constant, denominators):
-        calls = []
+    @pytest.mark.parametrize("window", [0.0, 0.05, 7.0])
+    def test_a_declared_penalty_is_the_constant_at_any_window(self, window):
+        def unused(t):
+            raise AssertionError("a declared-constant penalty must not call its closures")
 
-        def counted(*args):
-            calls.append(args)
-            return penalty_denominator(*args)
+        value = 1.0 / 3.0
+        penalty = ControlPenalty(alpha=unused, alpha_dot=unused, value=value)
+        for t in (0.0, 0.4, 2.5):
+            got = penalty.at(t, window)
+            assert got is value
+        model = step_model(2, 1, -0.7, 1.3, (1.0, 0.0), False, penalty=penalty)
+        pts = np.random.default_rng(5).standard_normal((6, 2))
+        m = EmpiricalMeasure(pts)
+        assert np.array_equal(brs_drift(model, 0, 0.4, pts, m, window), brs_drift(model, 0, 0.4, pts, m))
 
-        monkeypatch.setattr(particle_sim, "penalty_denominator", counted)
-        step = particle_sim._particle_step(run_model(1, 2, 0.0, False, constant, True), 0.05, "full_empirical", 4)
-        state = EnsembleState((np.zeros((4, 1)), np.ones((4, 1))), 0.0, 0)
-        for _ in range(5):
-            state = step(state, np.random.default_rng(0))
-        assert len(calls) == denominators
+    @pytest.mark.parametrize("mask", [None, (1.0, 0.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("f_coef", [0.0, -0.7])
+    def test_the_window_drift_divides_by_alpha_plus_window_times_alpha_dot(self, mask, f_coef):
+        # step_model's penalty is the closure alpha(t) = 1.5 + t, alpha_dot = 1
+        model = step_model(2, 1, f_coef, 1.3, mask, False)
+        p = model.population(0)
+        pts = np.random.default_rng(11).standard_normal((7, 2))
+        m = EmpiricalMeasure(pts)
+        f = np.asarray(p.drift.value(pts, m), dtype=float)
+        weights = np.ones(2) if mask is None else np.asarray(mask)
+        grad = weights * (p.running_cost.gradient(pts, m) + p.terminal_cost.gradient(pts, m) / model.T)
+        for t, dt in ((0.0, 0.05), (0.3, 0.01), (0.6, 0.1)):
+            window = brs_drift(model, 0, t, pts, m, dt)
+            assert np.array_equal(window, f - grad / ((1.5 + t) + dt * 1.0))
+            limit = brs_drift(model, 0, t, pts, m, 0.0)
+            assert np.array_equal(limit, f - grad / (1.5 + t))
+            assert np.array_equal(limit, brs_drift(model, 0, t, pts, m))
+            # the particle step moves by the window drift, in both couplings
+            for coupling in COUPLINGS:
+                step = particle_sim._particle_step(model, dt, coupling, 7)
+                out = step(EnsembleState((pts,), t, 0), FixedNoise([np.zeros((7, 2))]))
+                want = em_step_oracle(model, EnsembleState((pts,), t, 0), dt, [np.zeros((7, 2))], coupling)
+                assert np.array_equal(out.positions[0], want[0])
+
+    def test_a_nonpositive_window_denominator_names_t(self):
+        # alpha(t) + dt * alpha_dot(t) = 0.1 + 0.1 * (-10) < 0, while alpha alone is positive
+        model = step_model(1, 1, 0.0, 0.0, None, False, penalty=ControlPenalty(lambda t: 0.1, lambda t: -10.0))
+        pts = np.array([[0.1], [0.2], [0.3]])
+        message = "alpha(0.25) + 0.1 * alpha_dot(0.25) = -0.9 is not a positive finite number"
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            brs_drift(model, 0, 0.25, pts, EmpiricalMeasure(pts), 0.1)
+        for coupling in COUPLINGS:
+            step = particle_sim._particle_step(model, 0.1, coupling, 3)
+            with pytest.raises(FloatingPointError, match=f"^{re.escape(message)} in step pop 0$"):
+                step(EnsembleState((pts,), 0.25, 0), np.random.default_rng(0))
+        assert brs_drift(model, 0, 0.25, pts, EmpiricalMeasure(pts)).shape == (3, 1)
 
     def test_steps_share_one_read_only_weight_vector(self):
         seen = []
@@ -285,16 +322,16 @@ class TestNamedStepFailures:
     @pytest.mark.parametrize(
         "field, ingredient, message",
         [
-            ("drift", DriftFunction(nonfinite_at(2)), "drift f produced non-finite value (inf) in step pop 1"),
+            ("drift", DriftFunction(nonfinite_at(2)), "drift f produced non-finite value (inf) in brs_drift in step pop 1"),
             (
                 "running_cost",
                 CostFunction(value=None, gradient=nonfinite_at(2, np.nan)),
-                "grad h produced non-finite value (nan) in cost_gradient_sum",
+                "grad h produced non-finite value (nan) in cost_gradient_sum in step pop 1",
             ),
             (
                 "terminal_cost",
                 CostFunction(value=None, gradient=nonfinite_at(2)),
-                "grad g produced non-finite value (inf) in cost_gradient_sum",
+                "grad g produced non-finite value (inf) in cost_gradient_sum in step pop 1",
             ),
             (
                 "diffusion",
@@ -514,14 +551,13 @@ class TestLeaveOneOutKernel:
         pts = model.population(0).initial_law.sample(rng, n)
         noise = rng.standard_normal((n, 2))
         state = EnsembleState(positions=(pts,), t=t, seed=0)
-        mpc = MpcConfig(dt=dt)
         out = one_step(model, state, dt, FixedNoise([noise]), "leave_one_out")
         assert loo_calls == list(range(n))
         pmod = model.population(0)
         sig = pmod.diffusion.value(t, pts)
         for i in range(n):
             f = pmod.drift.value(pts[i], leave_one_out(EmpiricalMeasure(pts), i))
-            u = brs_control_finite(model, 0, i, state, t, mpc)
+            u = brs_control_finite(model, 0, i, state, t, dt)
             want = pts[i] + (f + u) * dt + sig[i] * np.sqrt(dt) * noise[i]
             np.testing.assert_allclose(out.positions[0][i], want, rtol=1e-13, atol=1e-15)
 
@@ -677,7 +713,8 @@ class TestNoiseStream:
         model = scalar_model(f=DriftFunction(value))
         cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0)
         threads = threading.active_count()
-        with pytest.raises(FloatingPointError, match="^drift failed$"):
+        # the step adds the population to the run's own error
+        with pytest.raises(FloatingPointError, match="^drift failed in step pop 0$"):
             propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4, 5])
         assert len(calls) == 30
         assert threading.active_count() == threads
