@@ -120,20 +120,22 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2:
-        raise ValueError("points must have shape (N,) or (N, d)")
+    if pts.ndim not in (2, 3):
+        raise ValueError("points must have shape (N,), (N, d) or (runs, N, d)")
     return pts
 
 
 class EmpiricalMeasure:
     """Weighted particle measure sum_j w_j * delta_{x_j} with sum w_j = 1.
 
+    Points of shape (runs, N, d) stack the clouds of independent runs on the
+    same weights; ``mean`` and ``variance`` then give one row per run.
     ``checked=True`` takes ``weights`` as already validated for these points.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray | None = None, *, checked: bool = False):
         self.points = _as_points(points)
-        n = self.points.shape[0]
+        n = self.points.shape[-2]
         if n < 1:
             raise ValueError("empirical measure needs at least one point")
         if weights is None:
@@ -150,11 +152,11 @@ class EmpiricalMeasure:
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.points.shape[-1]
 
     @property
     def is_uniform(self) -> bool:
@@ -166,7 +168,7 @@ class EmpiricalMeasure:
     def variance(self, mean: np.ndarray | None = None) -> np.ndarray:
         """Per-axis variance; ``mean``, when the caller holds it, is not recomputed."""
         mu = self.mean() if mean is None else mean
-        return self.weights @ (self.points - mu) ** 2
+        return self.weights @ (self.points - mu[..., None, :]) ** 2
 
 
 class GridDensity:

@@ -1,9 +1,11 @@
 """Euler-Maruyama simulation of the N-player game and its mean-field limit.
 
 The integrator is weak order 1 with a fixed step, matching the O(dt) accuracy
-of the control derivation. The step is built once per run; coupling measures
-are rebuilt every step on its shared uniform weights. All noise for a step is
-drawn in one block per population, in particle order, before any update runs.
+of the control derivation. The step is built once per run, or once per stack
+of runs that share a particle count, and moves the positions in place;
+coupling measures are rebuilt every step on its shared uniform weights. A
+step's noise is the next values of its run's stream, one block per population
+in particle order, taken before any update runs.
 
 The leave-one-out coupling evaluates each ingredient against every player's
 own exclusion measure. Ingredients that declare a pairwise kernel get this
@@ -104,15 +106,15 @@ def _reflect(positions: np.ndarray, floors) -> np.ndarray:
     for k, lo in enumerate(floors):
         if lo is None:
             continue
-        col = positions[:, k]
+        col = positions[..., k]
         below = col < lo
         if np.any(below):
-            positions[:, k] = np.where(below, 2.0 * lo - col, col)
+            positions[..., k] = np.where(below, 2.0 * lo - col, col)
     return positions
 
 
 def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarray:
-    """``fn(x_i, m^{-i})`` for every particle i of population ``pop``, shape (N, d).
+    """``fn(x_i, m^{-i})`` for every particle i of population ``pop``, shape (..., N, d).
 
     ``m^{-i}`` replaces population ``pop``'s measure by the uniform measure on
     its other N - 1 particles; other populations keep their full measures.
@@ -121,34 +123,41 @@ def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarra
     exact algebra on the full measure,
     ``fn(x_i, m^{-i}) = (N fn(x_i, m) - pair(x_i, x_i)) / (N - 1)``, so ``fn``
     runs once on all particles. Otherwise each particle is evaluated against
-    its own leave-one-out measure.
+    its own leave-one-out measure, run by run when leading axes stack runs.
     """
-    n = pts.shape[0]
+    n = pts.shape[-2]
     # a single particle falls through to leave_one_out, which rejects it
     if pair is not None and len(views) == 1 and n > 1:
         full = fn(pts, views[0])
         diag = _check_finite(pair(pts, pts), "pairwise kernel", "self-interaction")
         return (n * full - diag) / (n - 1)
     out = np.empty_like(pts)
-    for i in range(n):
-        vi = tuple(leave_one_out(v, i) if p == pop else v for p, v in enumerate(views))
-        try:
-            out[i] = fn(pts[i], coupling_measure(vi))
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"{exc} (particle {i})") from exc
+    for r in np.ndindex(pts.shape[:-2]):
+        run = tuple(EmpiricalMeasure(v.points[r], v.weights, checked=True) for v in views)
+        for i in range(n):
+            vi = tuple(leave_one_out(v, i) if p == pop else v for p, v in enumerate(run))
+            try:
+                out[r + (i,)] = fn(pts[r + (i,)], coupling_measure(vi))
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} (particle {i})") from exc
     return out
 
 
 def _particle_step(model: ModelSpec, dt: float, coupling: str, n_particles: int):
-    """The Euler-Maruyama step of one run, ``step(state, rng) -> state``.
+    """The Euler-Maruyama step ``step(positions, t, noises)`` of one run or of a stack of runs.
 
-    X += b dt + sigma(t, X) sqrt(dt) xi, with b = ``brs_drift(..., window=dt)``
+    Each population's positions, shape (N, d) or (runs, N, d), move in place
+    by X += b dt + sigma(t, X) sqrt(dt) xi. Every b and sigma is taken at
+    time t before any population moves; b's own array then holds b dt and
+    sigma sqrt(dt) xi in turn, so the update allocates no array of the
+    positions' size. b = ``brs_drift(..., window=dt)``
     against the full empirical measure, or per player against its
     leave-one-out measure, through b's pairwise kernel
     kf - mask * (kh + kg/T) / (alpha + dt * alpha_dot) when f, h and g all
-    declare theirs. Built once: one read-only uniform weight vector for
-    ``n_particles`` particles, the kernels, and sigma sqrt(dt) of a
-    declared-constant diffusion. Errors of non-finite values name the population.
+    declare theirs; a zero f or g and an all-ones mask are skipped, as in
+    ``brs_drift``. Built once: one read-only uniform weight vector, the
+    kernels, and sigma sqrt(dt) of a declared-constant diffusion. Errors of
+    non-finite values name the population.
     """
     sqrt_dt = np.sqrt(dt)
     weights = _frozen(np.full(n_particles, 1.0 / n_particles))
@@ -158,23 +167,23 @@ def _particle_step(model: ModelSpec, dt: float, coupling: str, n_particles: int)
         kf, kh, kg = p.drift.pair_value, p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
         if kf is None or kh is None or kg is None:
             return None
-        mask, zero_f = model.mask(pop), is_zero(p.drift)
+        mask = None if p.control_mask is None else model.mask(pop)
+        zero_f, zero_g = is_zero(p.drift), is_zero(p.terminal_cost)
 
-        def pair(t, x, y):  # a zero f is skipped, as in brs_drift
-            ku = mask * (kh(x, y) + kg(x, y) / model.T) / p.penalty.at(t, dt)
+        def pair(t, x, y):
+            k = kh(x, y) if zero_g else kh(x, y) + kg(x, y) / model.T
+            ku = (k if mask is None else mask * k) / p.penalty.at(t, dt)
             return -ku if zero_f else kf(x, y) - ku
 
         return pair
 
     kernels = [kernel(pop, p) for pop, p in enumerate(model.populations)]
 
-    def step(state: EnsembleState, rng) -> EnsembleState:
-        t = state.t
-        views = tuple(EmpiricalMeasure(p, weights, checked=True) for p in state.positions)
-        noises = [rng.standard_normal(p.shape) for p in state.positions]
-        new_positions = []
+    def step(positions, t: float, noises) -> None:
+        views = tuple(EmpiricalMeasure(p, weights, checked=True) for p in positions)
+        moves = []
         for pop, pmod in enumerate(model.populations):
-            pts = state.positions[pop]
+            pts = positions[pop]
             try:
                 if coupling == "full_empirical":
                     total = brs_drift(model, pop, t, pts, coupling_measure(views), dt)
@@ -188,12 +197,16 @@ def _particle_step(model: ModelSpec, dt: float, coupling: str, n_particles: int)
             if scale is None:
                 sig = pmod.diffusion.value(t, pts)
                 scale = _check_finite(sig, "diffusion sigma", f"step pop {pop}") * sqrt_dt
-            new = pts + total * dt + scale * noises[pop]
-            if not np.isfinite(new).all():
-                bad = int(np.argwhere(~np.isfinite(new).all(axis=1))[0, 0])
+            # a fresh array of b, unless an ingredient's value broadcasts to the positions
+            moves.append((total if total.shape == pts.shape else np.array(np.broadcast_to(total, pts.shape)), scale))
+        for pop, (pts, (buf, scale), noise) in enumerate(zip(positions, moves, noises)):
+            # the bits of pts + b * dt + scale * noise
+            pts += np.multiply(buf, dt, out=buf)
+            pts += np.multiply(scale, noise, out=buf)
+            if not np.isfinite(pts).all():
+                bad = int(np.argwhere(~np.isfinite(pts).all(axis=-1))[0, -1])
                 raise FloatingPointError(f"non-finite update for pop {pop} particle {bad}")
-            new_positions.append(_reflect(new, pmod.reflect_lower))
-        return EnsembleState(positions=tuple(new_positions), t=t + dt, seed=state.seed)
+            _reflect(pts, model.populations[pop].reflect_lower)
 
     return step
 
@@ -209,21 +222,6 @@ def _noise_generator(seed: int):
     return default_rng(SeedSequence(seed).spawn(1)[0])
 
 
-def _run(model: ModelSpec, cfg: SimConfig, noise) -> TrajectoryRecord:
-    """One run whose steps draw from ``noise.standard_normal(shape)``."""
-    state = initial_state(model, cfg)
-    step = _particle_step(model, cfg.dt, cfg.coupling, cfg.n_particles)
-    n_steps = cfg.n_steps()
-    times = [state.t]
-    snaps = [state]
-    for k in range(n_steps):
-        state = step(state, noise)
-        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-            times.append(state.t)
-            snaps.append(state)
-    return TrajectoryRecord(times=np.asarray(times), snapshots=snaps)
-
-
 def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig) -> TrajectoryRecord:
     """Simulate the N-player game under the finite-window best reply.
 
@@ -232,51 +230,75 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig) -> TrajectoryRecord:
     measure (the N-player game); ``full_empirical`` uses the whole-cloud
     measure (the interacting-particle approximation of the mean-field
     dynamics). Snapshots are recorded every ``record_every`` steps plus the
-    initial and final state.
+    initial and final state. Each step draws its noise inline, one block
+    per population in population order.
     """
     model.check_window(cfg.dt)
-    return _run(model, cfg, _noise_generator(cfg.seed))
+    state = initial_state(model, cfg)
+    positions = tuple(p.copy() for p in state.positions)
+    step = _particle_step(model, cfg.dt, cfg.coupling, cfg.n_particles)
+    rng, n_steps, t = _noise_generator(cfg.seed), cfg.n_steps(), state.t
+    times, snaps = [t], [state]
+    for k in range(n_steps):
+        step(positions, t, [rng.standard_normal(p.shape) for p in positions])
+        t += cfg.dt
+        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
+            times.append(t)
+            snaps.append(EnsembleState(tuple(p.copy() for p in positions), t, cfg.seed))
+    return TrajectoryRecord(times=np.asarray(times), snapshots=snaps)
 
 
-# a block holds whole steps, at most _BLOCK values (128 KiB) or else one step
+# a block holds at most _BLOCK values (128 KiB) over the seeds of a group. Seeds
+# step together in groups of at most _GROUP values a step, so no array a step
+# allocates passes 128 KiB, from where glibc may map it afresh on every call:
+# on a 2-core host, 8 seeds x 4000 particles in one stack then took 270-430 us
+# a step, against 140-220 us for two stacks of 4
 _BLOCK = 1 << 14
+_GROUP = 1 << 14
 _RING = 3
 
 
 class _NoiseStream:
-    """``standard_normal(shape)`` for a sequence of runs, drawn ahead on one thread.
+    """The noise streams of a group of seeds, drawn ahead on one thread.
 
-    ``runs`` lists (generator, step count, values per step) in run order. The
-    thread fills blocks of whole steps from each generator in turn (numpy
-    draws without the GIL), so every value is the one sequential calls give.
-    A returned view into the ring is valid until the next step's first draw.
-    Leaving the ``with`` block stops and joins the thread; its errors are
-    raised in the caller.
+    Row s of the stream is ``gens[s]``'s sequence of ``total`` standard
+    normals. The thread fills a ring of blocks of (seeds x ``_BLOCK //
+    seeds`` values) with ``standard_normal(out=...)`` (numpy draws without
+    the GIL), so every value is the one sequential draws give. ``window``
+    holds the stream's columns from ``start`` on, in the calling thread's
+    own buffer; ``advance(keep)`` drops the columns before ``keep``, carries
+    the rest (fewer than ``carry``) to the front, appends the next block and
+    hands the block back to the thread. Views into the window are valid
+    until the next ``advance``. Leaving the ``with`` block stops and joins
+    the thread and frees the buffers; the thread's errors are raised in the
+    caller.
     """
 
-    def __init__(self, runs):
+    def __init__(self, gens, total: int, carry: int):
         # imported here: only the study needs it, and other runs' start-up should not pay for it
         from queue import SimpleQueue
 
-        self._runs = [(rng, n_steps, per_step, max(1, _BLOCK // per_step)) for rng, n_steps, per_step in runs]
-        self._ring = [np.empty(max(p * b for _, _, p, b in self._runs)) for _ in range(_RING)]
+        self._gens, self._total = gens, total
+        self._width = max(1, _BLOCK // len(gens))
+        self._ring = [np.empty((len(gens), self._width)) for _ in range(_RING)]
+        self._buffer = np.empty((len(gens), carry + self._width))
         self._free, self._full = SimpleQueue(), SimpleQueue()
         for i in range(_RING):
             self._free.put(i)
-        self._held, self._block, self._pos = None, self._ring[0][:0], 0
+        self.start, self.window = 0, self._buffer[:, :0]
         self._thread = threading.Thread(target=self._produce, daemon=True)
 
     def _produce(self):
         try:
-            for rng, n_steps, per_step, per_block in self._runs:
-                for first in range(0, n_steps, per_block):
-                    i = self._free.get()
-                    if i is None:
-                        return
-                    n = min(per_block, n_steps - first) * per_step
-                    rng.standard_normal(out=self._ring[i][:n])
-                    self._full.put((i, n))
-            raise IndexError("the noise of every run has been taken")
+            for first in range(0, self._total, self._width):
+                i = self._free.get()
+                if i is None:
+                    return
+                n = min(self._width, self._total - first)
+                for gen, row in zip(self._gens, self._ring[i]):
+                    gen.standard_normal(out=row[:n])
+                self._full.put((i, n))
+            raise IndexError("the noise of every seed has been taken")
         except BaseException as exc:
             # the caller raises it; anything not handed over would leave it waiting
             self._full.put(exc)
@@ -288,20 +310,20 @@ class _NoiseStream:
     def __exit__(self, *exc_info):
         self._free.put(None)
         self._thread.join()
+        self._ring = self._buffer = self.window = None
 
-    def standard_normal(self, shape):
-        if self._pos == self._block.size:
-            # the step that took the held block's last values has read them by now
-            if self._held is not None:
-                self._free.put(self._held)
-            item = self._full.get()
-            if isinstance(item, BaseException):
-                raise item
-            self._held, n = item
-            self._block, self._pos = self._ring[self._held][:n], 0
-        start = self._pos
-        self._pos += math.prod(shape)
-        return self._block[start : self._pos].reshape(shape)
+    def advance(self, keep: int) -> None:
+        item = self._full.get()
+        if isinstance(item, BaseException):
+            raise item
+        i, n = item
+        lo = keep - self.start
+        tail = self.window.shape[1] - lo
+        if lo:
+            self._buffer[:, :tail] = self.window[:, lo:]
+        self._buffer[:, tail : tail + n] = self._ring[i][:, :n]
+        self._free.put(i)
+        self.start, self.window = keep, self._buffer[:, : tail + n]
 
 
 @dataclass
@@ -324,14 +346,21 @@ def propagation_of_chaos_study(
     ``reference`` is a density path (anything with ``times`` and a
     ``density(k, pop)`` accessor, e.g. the finite-volume solver's output) that
     must contain the simulation's final time on its own grid of record times.
-    Each run is :func:`simulate_brs_nplayer`'s, whose window is the time step,
-    and must end at ``t_final``: a step count that rounds is rejected. The
-    runs' noise is drawn ahead on one thread, with the same bits. Returns one
+    The model has one population in one dimension. Each run is
+    :func:`simulate_brs_nplayer`'s, bit for bit, whose window is the time
+    step, and must end at ``t_final``: a step count that rounds is rejected.
+    A run's noise is its seed's stream whatever N is, so each seed's stream
+    is drawn once, ahead on one thread, for the largest N, and every N reads
+    a prefix of it. The seeds of one N step as one stack of runs, in groups
+    of at most ``_GROUP`` values a step, so the ingredients must broadcast
+    over a leading run axis of x and of the measure's points. Returns one
     row per N with the mean and standard deviation over seeds.
     """
     if model.d != 1:
         raise ValueError("the W1 study metric is one-dimensional")
-    n_list, seeds = list(n_list), list(seeds)
+    if model.n_populations != 1:
+        raise ValueError(f"the W1 study metric takes one population, the model has {model.n_populations}")
+    n_list, seeds = [int(n) for n in n_list], [int(s) for s in seeds]
     if not n_list or not seeds:
         raise ValueError("the study needs at least one particle count and at least one seed")
     idx = np.nonzero(np.abs(np.asarray(reference.times) - cfg_base.t_final) <= 1e-9)[0]
@@ -341,14 +370,32 @@ def propagation_of_chaos_study(
         )
     ref_density: GridDensity = reference.density(int(idx[0]), 0)
     model.check_window(cfg_base.dt)
-    n_steps = cfg_base.n_steps(exact=True)
-    runs = [replace(cfg_base, n_particles=int(n), seed=int(seed)) for n in n_list for seed in seeds]
-    noise = _NoiseStream([(_noise_generator(c.seed), n_steps, c.n_particles * model.n_populations) for c in runs])
-    with noise:
-        w1 = [wasserstein_1d(_run(model, c, noise).final().empirical(0), ref_density, p=1) for c in runs]
+    n_steps, n_max = cfg_base.n_steps(exact=True), max(n_list)
+    size = max(1, _GROUP // n_max)
+    w1 = np.empty((len(n_list), len(seeds)))
+    for first in range(0, len(seeds), size):
+        group = seeds[first : first + size]
+        runs = [[replace(cfg_base, n_particles=n, seed=s) for s in group] for n in n_list]
+        xs = [np.stack([initial_state(model, c).positions[0] for c in cfgs]) for cfgs in runs]
+        steps = [_particle_step(model, cfg_base.dt, cfg_base.coupling, n) for n in n_list]
+        taken, times = [0] * len(n_list), [0.0] * len(n_list)
+        with _NoiseStream([_noise_generator(s) for s in group], n_steps * n_max, n_max) as noise:
+            while True:
+                for k, (x, n) in enumerate(zip(xs, n_list)):
+                    # one step takes the next n values of every seed's stream
+                    while taken[k] < n_steps and (taken[k] + 1) * n <= noise.start + noise.window.shape[1]:
+                        lo = taken[k] * n - noise.start
+                        steps[k]((x,), times[k], [noise.window[:, lo : lo + n, None]])
+                        taken[k] += 1
+                        times[k] += cfg_base.dt
+                waiting = [j * n for j, n in zip(taken, n_list) if j < n_steps]
+                if not waiting:
+                    break
+                noise.advance(min(waiting))
+        for k, x in enumerate(xs):
+            w1[k, first : first + len(group)] = [wasserstein_1d(EmpiricalMeasure(run), ref_density, p=1) for run in x]
     rows = []
-    for k, n in enumerate(n_list):
-        vals = np.asarray(w1[k * len(seeds) : (k + 1) * len(seeds)])
+    for n, vals in zip(n_list, w1):
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        rows.append(ChaosRow(n_particles=int(n), mean_w1=float(vals.mean()), std_w1=std, values=vals))
+        rows.append(ChaosRow(n_particles=n, mean_w1=float(vals.mean()), std_w1=std, values=vals))
     return rows

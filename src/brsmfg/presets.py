@@ -87,8 +87,8 @@ def mean_coupling_model(
 
     def gradient(x, m):
         x = np.asarray(x, dtype=float)
-        mu = float(m.mean()[0])
-        return strength * (x - mu)
+        mu = m.mean()  # (1,), or one row per run of a stack of runs
+        return strength * (x - (mu if mu.ndim == 1 else mu[:, None]))
 
     def pair_gradient(x, y):
         return strength * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))

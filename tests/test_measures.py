@@ -63,6 +63,19 @@ class TestEmpirical:
             expected = (5 * pts.mean() - pts[i]) / 4
             assert leave_one_out(m, i).mean()[0] == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("n, dim", [(7, 1), (250, 1), (4000, 1), (30, 2)])
+    def test_a_stack_of_runs_gives_each_run_its_own_moments_bit_for_bit(self, n, dim):
+        runs = np.random.default_rng(n).standard_normal((5, n, dim)) * 3.0 + 1.0
+        weights = np.full(n, 1.0 / n)
+        stack = EmpiricalMeasure(runs, weights, checked=True)
+        assert (stack.n, stack.dim) == (n, dim)
+        mean, var = stack.mean(), stack.variance()
+        assert mean.shape == var.shape == (5, dim)
+        for k, run in enumerate(runs):
+            alone = EmpiricalMeasure(run, weights, checked=True)
+            assert mean[k].tobytes() == alone.mean().tobytes()
+            assert var[k].tobytes() == alone.variance().tobytes()
+
     def test_leave_one_out_single_point_errors(self):
         with pytest.raises(ValueError, match="empty leave-one-out"):
             leave_one_out(EmpiricalMeasure(np.array([1.0])), 0)

@@ -42,8 +42,11 @@ def state_of(points):
 
 
 def one_step(model, state, dt, rng, coupling="full_empirical"):
-    """One particle step, built for ``state``'s particle count and taken once."""
-    return particle_sim._particle_step(model, dt, coupling, state.positions[0].shape[0])(state, rng)
+    """One particle step, built for ``state``'s particle count and taken once on a copy of its positions."""
+    positions = tuple(p.copy() for p in state.positions)
+    step = particle_sim._particle_step(model, dt, coupling, positions[0].shape[0])
+    step(positions, state.t, [rng.standard_normal(p.shape) for p in positions])
+    return EnsembleState(positions, state.t + dt, state.seed)
 
 
 class TestEmStep:
@@ -173,7 +176,7 @@ class TestStepOracle:
                 model = without_kernels(model)
             state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), t, 0)
             noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
-            out = particle_sim._particle_step(model, 0.05, coupling, n)(state, FixedNoise(noises))
+            out = one_step(model, state, 0.05, FixedNoise(noises), coupling)
             want = em_step_oracle(model, state, 0.05, noises, coupling)
             for got, ref in zip(out.positions, want):
                 assert np.array_equal(got, ref)
@@ -208,12 +211,13 @@ class TestPerRunStep:
         rng = np.random.default_rng(7)
         state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), 0.0, 0)
         step = particle_sim._particle_step(model, dt, coupling, n)
-        want = state.positions
+        want, positions, t = state.positions, tuple(p.copy() for p in state.positions), state.t
         for _ in range(6):
             noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
-            want = em_step_oracle(model, EnsembleState(want, state.t, 0), dt, noises, coupling)
-            state = step(state, FixedNoise(noises))
-            for got, ref in zip(state.positions, want):
+            want = em_step_oracle(model, EnsembleState(want, t, 0), dt, noises, coupling)
+            step(positions, t, noises)
+            t += dt
+            for got, ref in zip(positions, want):
                 assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("coupling", COUPLINGS)
@@ -265,8 +269,7 @@ class TestPerRunStep:
             assert np.array_equal(limit, brs_drift(model, 0, t, pts, m))
             # the particle step moves by the window drift, in both couplings
             for coupling in COUPLINGS:
-                step = particle_sim._particle_step(model, dt, coupling, 7)
-                out = step(EnsembleState((pts,), t, 0), FixedNoise([np.zeros((7, 2))]))
+                out = one_step(model, EnsembleState((pts,), t, 0), dt, FixedNoise([np.zeros((7, 2))]), coupling)
                 want = em_step_oracle(model, EnsembleState((pts,), t, 0), dt, [np.zeros((7, 2))], coupling)
                 assert np.array_equal(out.positions[0], want[0])
 
@@ -278,9 +281,8 @@ class TestPerRunStep:
         with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
             brs_drift(model, 0, 0.25, pts, EmpiricalMeasure(pts), 0.1)
         for coupling in COUPLINGS:
-            step = particle_sim._particle_step(model, 0.1, coupling, 3)
             with pytest.raises(FloatingPointError, match=f"^{re.escape(message)} in step pop 0$"):
-                step(EnsembleState((pts,), 0.25, 0), np.random.default_rng(0))
+                one_step(model, EnsembleState((pts,), 0.25, 0), 0.1, np.random.default_rng(0), coupling)
         assert brs_drift(model, 0, 0.25, pts, EmpiricalMeasure(pts)).shape == (3, 1)
 
     def test_steps_share_one_read_only_weight_vector(self):
@@ -291,9 +293,9 @@ class TestPerRunStep:
             return np.zeros(np.shape(x))
 
         step = particle_sim._particle_step(scalar_model(f=DriftFunction(value), sigma=0.5), 0.1, "full_empirical", 5)
-        state = state_of(np.linspace(0.0, 1.0, 5))
-        for _ in range(3):
-            state = step(state, np.random.default_rng(0))
+        positions = state_of(np.linspace(0.0, 1.0, 5)).positions
+        for k in range(3):
+            step(positions, 0.1 * k, [np.random.default_rng(k).standard_normal((5, 1))])
         assert seen[0] is seen[1] is seen[2]
         assert not seen[0].flags.writeable
         assert np.array_equal(seen[0], np.full(5, 0.2))
@@ -316,8 +318,7 @@ class TestNamedStepFailures:
         pop0 = step_model(1, 1, 0.0, 0.0, None, False).population(0)
         model = ModelSpec(d=1, T=1.0, populations=(pop0, pop1))
         pts = np.array([[0.1], [0.2], [0.3]])
-        state = EnsembleState((pts, pts.copy()), 0.0, 0)
-        particle_sim._particle_step(model, dt, "full_empirical", 3)(state, np.random.default_rng(0))
+        one_step(model, EnsembleState((pts, pts.copy()), 0.0, 0), dt, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "field, ingredient, message",
@@ -382,9 +383,8 @@ class TestPermutationEquivariance:
         pts = rng.uniform(-5.0, 5.0, (n, 1))
         noise = rng.standard_normal((n, 1))
         perm = rng.permutation(n)
-        step = particle_sim._particle_step(model, 0.1, coupling, n)
-        a = step(EnsembleState((pts,), 0.0, 0), FixedNoise([noise]))
-        b = step(EnsembleState((pts[perm],), 0.0, 0), FixedNoise([noise[perm]]))
+        a = one_step(model, EnsembleState((pts,), 0.0, 0), 0.1, FixedNoise([noise]), coupling)
+        b = one_step(model, EnsembleState((pts[perm],), 0.0, 0), 0.1, FixedNoise([noise[perm]]), coupling)
         # the measure's mean sums the points in another order: a few ulps of |x| <= 5
         np.testing.assert_allclose(b.positions[0], a.positions[0][perm], rtol=0.0, atol=1e-12)
 
@@ -597,7 +597,7 @@ class TestChaosStudy:
         # a time-varying penalty, so the window's dt * alpha_dot term is in the control
         model = scalar_model(h=quadratic_cost(), alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0)
         cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0, record_every=1000)
-        # nine runs, more than the noise stream's ring holds blocks
+        # three seeds, each stepped at three particle counts
         rows = propagation_of_chaos_study(model, cfg, [30, 40, 50], path, seeds=[4, 5, 6])
         assert [row.n_particles for row in rows] == [30, 40, 50]
         for row in rows:
@@ -605,6 +605,50 @@ class TestChaosStudy:
                 run = replace(cfg, n_particles=row.n_particles, seed=seed)
                 emp = simulate_brs_nplayer(model, run).final().empirical(0)
                 assert value == wasserstein_1d(emp, path.final(0), p=1)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n_values=st.lists(st.integers(2, 50), min_size=1, max_size=3, unique=True),
+        n_seeds=st.integers(1, 4),
+        groups=st.integers(1, 2),
+        block=st.integers(1, 200),
+        coupling=st.sampled_from(COUPLINGS),
+        preset=st.sampled_from(["mean_coupling", "closures"]),
+        seed0=st.integers(0, 2**20),
+    )
+    def test_values_are_the_w1_of_independent_runs(
+        self, reference, n_values, n_seeds, groups, block, coupling, preset, seed0
+    ):
+        _, path = reference
+        if preset == "mean_coupling":
+            # a declared pair kernel: leave-one-out takes the kernel algebra
+            model = mean_coupling_model(strength=1.7)
+        else:
+            # no kernel: leave-one-out takes the per-player path; penalty and diffusion are closures of t
+            pop = scalar_model(h=quadratic_cost(), alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0).population(0)
+            model = ModelSpec(d=1, T=1.0, populations=(replace(pop, diffusion=DiffusionFunction(varying_diffusion)),))
+        cfg = SimConfig(dt=0.1, t_final=1.0, n_particles=2, seed=0, coupling=coupling)
+        seeds = [seed0 + k for k in range(n_seeds)]
+        n_max = max(n_values)
+        with pytest.MonkeyPatch.context() as mp:
+            # the seeds fall into `groups` groups, and a block of at most 200 values
+            # makes steps straddle blocks
+            mp.setattr(particle_sim, "_GROUP", n_max * -(-n_seeds // groups))
+            mp.setattr(particle_sim, "_BLOCK", block)
+            rows = propagation_of_chaos_study(model, cfg, n_values, path, seeds)
+        for row, n in zip(rows, n_values):
+            assert row.n_particles == n
+            for seed, value in zip(seeds, row.values):
+                emp = simulate_brs_nplayer(model, replace(cfg, n_particles=n, seed=seed)).final().empirical(0)
+                assert value == wasserstein_1d(emp, path.final(0), p=1), (n, seed)
+
+    def test_a_model_of_two_populations_is_rejected(self, reference):
+        _, path = reference
+        pop = ou_model(T=1.0).population(0)
+        model = ModelSpec(d=1, T=1.0, populations=(pop, pop))
+        cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=10, seed=0)
+        with pytest.raises(ValueError, match="^the W1 study metric takes one population, the model has 2$"):
+            propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[0])
 
     def test_mismatched_time_grid_rejected(self, reference):
         model, path = reference
@@ -632,24 +676,55 @@ class TestChaosStudy:
 
 
 class BrokenGenerator:
-    """Stand-in generator whose every draw fails."""
+    """Stand-in generator whose draws fail after its first ``good`` draws."""
+
+    def __init__(self, good=0, seed=0):
+        self.good, self.rng = good, np.random.default_rng(seed)
 
     def standard_normal(self, out=None):
-        raise RuntimeError("generator failed")
+        if self.good == 0:
+            raise RuntimeError("generator failed")
+        self.good -= 1
+        return self.rng.standard_normal(out=out)
+
+
+class CountingGenerator:
+    """A generator that counts the values it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, out=None):
+        self.drawn += out.size
+        return self.rng.standard_normal(out=out)
+
+
+def windows(stream, sizes, n_steps):
+    """Each step's (consumer, step, values) as the study reads them: consumer k takes ``sizes[k]`` values a step."""
+    taken = [0] * len(sizes)
+    while True:
+        for k, n in enumerate(sizes):
+            while taken[k] < n_steps and (taken[k] + 1) * n <= stream.start + stream.window.shape[1]:
+                lo = taken[k] * n - stream.start
+                yield k, taken[k], stream.window[:, lo : lo + n]
+                taken[k] += 1
+        waiting = [j * n for j, n in zip(taken, sizes) if j < n_steps]
+        if not waiting:
+            return
+        stream.advance(min(waiting))
 
 
 class TestNoiseStream:
-    """The study's noise, drawn ahead on one thread, against sequential draws."""
+    """Each seed's noise stream, drawn ahead on one thread, against sequential draws."""
 
-    # (seed, shapes one step requests, steps): two populations of different
-    # sizes in d = 2 (1024 steps a block, then a partial block), steps of 7000
-    # values (2 a block, then 1), one step above the block size (a block each),
-    # and one population of 4000 (4 a block, then 2)
-    RUNS = [
-        (11, [(5, 2), (3, 2)], 1500),
-        (12, [(7000, 1)], 5),
-        (13, [(20000, 1)], 3),
-        (14, [(4000, 1)], 10),
+    # (seeds, values each consumer takes a step, steps): with 3 seeds a block holds
+    # 5461 values a seed, so steps of 7000 straddle two or three blocks and steps of
+    # 5461 end on block ends; with 1 seed a block holds 16384 values, so 1500 steps
+    # of 10 and 3 share each block; with 2 seeds, 30 000 a step is above a block
+    CASES = [
+        ([11, 12, 13], [1000, 5461, 7000], 6),
+        ([14], [3, 10], 1500),
+        ([15, 16], [20000, 30000], 3),
     ]
 
     # the default switch interval, and a short one that makes the two threads
@@ -657,36 +732,36 @@ class TestNoiseStream:
     @pytest.mark.parametrize("switch_s", [None, 1e-6])
     def test_values_are_the_sequential_draws_bit_for_bit(self, switch_s):
         threads = threading.active_count()
-        stream = particle_sim._NoiseStream(
-            [(np.random.default_rng(seed), n, sum(int(np.prod(s)) for s in shapes)) for seed, shapes, n in self.RUNS]
-        )
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(switch_s or interval)
-            with stream:
-                for seed, shapes, n in self.RUNS:
-                    rng = np.random.default_rng(seed)
-                    for step in range(n):
-                        # a step takes all of its draws before it reads any of them
-                        got = [stream.standard_normal(shape) for shape in shapes]
-                        for shape, values in zip(shapes, got):
-                            want = rng.standard_normal(shape)
-                            assert values.shape == shape
-                            assert values.tobytes() == want.tobytes(), (seed, step, shape)
-                with pytest.raises(IndexError, match="the noise of every run has been taken"):
-                    stream.standard_normal((1,))
+            for seeds, sizes, n_steps in self.CASES:
+                total = n_steps * max(sizes)
+                want = np.stack([np.random.default_rng(seed).standard_normal(total) for seed in seeds])
+                stream = particle_sim._NoiseStream([np.random.default_rng(seed) for seed in seeds], total, max(sizes))
+                seen = []
+                with stream:
+                    for k, step, values in windows(stream, sizes, n_steps):
+                        n = sizes[k]
+                        assert values.tobytes() == want[:, step * n : (step + 1) * n].tobytes(), (seeds, k, step)
+                        seen.append((k, step))
+                    with pytest.raises(IndexError, match="the noise of every seed has been taken"):
+                        stream.advance(stream.start + stream.window.shape[1])
+                assert sorted(seen) == [(k, step) for k in range(len(sizes)) for step in range(n_steps)]
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
 
     def test_producer_error_is_raised_in_the_caller(self):
         threads = threading.active_count()
-        stream = particle_sim._NoiseStream([(np.random.default_rng(0), 2, 3), (BrokenGenerator(), 2, 3)])
+        # the second seed's second block fails: the first block's steps are read, then the error
+        stream = particle_sim._NoiseStream([np.random.default_rng(0), BrokenGenerator(good=1)], 5 * 8192, 5)
+        steps = []
         with stream:
-            for _ in range(2):
-                stream.standard_normal((3,))
             with pytest.raises(RuntimeError, match="^generator failed$"):
-                stream.standard_normal((3,))
+                for _, step, _ in windows(stream, [5], 8192):
+                    steps.append(step)
+        assert len(steps) == 8192 // 5
         assert threading.active_count() == threads
 
     def test_a_failing_generator_fails_the_study(self, reference, monkeypatch):
@@ -705,8 +780,8 @@ class TestNoiseStream:
         calls = []
 
         def value(x, m):
-            calls.append(1)
-            if len(calls) == 30:  # the second run's tenth step
+            calls.append(x.shape)
+            if len(calls) == 30:  # the N = 20 stack's tenth step, after the N = 10 stack's 20
                 raise FloatingPointError("drift failed")
             return np.zeros_like(x)
 
@@ -716,26 +791,41 @@ class TestNoiseStream:
         # the step adds the population to the run's own error
         with pytest.raises(FloatingPointError, match="^drift failed in step pop 0$"):
             propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4, 5])
-        assert len(calls) == 30
+        # one call a step for both seeds of an N
+        assert calls == [(2, 10, 1)] * 20 + [(2, 20, 1)] * 10
         assert threading.active_count() == threads
 
-    def test_an_interrupt_stops_the_thread(self, reference, monkeypatch):
-        model, path = reference
-        w1 = particle_sim.wasserstein_1d
+    def interrupted_study(self, path, monkeypatch, where):
+        """A study interrupted on the second call of the drift or of W1; the calls made."""
         calls = []
 
-        def interrupted(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-            return w1(*args, **kwargs)
+        def interrupt_on_second_call(fn):
+            def interrupted(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(particle_sim, "wasserstein_1d", interrupted)
+            return interrupted
+
+        drift = DriftFunction(lambda x, m: np.zeros_like(x))
+        if where == "drift":
+            drift = DriftFunction(interrupt_on_second_call(drift.value))
+        else:
+            monkeypatch.setattr(particle_sim, "wasserstein_1d", interrupt_on_second_call(particle_sim.wasserstein_1d))
+        model = scalar_model(h=quadratic_cost(), f=drift)
         cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4, 5])
         assert threading.active_count() == threads
+        return calls
+
+    def test_an_interrupt_stops_the_thread(self, reference, monkeypatch):
+        assert len(self.interrupted_study(reference[1], monkeypatch, "w1")) == 2
+
+    def test_an_interrupt_while_stepping_stops_the_thread(self, reference, monkeypatch):
+        assert len(self.interrupted_study(reference[1], monkeypatch, "drift")) == 2
 
     def test_a_lone_run_starts_no_thread(self, reference, monkeypatch):
         model, path = reference
@@ -749,3 +839,17 @@ class TestNoiseStream:
         # the patch does see the study's thread
         with pytest.raises(AssertionError, match="a thread was started"):
             propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4])
+
+    def test_each_seed_draws_its_stream_once_for_the_largest_n(self, reference, monkeypatch):
+        model, path = reference
+        gens, real = {}, particle_sim._noise_generator
+
+        def counting(seed):
+            gens[seed] = CountingGenerator(real(seed))
+            return gens[seed]
+
+        monkeypatch.setattr(particle_sim, "_noise_generator", counting)
+        cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0)
+        propagation_of_chaos_study(model, cfg, [7, 30, 45], path, seeds=[4, 5, 6])
+        # n_steps * max(N) * populations * d values each
+        assert {seed: g.drawn for seed, g in gens.items()} == {4: 20 * 45, 5: 20 * 45, 6: 20 * 45}
