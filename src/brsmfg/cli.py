@@ -324,16 +324,17 @@ def _picard_config(cfg: RunConfig) -> PicardConfig:
 
 
 def _sim_config(cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int, record_every: int) -> SimConfig:
-    """The ``sim.*`` keys as a particle run."""
-    sim = SimConfig(
-        dt=cfg.float_("sim.dt"),
-        t_final=cfg.auto_float("sim.t_final", model.T),
-        n_particles=n_particles,
-        seed=seed,
-        record_every=record_every,
-        coupling=cfg.str_("sim.coupling"),
-    )
-    model.check_window(sim.dt)
+    """The ``sim.*`` keys as a particle run; a rejected value names its key."""
+    dt, t_final, coupling = cfg.float_("sim.dt"), cfg.auto_float("sim.t_final", model.T), cfg.str_("sim.coupling")
+    try:
+        sim = SimConfig(dt, t_final, n_particles, seed, record_every, coupling)
+    except ValueError as exc:
+        # SimConfig's message opens with the field it rejects
+        raise ConfigError(f"key sim.{str(exc).split()[0]}: {exc}") from exc
+    try:
+        model.check_window(sim.dt)
+    except ValueError as exc:
+        raise ConfigError(f"key sim.dt: {exc}") from exc
     return sim
 
 

@@ -68,12 +68,14 @@ class SimConfig:
     coupling: str = "full_empirical"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0.0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
         if self.n_particles < 2:
-            raise ValueError("need at least two particles")
+            raise ValueError(f"n_particles must be >= 2 (need at least two particles), got {self.n_particles}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.coupling not in COUPLINGS:
@@ -248,13 +250,17 @@ def simulate_brs_nplayer(model: ModelSpec, cfg: SimConfig) -> TrajectoryRecord:
     return TrajectoryRecord(times=np.asarray(times), snapshots=snaps)
 
 
-# a block holds at most _BLOCK values (128 KiB) over the seeds of a group. Seeds
-# step together in groups of at most _GROUP values a step, so no array a step
+# a stack of seeds steps at most _GROUP values a step, so no array a step
 # allocates passes 128 KiB, from where glibc may map it afresh on every call:
 # on a 2-core host, 8 seeds x 4000 particles in one stack then took 270-430 us
-# a step, against 140-220 us for two stacks of 4
-_BLOCK = 1 << 14
+# a step, against 140-220 us for two stacks of 4. A stream serves at most
+# _SEEDS seeds on one thread, drawing at least _DRAW values a seed per call;
+# the caller holds one or two of its _RING slots. In process on that host, the
+# benchmark's study took 0.66 s (median of 12), 0.70 s with 4096-value calls
+# and 0.93-1.13 s with 2 slots
 _GROUP = 1 << 14
+_SEEDS = 8
+_DRAW = 1 << 13
 _RING = 3
 
 
@@ -262,30 +268,30 @@ class _NoiseStream:
     """The noise streams of a group of seeds, drawn ahead on one thread.
 
     Row s of the stream is ``gens[s]``'s sequence of ``total`` standard
-    normals. The thread fills a ring of blocks of (seeds x ``_BLOCK //
-    seeds`` values) with ``standard_normal(out=...)`` (numpy draws without
-    the GIL), so every value is the one sequential draws give. ``window``
-    holds the stream's columns from ``start`` on, in the calling thread's
-    own buffer; ``advance(keep)`` drops the columns before ``keep``, carries
-    the rest (fewer than ``carry``) to the front, appends the next block and
-    hands the block back to the thread. Views into the window are valid
-    until the next ``advance``. Leaving the ``with`` block stops and joins
-    the thread and frees the buffers; the thread's errors are raised in the
-    caller.
+    normals. The thread draws ``width`` columns at a time into a ring of
+    (seeds x ``width``) slots with ``standard_normal(out=...)`` (numpy draws
+    without the GIL), so every value is the one sequential draws give.
+    ``take(rows, lo, n)`` gives columns [lo, lo + n) of ``rows``, of the
+    ``end`` columns received: a view into their slot or, where they straddle
+    two slots (n <= ``width``), a copy in one buffer of ``scratch`` values,
+    valid until the next ``take`` or ``advance``. ``advance(keep)`` hands each
+    slot wholly before column ``keep`` back to the thread and waits for the
+    next. Leaving the ``with`` block stops and joins the thread and frees the
+    buffers; the thread's errors are raised in the caller.
     """
 
-    def __init__(self, gens, total: int, carry: int):
+    def __init__(self, gens, total: int, width: int, scratch: int):
         # imported here: only the study needs it, and other runs' start-up should not pay for it
         from queue import SimpleQueue
 
-        self._gens, self._total = gens, total
-        self._width = max(1, _BLOCK // len(gens))
-        self._ring = [np.empty((len(gens), self._width)) for _ in range(_RING)]
-        self._buffer = np.empty((len(gens), carry + self._width))
+        self._gens, self._total, self._width = gens, total, width
+        self._ring = [np.empty((len(gens), width)) for _ in range(_RING)]
+        self._scratch = np.empty(scratch)
         self._free, self._full = SimpleQueue(), SimpleQueue()
         for i in range(_RING):
             self._free.put(i)
-        self.start, self.window = 0, self._buffer[:, :0]
+        # the ring slot of each chunk of columns the caller holds
+        self.end, self._held = 0, {}
         self._thread = threading.Thread(target=self._produce, daemon=True)
 
     def _produce(self):
@@ -310,20 +316,28 @@ class _NoiseStream:
     def __exit__(self, *exc_info):
         self._free.put(None)
         self._thread.join()
-        self._ring = self._buffer = self.window = None
+        self._ring = self._scratch = self._held = None
+
+    def take(self, rows: slice, lo: int, n: int) -> np.ndarray:
+        chunk, lo = divmod(lo, self._width)
+        first = self._ring[self._held[chunk]][rows]
+        if lo + n <= self._width:
+            return first[:, lo : lo + n]
+        out = self._scratch[: first.shape[0] * n].reshape(-1, n)
+        head = self._width - lo
+        out[:, :head] = first[:, lo:]
+        out[:, head:] = self._ring[self._held[chunk + 1]][rows, : n - head]
+        return out
 
     def advance(self, keep: int) -> None:
+        for chunk in [c for c in self._held if (c + 1) * self._width <= keep]:
+            self._free.put(self._held.pop(chunk))
         item = self._full.get()
         if isinstance(item, BaseException):
             raise item
         i, n = item
-        lo = keep - self.start
-        tail = self.window.shape[1] - lo
-        if lo:
-            self._buffer[:, :tail] = self.window[:, lo:]
-        self._buffer[:, tail : tail + n] = self._ring[i][:, :n]
-        self._free.put(i)
-        self.start, self.window = keep, self._buffer[:, : tail + n]
+        self._held[self.end // self._width] = i
+        self.end += n
 
 
 @dataclass
@@ -350,11 +364,12 @@ def propagation_of_chaos_study(
     :func:`simulate_brs_nplayer`'s, bit for bit, whose window is the time
     step, and must end at ``t_final``: a step count that rounds is rejected.
     A run's noise is its seed's stream whatever N is, so each seed's stream
-    is drawn once, ahead on one thread, for the largest N, and every N reads
-    a prefix of it. The seeds of one N step as one stack of runs, in groups
-    of at most ``_GROUP`` values a step, so the ingredients must broadcast
-    over a leading run axis of x and of the measure's points. Returns one
-    row per N with the mean and standard deviation over seeds.
+    is drawn once, ahead, for the largest N, and every N reads a prefix of
+    it; up to ``_SEEDS`` seeds share one stream and its thread. Each N steps
+    a stream's seeds in stacks of at most ``_GROUP // N`` runs (at least
+    one), so the ingredients must broadcast over a leading run axis of x and
+    of the measure's points. Returns one row per N with the mean and
+    standard deviation over seeds.
     """
     if model.d != 1:
         raise ValueError("the W1 study metric is one-dimensional")
@@ -371,29 +386,33 @@ def propagation_of_chaos_study(
     ref_density: GridDensity = reference.density(int(idx[0]), 0)
     model.check_window(cfg_base.dt)
     n_steps, n_max = cfg_base.n_steps(exact=True), max(n_list)
-    size = max(1, _GROUP // n_max)
+    steps = [_particle_step(model, cfg_base.dt, cfg_base.coupling, n) for n in n_list]
     w1 = np.empty((len(n_list), len(seeds)))
-    for first in range(0, len(seeds), size):
-        group = seeds[first : first + size]
-        runs = [[replace(cfg_base, n_particles=n, seed=s) for s in group] for n in n_list]
-        xs = [np.stack([initial_state(model, c).positions[0] for c in cfgs]) for cfgs in runs]
-        steps = [_particle_step(model, cfg_base.dt, cfg_base.coupling, n) for n in n_list]
-        taken, times = [0] * len(n_list), [0.0] * len(n_list)
-        with _NoiseStream([_noise_generator(s) for s in group], n_steps * n_max, n_max) as noise:
+    for first in range(0, len(seeds), _SEEDS):
+        group = seeds[first : first + _SEEDS]
+        # (index of N, N, rows of the group, positions): each N steps at most _GROUP // N seeds a stack
+        stacks = []
+        for k, n in enumerate(n_list):
+            size = max(1, _GROUP // n)
+            for lo in range(0, len(group), size):
+                cfgs = [replace(cfg_base, n_particles=n, seed=s) for s in group[lo : lo + size]]
+                stacks.append((k, n, slice(lo, lo + size), np.stack([initial_state(model, c).positions[0] for c in cfgs])))
+        taken, times = [0] * len(stacks), [0.0] * len(stacks)
+        gens = [_noise_generator(s) for s in group]
+        with _NoiseStream(gens, n_steps * n_max, max(_DRAW, n_max), max(x.size for *_, x in stacks)) as noise:
             while True:
-                for k, (x, n) in enumerate(zip(xs, n_list)):
-                    # one step takes the next n values of every seed's stream
-                    while taken[k] < n_steps and (taken[k] + 1) * n <= noise.start + noise.window.shape[1]:
-                        lo = taken[k] * n - noise.start
-                        steps[k]((x,), times[k], [noise.window[:, lo : lo + n, None]])
-                        taken[k] += 1
-                        times[k] += cfg_base.dt
-                waiting = [j * n for j, n in zip(taken, n_list) if j < n_steps]
+                for j, (k, n, rows, x) in enumerate(stacks):
+                    # one step takes the next n values of each of the stack's streams
+                    while taken[j] < n_steps and (taken[j] + 1) * n <= noise.end:
+                        steps[k]((x,), times[j], [noise.take(rows, taken[j] * n, n)[..., None]])
+                        taken[j] += 1
+                        times[j] += cfg_base.dt
+                waiting = [i * n for i, (_, n, _, _) in zip(taken, stacks) if i < n_steps]
                 if not waiting:
                     break
                 noise.advance(min(waiting))
-        for k, x in enumerate(xs):
-            w1[k, first : first + len(group)] = [wasserstein_1d(EmpiricalMeasure(run), ref_density, p=1) for run in x]
+        for k, _, rows, x in stacks:
+            w1[k, first : first + len(group)][rows] = [wasserstein_1d(EmpiricalMeasure(run), ref_density, p=1) for run in x]
     rows = []
     for n, vals in zip(n_list, w1):
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0

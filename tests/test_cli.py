@@ -132,6 +132,25 @@ class TestConfig:
             ("wealth", "wealth.y_std=-1", "y_std must be nonnegative and finite, got -1.0"),
         ]
         + [
+            # before, numpy's seeding raised from inside the run: a traceback, exit 1
+            ("simulate", "sim.seed=-1", "key sim.seed: seed must be a non-negative integer, got -1"),
+            ("simulate", "sim.record_every=0", "key sim.record_every: record_every must be >= 1"),
+            ("simulate", "sim.coupling=bogus", "key sim.coupling: coupling must be one of"),
+            ("simulate", "sim.n_particles=1", "key sim.n_particles: n_particles must be >= 2"),
+        ]
+        # a time step that is not positive and finite, or wider than the horizon, names sim.dt
+        + [
+            (subcommand, f"sim.dt={dt}", f"key sim.dt: {message}")
+            for subcommand in ("simulate", "chaos-study")
+            for dt, message in (
+                ("0", "dt must be positive and finite, got 0.0"),
+                ("-1", "dt must be positive and finite, got -1.0"),
+                ("nan", "dt must be positive and finite, got nan"),
+                ("inf", "dt must be positive and finite, got inf"),
+                ("10", "MPC window dt=10.0 must lie in (0, T="),
+            )
+        ]
+        + [
             ("crowd", f"{key}={pair}", f"key {key}: expected two comma-separated finite numbers")
             for key in ("crowd.target1", "crowd.target2", "crowd.center1", "crowd.center2")
             for pair in ("nan,0", "0,inf", "-inf,0.5")

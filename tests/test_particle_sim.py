@@ -4,6 +4,7 @@ import itertools
 import re
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -460,6 +461,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="t_final must be positive and finite"):
             SimConfig(dt=0.01, t_final=t_final, n_particles=4, seed=0)
 
+    @pytest.mark.parametrize("dt, shown", [(0.0, "0.0"), (-1.0, "-1.0"), (np.inf, "inf"), (np.nan, "nan")])
+    def test_dt_must_be_positive_and_finite(self, dt, shown):
+        # NaN used to pass the check and fail later, converting t_final/dt to a step count
+        with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {shown}$"):
+            SimConfig(dt=dt, t_final=1.0, n_particles=4, seed=0)
+
     def test_record_times_strictly_increasing_and_state_consistent(self):
         model = ou_model(T=1.0)
         cfg = SimConfig(dt=0.01, t_final=1.0, n_particles=16, seed=0, record_every=7)
@@ -610,14 +617,15 @@ class TestChaosStudy:
     @given(
         n_values=st.lists(st.integers(2, 50), min_size=1, max_size=3, unique=True),
         n_seeds=st.integers(1, 4),
-        groups=st.integers(1, 2),
-        block=st.integers(1, 200),
+        streams=st.integers(1, 2),
+        stacks=st.integers(1, 2),
+        draw=st.integers(1, 200),
         coupling=st.sampled_from(COUPLINGS),
         preset=st.sampled_from(["mean_coupling", "closures"]),
         seed0=st.integers(0, 2**20),
     )
     def test_values_are_the_w1_of_independent_runs(
-        self, reference, n_values, n_seeds, groups, block, coupling, preset, seed0
+        self, reference, n_values, n_seeds, streams, stacks, draw, coupling, preset, seed0
     ):
         _, path = reference
         if preset == "mean_coupling":
@@ -631,10 +639,12 @@ class TestChaosStudy:
         seeds = [seed0 + k for k in range(n_seeds)]
         n_max = max(n_values)
         with pytest.MonkeyPatch.context() as mp:
-            # the seeds fall into `groups` groups, and a block of at most 200 values
-            # makes steps straddle blocks
-            mp.setattr(particle_sim, "_GROUP", n_max * -(-n_seeds // groups))
-            mp.setattr(particle_sim, "_BLOCK", block)
+            # the seeds fall into `streams` streams, the largest N steps a stream's seeds
+            # in `stacks` stacks, and slots of max(draw, N) values make steps straddle slots
+            per_stream = -(-n_seeds // streams)
+            mp.setattr(particle_sim, "_SEEDS", per_stream)
+            mp.setattr(particle_sim, "_GROUP", n_max * -(-per_stream // stacks))
+            mp.setattr(particle_sim, "_DRAW", draw)
             rows = propagation_of_chaos_study(model, cfg, n_values, path, seeds)
         for row, n in zip(rows, n_values):
             assert row.n_particles == n
@@ -699,67 +709,85 @@ class CountingGenerator:
         return self.rng.standard_normal(out=out)
 
 
-def windows(stream, sizes, n_steps):
-    """Each step's (consumer, step, values) as the study reads them: consumer k takes ``sizes[k]`` values a step."""
-    taken = [0] * len(sizes)
+def windows(stream, consumers, n_steps, before_advance=lambda: None):
+    """Each step's (consumer, step, values) as the study reads them: consumer k is (rows, n), n values of each row a step."""
+    taken = [0] * len(consumers)
     while True:
-        for k, n in enumerate(sizes):
-            while taken[k] < n_steps and (taken[k] + 1) * n <= stream.start + stream.window.shape[1]:
-                lo = taken[k] * n - stream.start
-                yield k, taken[k], stream.window[:, lo : lo + n]
+        for k, (rows, n) in enumerate(consumers):
+            while taken[k] < n_steps and (taken[k] + 1) * n <= stream.end:
+                yield k, taken[k], stream.take(rows, taken[k] * n, n)
                 taken[k] += 1
-        waiting = [j * n for j, n in zip(taken, sizes) if j < n_steps]
+        waiting = [j * n for j, (_, n) in zip(taken, consumers) if j < n_steps]
         if not waiting:
             return
+        before_advance()
         stream.advance(min(waiting))
 
 
 class TestNoiseStream:
     """Each seed's noise stream, drawn ahead on one thread, against sequential draws."""
 
-    # (seeds, values each consumer takes a step, steps): with 3 seeds a block holds
-    # 5461 values a seed, so steps of 7000 straddle two or three blocks and steps of
-    # 5461 end on block ends; with 1 seed a block holds 16384 values, so 1500 steps
-    # of 10 and 3 share each block; with 2 seeds, 30 000 a step is above a block
+    ALL = slice(None)
+    # (seeds, consumers as (rows, values a step), slot width, steps): with a slot of
+    # 8192 values a seed, steps of 1000 and 7000 straddle slots and steps of 4096 end
+    # on slot ends, read by stacks of two seeds and of one; with 1 seed, 1500 steps of
+    # 3 and 10 share each slot and straddle it; with 2 seeds and slots of the largest
+    # step, 30 000, steps of 20 000 straddle every other slot end
     CASES = [
-        ([11, 12, 13], [1000, 5461, 7000], 6),
-        ([14], [3, 10], 1500),
-        ([15, 16], [20000, 30000], 3),
+        ([11, 12, 13], [(ALL, 1000), (slice(0, 2), 4096), (slice(2, 3), 4096), (ALL, 7000)], 8192, 6),
+        ([14], [(ALL, 3), (ALL, 10)], 8192, 1500),
+        ([15, 16], [(slice(0, 1), 20000), (slice(1, 2), 20000), (ALL, 30000)], 30000, 3),
     ]
 
     # the default switch interval, and a short one that makes the two threads
-    # interleave often, so a block handed back too early would be overwritten
+    # interleave often, so a slot handed back too early would be overwritten
     @pytest.mark.parametrize("switch_s", [None, 1e-6])
     def test_values_are_the_sequential_draws_bit_for_bit(self, switch_s):
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(switch_s or interval)
-            for seeds, sizes, n_steps in self.CASES:
-                total = n_steps * max(sizes)
+            for seeds, consumers, width, n_steps in self.CASES:
+                total = n_steps * max(n for _, n in consumers)
                 want = np.stack([np.random.default_rng(seed).standard_normal(total) for seed in seeds])
-                stream = particle_sim._NoiseStream([np.random.default_rng(seed) for seed in seeds], total, max(sizes))
-                seen = []
+                scratch = max(len(range(len(seeds))[rows]) * n for rows, n in consumers)
+                stream = particle_sim._NoiseStream([np.random.default_rng(seed) for seed in seeds], total, width, scratch)
+                seen, in_place = [], []
+
+                def still_held():
+                    # the views read in place since the last advance stay valid until it:
+                    # the thread has had time to overwrite any slot handed back early
+                    time.sleep(1e-3)
+                    for values, wanted in in_place:
+                        assert values.tobytes() == wanted.tobytes()
+                    in_place.clear()
+
                 with stream:
-                    for k, step, values in windows(stream, sizes, n_steps):
-                        n = sizes[k]
-                        assert values.tobytes() == want[:, step * n : (step + 1) * n].tobytes(), (seeds, k, step)
+                    for k, step, values in windows(stream, consumers, n_steps, still_held):
+                        rows, n = consumers[k]
+                        wanted = want[rows, step * n : (step + 1) * n]
+                        assert values.tobytes() == wanted.tobytes(), (seeds, k, step)
+                        # read in place, unless the step straddles two slots
+                        straddles = step * n // width != ((step + 1) * n - 1) // width
+                        assert np.shares_memory(values, stream._scratch) == straddles, (seeds, k, step)
+                        if not straddles:
+                            in_place.append((values, wanted))
                         seen.append((k, step))
                     with pytest.raises(IndexError, match="the noise of every seed has been taken"):
-                        stream.advance(stream.start + stream.window.shape[1])
-                assert sorted(seen) == [(k, step) for k in range(len(sizes)) for step in range(n_steps)]
+                        stream.advance(stream.end)
+                assert sorted(seen) == [(k, step) for k in range(len(consumers)) for step in range(n_steps)]
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
 
     def test_producer_error_is_raised_in_the_caller(self):
         threads = threading.active_count()
-        # the second seed's second block fails: the first block's steps are read, then the error
-        stream = particle_sim._NoiseStream([np.random.default_rng(0), BrokenGenerator(good=1)], 5 * 8192, 5)
+        # the second seed's second slot fails: the first slot's steps are read, then the error
+        stream = particle_sim._NoiseStream([np.random.default_rng(0), BrokenGenerator(good=1)], 5 * 8192, 8192, 10)
         steps = []
         with stream:
             with pytest.raises(RuntimeError, match="^generator failed$"):
-                for _, step, _ in windows(stream, [5], 8192):
+                for _, step, _ in windows(stream, [(self.ALL, 5)], 8192):
                     steps.append(step)
         assert len(steps) == 8192 // 5
         assert threading.active_count() == threads
@@ -839,6 +867,44 @@ class TestNoiseStream:
         # the patch does see the study's thread
         with pytest.raises(AssertionError, match="a thread was started"):
             propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[4])
+
+    def test_chaos_full_steps_eight_seeds_in_four_stacks(self, reference, monkeypatch):
+        model, path = reference
+        shapes, real = [], particle_sim._particle_step
+
+        def recorded(*args):
+            step = real(*args)
+
+            def record(positions, t, noises):
+                assert noises[0].shape == positions[0].shape
+                shapes.append(positions[0].shape)
+                step(positions, t, noises)
+
+            return record
+
+        monkeypatch.setattr(particle_sim, "_particle_step", recorded)
+        # the benchmark's shape: 1000 steps of 8 seeds at N = 250, 1000 and 4000
+        cfg = SimConfig(dt=0.001, t_final=1.0, n_particles=2, seed=0)
+        propagation_of_chaos_study(model, cfg, [250, 1000, 4000], path, seeds=range(8))
+        counts = {shape: shapes.count(shape) for shape in set(shapes)}
+        assert counts == {(8, 250, 1): 1000, (8, 1000, 1): 1000, (4, 4000, 1): 2000}
+
+    def test_twenty_seeds_start_three_threads_one_after_another(self, reference, monkeypatch):
+        model, path = reference
+        started, alive = [], []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                alive.append(sum(t.is_alive() for t in started))
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        cfg = SimConfig(dt=0.05, t_final=1.0, n_particles=2, seed=0)
+        propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=range(20))
+        # streams of 8, 8 and 4 seeds, each thread joined before the next starts
+        assert len(started) == 3 and alive == [0, 0, 0]
+        assert not any(t.is_alive() for t in started)
 
     def test_each_seed_draws_its_stream_once_for_the_largest_n(self, reference, monkeypatch):
         model, path = reference
