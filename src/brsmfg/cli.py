@@ -2,20 +2,24 @@
 
 Every solver and study is exposed as a subcommand reading a flat ``key=value``
 config file (dotted prefixes act as sections) plus repeatable ``--set``
-overrides. Each run writes ``manifest.txt`` (the fully resolved config, itself
-a valid config file for byte-identical re-runs), ``report.txt`` with headline
-metrics, and the data CSVs of the module interfaces. All numeric output uses
-17 significant digits and no timestamps, so identical configs produce
-identical bytes. Runs are headless and offline.
+overrides. Each key is one row of its subcommand's table, and every value is
+checked against its row before a run starts. Each run writes ``manifest.txt``
+(the fully resolved config, itself a valid config file for byte-identical
+re-runs), ``report.txt`` with headline metrics, and the data CSVs of the
+module interfaces. All numeric output uses 17 significant digits and no
+timestamps, so identical configs produce identical bytes. Runs are headless
+and offline.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import operator
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -23,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
-from .fokker_planck import MIN_CELLS, FpkConfig, NumericalError, solve_fpk
+from .fokker_planck import BOUNDARIES, MIN_CELLS, FpkConfig, NumericalError, solve_fpk
 from .measures import Grid, format_float, format_value, moments, write_csv, write_empirical_csv
 from .mfg import PicardConfig, compare_brs_mfg, mpc_reduction_check, solve_mfg_picard
 from .model import ModelSpec, coupling_measure
-from .particle_sim import SimConfig, propagation_of_chaos_study, simulate_brs_nplayer
+from .particle_sim import COUPLINGS, SimConfig, propagation_of_chaos_study, simulate_brs_nplayer
 from .presets import lq_model, mean_coupling_model, ou_model
 
 __all__ = ["ConfigError", "RunConfig", "run", "main"]
@@ -39,125 +43,172 @@ class ConfigError(Exception):
     """Bad config file, unknown key, or unusable value."""
 
 
+# each kind of value, as a rejection names it; ``choice`` lists its words and ``path`` takes any text
+_KINDS = {
+    "number": "a finite number",
+    "integer": "an integer",
+    "auto": "auto or a finite number",
+    "numbers": "at least two comma-separated finite numbers",
+    "integers": "at least two comma-separated integers",
+    "pair": "two comma-separated finite numbers",
+}
+# the comparisons of the fields above, at_least and at_most, in that order
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default text, its kind, and the bound its value meets.
+
+    Numbers are finite. ``above``, ``at_least`` and ``at_most`` bound a number
+    or each entry of a list; ``order`` asks a list to increase (1) or decrease
+    (-1) strictly.
+    """
+
+    default: str
+    kind: str = "number"
+    above: float | None = None
+    at_least: float | None = None
+    at_most: float | None = None
+    order: int = 0
+    choices: tuple[str, ...] = ()
+
+    def parse(self, key: str, text: str):
+        """The value of ``text``; one that does not parse or misses the bound is a config error naming ``key``.
+
+        Numbers parse with ``float`` and integers with ``int``; a list skips empty tokens.
+        """
+        if self.kind == "path" or text in self.choices:
+            return text
+        if self.kind == "auto" and text.strip().lower() == "auto":
+            return None
+        scalar = int if self.kind in ("integer", "integers") else float
+        many = self.kind in ("numbers", "integers", "pair")
+        try:
+            entries = [scalar(tok) for tok in text.split(",") if tok.strip()] if many else [scalar(text)]
+        except ValueError:
+            entries = []
+        bounds = [(op, b) for op, b in zip(_BOUNDS, (self.above, self.at_least, self.at_most)) if b is not None]
+        # a list takes at least two entries, a pair exactly two
+        if (
+            self.kind != "choice"
+            and (len(entries) == 2 if self.kind == "pair" else len(entries) >= 1 + many)
+            and all((scalar is int or math.isfinite(v)) and all(_BOUNDS[op](v, b) for op, b in bounds) for v in entries)
+            and not (self.order and min(self.order * (b - a) for a, b in zip(entries, entries[1:])) <= 0)
+        ):
+            return tuple(entries) if self.kind == "pair" else entries if many else entries[0]
+        kind = "one of " + ", ".join(self.choices) if self.kind == "choice" else _KINDS[self.kind]
+        expected = kind + " and".join(f" {op} {b:g}" for op, b in bounds)
+        if self.order:
+            expected += ", strictly increasing" if self.order > 0 else ", strictly decreasing"
+        raise ConfigError(f"key {key}: expected {expected}, got {text!r}")
+
+
+# one row per key; each bound is the one its config object or builder sets
 _MODEL = {
-    "model.preset": "ou",
-    "model.T": "auto",
-    "model.sigma": "1.0",
-    "model.alpha": "1.0",
-    "model.init_var": "0.25",
-    "model.coupling_strength": "1.0",
+    "model.preset": Key("ou", "choice", choices=("ou", "lq", "mean_coupling")),
+    "model.T": Key("auto", "auto", above=0),
+    "model.sigma": Key("1.0", at_least=0),
+    "model.alpha": Key("1.0", above=0),
+    "model.init_var": Key("0.25", above=0),
+    "model.coupling_strength": Key("1.0"),
 }
 
 _RUN = {
     # changes nothing; kept because the benchmark harness passes run.workers=1
-    "run.workers": "1",
-    "run.out": "",
+    "run.workers": Key("1", "integer", at_least=1),
+    "run.out": Key("", "path"),
 }
 
 _WEALTH_MODEL = {
-    "wealth.kappa": "0.05",
-    "wealth.psi_width": "1.0",
-    "wealth.z_min": "1e-6",
-    "wealth.y_std": "1.0",
-    "wealth.z_log_mean": "0.0",
-    "wealth.z_log_std": "0.3",
+    "wealth.kappa": Key("0.05", above=0),
+    "wealth.psi_width": Key("1.0", above=0),
+    "wealth.z_min": Key("1e-6", above=0),
+    "wealth.y_std": Key("1.0", at_least=0),
+    "wealth.z_log_mean": Key("0.0"),
+    "wealth.z_log_std": Key("0.3", at_least=0),
 }
 
 _CROWD_MODEL = {
-    "crowd.lam": "1.0",
-    "crowd.sigma": "0.2",
-    "crowd.psi_weight": "1.0",
-    "crowd.xmin": "-2.0",
-    "crowd.xmax": "2.0",
-    "crowd.ymin": "-2.0",
-    "crowd.ymax": "2.0",
-    "crowd.center1": "-0.5,0.0",
-    "crowd.center2": "0.5,0.0",
-    "crowd.target1": "1.0,0.0",
-    "crowd.target2": "-1.0,0.0",
-    "crowd.ic_std": "0.5",
+    "crowd.lam": Key("1.0", at_least=0),
+    "crowd.sigma": Key("0.2", at_least=0),
+    "crowd.psi_weight": Key("1.0"),
+    "crowd.xmin": Key("-2.0"),
+    "crowd.xmax": Key("2.0"),
+    "crowd.ymin": Key("-2.0"),
+    "crowd.ymax": Key("2.0"),
+    "crowd.center1": Key("-0.5,0.0", "pair"),
+    "crowd.center2": Key("0.5,0.0", "pair"),
+    "crowd.target1": Key("1.0,0.0", "pair"),
+    "crowd.target2": Key("-1.0,0.0", "pair"),
+    "crowd.ic_std": Key("0.5", at_least=0),
 }
 
 _SIM = {
-    "sim.dt": "0.001",
-    "sim.t_final": "auto",
-    "sim.coupling": "full_empirical",
+    "sim.dt": Key("0.001", above=0),
+    "sim.t_final": Key("auto", "auto", above=0),
+    "sim.coupling": Key("full_empirical", "choice", choices=COUPLINGS),
+}
+
+# a particle run takes every preset, and the KDE bandwidth of the crowd cost on particles
+_PARTICLE_MODEL = {
+    "model.preset": Key("ou", "choice", choices=("ou", "lq", "mean_coupling", "wealth", "crowd")),
+    "crowd.bandwidth": Key("0.2", above=0),
 }
 
 # one particle run's size, seed and snapshots; chaos-study sets the size and
 # seed per run and reads only the final snapshot
 _SIM_RUN = {
-    "sim.n_particles": "1000",
-    "sim.seed": "0",
-    "sim.record_every": "100",
+    "sim.n_particles": Key("1000", "integer", at_least=2),
+    "sim.seed": Key("0", "integer", at_least=0),
+    "sim.record_every": Key("100", "integer", at_least=1),
 }
 
 # the grid of every one-dimensional subcommand
 _GRID_1D = {
-    "fpk.xmin": "-6.0",
-    "fpk.xmax": "6.0",
-    "fpk.cells": "400",
+    "fpk.xmin": Key("-6.0"),
+    "fpk.xmax": Key("6.0"),
+    "fpk.cells": Key("400", "integer", at_least=MIN_CELLS),
 }
 
 # the time stepping of a forward solve to the run's horizon; the MFG solvers
 # step on their own
 _FPK_STEPPING = {
-    "fpk.cfl_safety": "0.9",
-    "fpk.n_records": "8",
-    "fpk.boundary": "no_flux",
+    "fpk.cfl_safety": Key("0.9", above=0, at_most=1),
+    "fpk.n_records": Key("8", "integer", at_least=1),
+    "fpk.boundary": Key("no_flux", "choice", choices=BOUNDARIES),
 }
 
 _MFG = {
-    "mfg.n_t": "16",
-    "mfg.max_iters": "50",
-    "mfg.damping": "0.5",
-    "mfg.tol": "1e-4",
+    "mfg.n_t": Key("16", "integer", at_least=1),
+    "mfg.max_iters": Key("50", "integer", at_least=1),
+    "mfg.damping": Key("0.5", above=0, at_most=1),
+    "mfg.tol": Key("1e-4", above=0),
 }
 
+# grid axes whose bounds are two keys
+_AXES = (
+    ("fpk.xmin", "fpk.xmax"), ("wealth.ymin", "wealth.ymax"), ("wealth.z_min", "wealth.zmax"),
+    ("crowd.xmin", "crowd.xmax"), ("crowd.ymin", "crowd.ymax"),
+)
+
+
 class RunConfig:
-    """Resolved flat configuration: canonical string values keyed by dotted names."""
+    """Resolved flat configuration: each key's text, and its value parsed and checked against its row."""
 
-    def __init__(self, values: dict[str, str]):
-        self.values = dict(values)
+    def __init__(self, rows: dict[str, Key], text: dict[str, str]):
+        self.text = dict(text)
+        self.values = {key: rows[key].parse(key, raw) for key, raw in self.text.items()}
+        for lo, hi in _AXES:
+            if hi in self.values and not self.values[lo] < self.values[hi]:
+                a, b = self.values[lo], self.values[hi]
+                raise ConfigError(f"keys {lo} and {hi}: grid axis needs min < max, got [{a}, {b}]")
 
-    def str_(self, key: str) -> str:
-        try:
-            return self.values[key]
-        except KeyError:
-            raise ConfigError(f"key {key} is not a key of this subcommand") from None
-
-    def float_(self, key: str) -> float:
-        try:
-            return float(self.str_(key))
-        except ValueError as exc:
-            raise ConfigError(f"key {key}: expected a number, got {self.values[key]!r}") from exc
-
-    def auto_float(self, key: str, default: float) -> float:
-        """The key's number, or ``default`` when it is ``auto``."""
-        if self.str_(key).strip().lower() == "auto":
-            return default
-        return self.float_(key)
-
-    def int_(self, key: str) -> int:
-        try:
-            return int(self.str_(key))
-        except ValueError as exc:
-            raise ConfigError(f"key {key}: expected an integer, got {self.values[key]!r}") from exc
-
-    def floats(self, key: str) -> list[float]:
-        try:
-            return [float(tok) for tok in self.str_(key).split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"key {key}: expected comma-separated numbers") from exc
-
-    def ints(self, key: str) -> list[int]:
-        try:
-            return [int(tok) for tok in self.str_(key).split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"key {key}: expected comma-separated integers") from exc
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def lines(self) -> list[str]:
-        return [f"{k}={self.values[k]}" for k in sorted(self.values)]
+        return [f"{k}={self.text[k]}" for k in sorted(self.text)]
 
 
 def _parse_config_text(text: str, source: str) -> dict[str, str]:
@@ -174,26 +225,29 @@ def _parse_config_text(text: str, source: str) -> dict[str, str]:
 
 
 def resolve_config(subcommand: str, config_path: str | None, overrides: list[str]) -> RunConfig:
-    defaults = SUBCOMMANDS[subcommand][0]
-    values = dict(defaults)
+    rows = SUBCOMMANDS[subcommand][0]
+    text = {key: row.default for key, row in rows.items()}
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
             raise ConfigError(f"config file not found: {config_path}")
-        file_kv = _parse_config_text(path.read_text(), str(path))
-        for key, val in file_kv.items():
-            if key not in defaults:
+        try:
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
+        for key, val in _parse_config_text(source, str(path)).items():
+            if key not in rows:
                 raise ConfigError(f"unknown config key: {key}")
-            values[key] = val
+            text[key] = val
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
         key = key.strip()
-        if key not in defaults:
+        if key not in rows:
             raise ConfigError(f"unknown config key: {key}")
-        values[key] = val.strip()
-    return RunConfig(values)
+        text[key] = val.strip()
+    return RunConfig(rows, text)
 
 
 @contextmanager
@@ -205,86 +259,51 @@ def _building():
         raise ConfigError(str(exc)) from exc
 
 
+def _auto(value: float | None, default: float) -> float:
+    """An ``auto``-or-number key's value: ``default`` when it is ``auto``."""
+    return default if value is None else value
+
+
 def _model(cfg: RunConfig) -> ModelSpec:
-    preset = cfg.str_("model.preset")
-    sigma = cfg.float_("model.sigma")
-    alpha = cfg.float_("model.alpha")
-    init_var = cfg.float_("model.init_var")
-    if preset == "ou":
-        return ou_model(T=cfg.auto_float("model.T", 8.0), sigma=sigma, init_var=init_var, alpha=alpha)
-    if preset == "lq":
-        return lq_model(T=cfg.auto_float("model.T", 1.0), sigma=sigma, init_var=init_var, alpha=alpha)
-    if preset == "mean_coupling":
-        return mean_coupling_model(
-            T=cfg.auto_float("model.T", 1.0),
-            sigma=sigma,
-            strength=cfg.float_("model.coupling_strength"),
-            init_var=init_var,
-            alpha=alpha,
-        )
+    preset, T = cfg["model.preset"], cfg["model.T"]
     if preset == "wealth":
         model = build_wealth_model(_wealth_params(cfg))
-        return model.with_horizon(cfg.auto_float("model.T", model.T))
+        return model.with_horizon(_auto(T, model.T))
     if preset == "crowd":
-        params = _crowd_params(cfg, cfg.auto_float("model.T", 0.5))
+        params = _crowd_params(cfg, _auto(T, 0.5))
         # only particle runs read the KDE bandwidth; the grid solvers use the density itself
-        return build_crowd_model(replace(params, kde_bandwidth=cfg.float_("crowd.bandwidth")))
-    raise ConfigError(f"unknown model preset {preset!r}")
+        return build_crowd_model(replace(params, kde_bandwidth=cfg["crowd.bandwidth"]))
+    common = dict(sigma=cfg["model.sigma"], init_var=cfg["model.init_var"], alpha=cfg["model.alpha"])
+    if preset == "ou":
+        return ou_model(T=_auto(T, 8.0), **common)
+    if preset == "lq":
+        return lq_model(T=_auto(T, 1.0), **common)
+    return mean_coupling_model(T=_auto(T, 1.0), strength=cfg["model.coupling_strength"], **common)
 
 
 def _wealth_params(cfg: RunConfig) -> WealthParams:
-    return WealthParams(
-        kappa=cfg.float_("wealth.kappa"),
-        psi_width=cfg.float_("wealth.psi_width"),
-        z_min=cfg.float_("wealth.z_min"),
-        y_std=cfg.float_("wealth.y_std"),
-        z_log_mean=cfg.float_("wealth.z_log_mean"),
-        z_log_std=cfg.float_("wealth.z_log_std"),
-    )
+    # each key of the wealth model is its field, prefixed
+    return WealthParams(**{key.partition(".")[2]: cfg[key] for key in _WEALTH_MODEL})
 
 
 def _crowd_params(cfg: RunConfig, T: float) -> CrowdParams:
-    def pair(key):
-        vals = cfg.floats(key)
-        if len(vals) != 2 or not np.all(np.isfinite(vals)):
-            raise ConfigError(f"key {key}: expected two comma-separated finite numbers, got {cfg.values[key]!r}")
-        return (vals[0], vals[1])
-
-    s = cfg.float_("crowd.sigma")
+    s = cfg["crowd.sigma"]
     return CrowdParams(
-        lam=cfg.float_("crowd.lam"),
+        lam=cfg["crowd.lam"],
         sigma=(s, s),
-        domain=(
-            (cfg.float_("crowd.xmin"), cfg.float_("crowd.xmax")),
-            (cfg.float_("crowd.ymin"), cfg.float_("crowd.ymax")),
-        ),
+        domain=((cfg["crowd.xmin"], cfg["crowd.xmax"]), (cfg["crowd.ymin"], cfg["crowd.ymax"])),
         horizon=T,
-        psi_weight=cfg.float_("crowd.psi_weight"),
-        targets=(pair("crowd.target1"), pair("crowd.target2")),
-        ic_centers=(pair("crowd.center1"), pair("crowd.center2")),
-        ic_std=cfg.float_("crowd.ic_std"),
+        psi_weight=cfg["crowd.psi_weight"],
+        targets=(cfg["crowd.target1"], cfg["crowd.target2"]),
+        ic_centers=(cfg["crowd.center1"], cfg["crowd.center2"]),
+        ic_std=cfg["crowd.ic_std"],
     )
 
 
-def _cells(cfg: RunConfig, key: str) -> int:
-    """The key's cell count along one axis, at least the FPK solver's MIN_CELLS."""
-    n = cfg.int_(key)
-    if n < MIN_CELLS:
-        raise ConfigError(f"key {key}: the grid needs at least {MIN_CELLS} cells per axis, got {n}")
-    return n
-
-
-def _model_1d(cfg: RunConfig, subcommand: str) -> tuple[ModelSpec, Grid]:
+def _model_1d(cfg: RunConfig) -> tuple[ModelSpec, Grid]:
     """The model and its ``fpk.*`` grid, for the one-dimensional subcommands."""
-    model = _model(cfg)
-    if model.d != 1:
-        raise ConfigError(f"the {subcommand} subcommand is one-dimensional")
-    grid = Grid(
-        mins=(cfg.float_("fpk.xmin"),),
-        maxs=(cfg.float_("fpk.xmax"),),
-        cells=(_cells(cfg, "fpk.cells"),),
-    )
-    return model, grid
+    grid = Grid(mins=(cfg["fpk.xmin"],), maxs=(cfg["fpk.xmax"],), cells=(cfg["fpk.cells"],))
+    return _model(cfg), grid
 
 
 def _initial_density(model: ModelSpec, grid: Grid):
@@ -295,42 +314,22 @@ def _initial_density(model: ModelSpec, grid: Grid):
 
 def _fpk_config(cfg: RunConfig, section: str, t_final: float) -> FpkConfig:
     """The ``<section>.*`` time-stepping keys; a section without a boundary key has no-flux walls."""
-    key = f"{section}.n_records"
-    n_records = cfg.int_(key)
-    if n_records < 1:
-        raise ConfigError(f"key {key}: expected at least one record after t=0, got {n_records}")
     return FpkConfig(
         t_final=t_final,
-        cfl_safety=cfg.float_(f"{section}.cfl_safety"),
+        cfl_safety=cfg[f"{section}.cfl_safety"],
         boundary=cfg.values.get(f"{section}.boundary", "no_flux"),
-        record_times=tuple(np.linspace(0.0, t_final, n_records + 1)),
+        record_times=tuple(np.linspace(0.0, t_final, cfg[f"{section}.n_records"] + 1)),
     )
-
-
-def _time_slices(cfg: RunConfig) -> int:
-    """``mfg.n_t``, the number of time slices of an MFG solve."""
-    n_t = cfg.int_("mfg.n_t")
-    if n_t < 1:
-        raise ConfigError(f"key mfg.n_t: expected at least one time slice, got {n_t}")
-    return n_t
 
 
 def _picard_config(cfg: RunConfig) -> PicardConfig:
-    return PicardConfig(
-        max_iters=cfg.int_("mfg.max_iters"),
-        damping=cfg.float_("mfg.damping"),
-        tol=cfg.float_("mfg.tol"),
-    )
+    return PicardConfig(max_iters=cfg["mfg.max_iters"], damping=cfg["mfg.damping"], tol=cfg["mfg.tol"])
 
 
 def _sim_config(cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int, record_every: int) -> SimConfig:
-    """The ``sim.*`` keys as a particle run; a rejected value names its key."""
-    dt, t_final, coupling = cfg.float_("sim.dt"), cfg.auto_float("sim.t_final", model.T), cfg.str_("sim.coupling")
-    try:
-        sim = SimConfig(dt, t_final, n_particles, seed, record_every, coupling)
-    except ValueError as exc:
-        # SimConfig's message opens with the field it rejects
-        raise ConfigError(f"key sim.{str(exc).split()[0]}: {exc}") from exc
+    """The ``sim.*`` keys as a particle run; a window wider than the horizon names ``sim.dt``."""
+    t_final = _auto(cfg["sim.t_final"], model.T)
+    sim = SimConfig(cfg["sim.dt"], t_final, n_particles, seed, record_every, cfg["sim.coupling"])
     try:
         model.check_window(sim.dt)
     except ValueError as exc:
@@ -370,9 +369,7 @@ Report = tuple[int, list[tuple[str, object]]]
 def _run_simulate(cfg: RunConfig, out: Path) -> Report:
     with _building():
         model = _model(cfg)
-        sim = _sim_config(
-            cfg, model, cfg.int_("sim.n_particles"), cfg.int_("sim.seed"), cfg.int_("sim.record_every")
-        )
+        sim = _sim_config(cfg, model, cfg["sim.n_particles"], cfg["sim.seed"], cfg["sim.record_every"])
     rec = simulate_brs_nplayer(model, sim)
     final = rec.final()
     write_empirical_csv(out / "particles_final.csv", [final.empirical(p) for p in range(model.n_populations)])
@@ -396,11 +393,11 @@ def _run_simulate(cfg: RunConfig, out: Path) -> Report:
 
 def _run_fpk(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg, "fpk")
-        fpk = _fpk_config(cfg, "fpk", cfg.auto_float("fpk.t_final", model.T))
+        model, grid = _model_1d(cfg)
+        fpk = _fpk_config(cfg, "fpk", _auto(cfg["fpk.t_final"], model.T))
         m0 = _initial_density(model, grid)
     path = solve_fpk(model, m0, fpk)
-    path.write_csv(out / "density.csv", preamble=[f"preset={cfg.str_('model.preset')}"])
+    path.write_csv(out / "density.csv", preamble=[f"preset={cfg['model.preset']}"])
     mom = moments(path.final(0))
     return 0, [
         ("t_final", path.times[-1]),
@@ -411,11 +408,10 @@ def _run_fpk(cfg: RunConfig, out: Path) -> Report:
 
 def _run_mfg(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg, "mfg")
+        model, grid = _model_1d(cfg)
         picard = _picard_config(cfg)
-        n_t = _time_slices(cfg)
         m0 = _initial_density(model, grid)
-    sol = solve_mfg_picard(model, m0, grid, n_t, cfg=picard)
+    sol = solve_mfg_picard(model, m0, grid, cfg["mfg.n_t"], cfg=picard)
     sol.value.write_csv(out / "values.csv")
     sol.density_path.write_csv(out / "density.csv")
     sol.write_iteration_csv(out / "iterations.csv")
@@ -430,11 +426,10 @@ def _run_mfg(cfg: RunConfig, out: Path) -> Report:
 
 def _run_compare(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg, "compare")
+        model, grid = _model_1d(cfg)
         picard = _picard_config(cfg)
-        n_t = _time_slices(cfg)
         m0 = _initial_density(model, grid)
-    res = compare_brs_mfg(model, m0, grid, n_t, cfg=picard)
+    res = compare_brs_mfg(model, m0, grid, cfg["mfg.n_t"], cfg=picard)
     res.write_csv(out / "compare.csv")
     res.brs_path.write_csv(out / "density_brs.csv")
     res.mfg.density_path.write_csv(out / "density_mfg.csv")
@@ -447,18 +442,10 @@ def _run_compare(cfg: RunConfig, out: Path) -> Report:
 
 def _run_chaos(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg, "chaos-study")
-        n_values = cfg.ints("chaos.n_values")
-        if len(n_values) < 2 or min(n_values) < 2 or any(a >= b for a, b in zip(n_values, n_values[1:])):
-            raise ConfigError(
-                "key chaos.n_values: expected at least two particle counts, strictly increasing, "
-                f"of at least two particles each, got {cfg.values['chaos.n_values']!r}"
-            )
-        seed0 = cfg.int_("chaos.seed0")
-        if seed0 < 0:
-            raise ConfigError(f"key chaos.seed0: expected a non-negative integer, got {seed0}")
+        model, grid = _model_1d(cfg)
+        n_values, seed0 = cfg["chaos.n_values"], cfg["chaos.seed0"]
         # the study sets each run's particle count and seed, and reads only its
-        # final snapshot; the smallest count is checked here
+        # final snapshot
         sim = _sim_config(cfg, model, n_values[0], seed0, record_every=sys.maxsize)
         try:
             sim.n_steps(exact=True)
@@ -466,9 +453,7 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
             raise ConfigError(f"key sim.dt: {exc}, not at sim.t_final={sim.t_final}") from exc
         fpk = _fpk_config(cfg, "fpk", sim.t_final)
         m0 = _initial_density(model, grid)
-        seeds = [seed0 + k for k in range(cfg.int_("chaos.n_seeds"))]
-        if not seeds:
-            raise ConfigError("key chaos.n_seeds: the study needs at least one seed")
+        seeds = [seed0 + k for k in range(cfg["chaos.n_seeds"])]
     reference = solve_fpk(model, m0, fpk)
     with _building():
         rows = propagation_of_chaos_study(model, sim, n_values, reference, seeds)
@@ -489,8 +474,8 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
 
 def _run_mpc_order(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg, "mpc-order")
-        res = mpc_reduction_check(model, grid, cfg.floats("mpc.dt_values"))
+        model, grid = _model_1d(cfg)
+        res = mpc_reduction_check(model, grid, cfg["mpc.dt_values"])
     res.write_csv(out / "orders.csv")
     entries: list[tuple[str, object]] = [("fitted_order", res.fitted_order)]
     for dt, err in res.rows:
@@ -503,11 +488,11 @@ def _run_wealth(cfg: RunConfig, out: Path) -> Report:
         params = _wealth_params(cfg)
         model = build_wealth_model(params)
         grid = Grid(
-            mins=(cfg.float_("wealth.ymin"), params.z_min),
-            maxs=(cfg.float_("wealth.ymax"), cfg.float_("wealth.zmax")),
-            cells=(_cells(cfg, "wealth.ycells"), _cells(cfg, "wealth.zcells")),
+            mins=(cfg["wealth.ymin"], params.z_min),
+            maxs=(cfg["wealth.ymax"], cfg["wealth.zmax"]),
+            cells=(cfg["wealth.ycells"], cfg["wealth.zcells"]),
         )
-        fpk = _fpk_config(cfg, "wealth", cfg.float_("wealth.t_final"))
+        fpk = _fpk_config(cfg, "wealth", cfg["wealth.t_final"])
         m0 = _initial_density(model, grid)
     path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=["preset=wealth"])
@@ -522,9 +507,9 @@ def _run_wealth(cfg: RunConfig, out: Path) -> Report:
 
 def _run_crowd(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        params = _crowd_params(cfg, cfg.auto_float("crowd.t_final", 0.5))
+        params = _crowd_params(cfg, _auto(cfg["crowd.t_final"], 0.5))
         model = build_crowd_model(params)
-        nc = _cells(cfg, "crowd.cells")
+        nc = cfg["crowd.cells"]
         grid = Grid(
             mins=(params.domain[0][0], params.domain[1][0]),
             maxs=(params.domain[0][1], params.domain[1][1]),
@@ -544,13 +529,13 @@ def _run_crowd(cfg: RunConfig, out: Path) -> Report:
     ] + _fpk_report_entries(path)
 
 
-# subcommand -> (config defaults, runner)
-SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]]] = {
+# subcommand -> (key table, runner)
+SUBCOMMANDS: dict[str, tuple[dict[str, Key], Callable[[RunConfig, Path], Report]]] = {
     "simulate": (
-        {**_MODEL, **_RUN, **_WEALTH_MODEL, **_CROWD_MODEL, "crowd.bandwidth": "0.2", **_SIM, **_SIM_RUN},
+        {**_MODEL, **_RUN, **_WEALTH_MODEL, **_CROWD_MODEL, **_SIM, **_SIM_RUN, **_PARTICLE_MODEL},
         _run_simulate,
     ),
-    "fpk": ({**_MODEL, **_RUN, **_GRID_1D, **_FPK_STEPPING, "fpk.t_final": "auto"}, _run_fpk),
+    "fpk": ({**_MODEL, **_RUN, **_GRID_1D, **_FPK_STEPPING, "fpk.t_final": Key("auto", "auto", above=0)}, _run_fpk),
     "mfg": ({**_MODEL, **_RUN, **_GRID_1D, **_MFG}, _run_mfg),
     "compare": ({**_MODEL, **_RUN, **_GRID_1D, **_MFG}, _run_compare),
     "chaos-study": (
@@ -560,25 +545,28 @@ SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]
             **_SIM,
             **_GRID_1D,
             **_FPK_STEPPING,
-            "chaos.n_values": "250,1000,4000",
-            "chaos.n_seeds": "20",
-            "chaos.seed0": "0",
+            "chaos.n_values": Key("250,1000,4000", "integers", at_least=2, order=1),
+            "chaos.n_seeds": Key("20", "integer", at_least=1),
+            "chaos.seed0": Key("0", "integer", at_least=0),
         },
         _run_chaos,
     ),
-    "mpc-order": ({**_MODEL, **_RUN, **_GRID_1D, "mpc.dt_values": "0.1,0.05,0.025,0.0125"}, _run_mpc_order),
+    "mpc-order": (
+        {**_MODEL, **_RUN, **_GRID_1D, "mpc.dt_values": Key("0.1,0.05,0.025,0.0125", "numbers", above=0, order=-1)},
+        _run_mpc_order,
+    ),
     "wealth": (
         {
             **_RUN,
             **_WEALTH_MODEL,
-            "wealth.ymin": "-3.0",
-            "wealth.ymax": "3.0",
-            "wealth.ycells": "40",
-            "wealth.zmax": "4.0",
-            "wealth.zcells": "40",
-            "wealth.t_final": "0.25",
-            "wealth.n_records": "4",
-            "wealth.cfl_safety": "0.9",
+            "wealth.ymin": Key("-3.0"),
+            "wealth.ymax": Key("3.0"),
+            "wealth.ycells": Key("40", "integer", at_least=MIN_CELLS),
+            "wealth.zmax": Key("4.0"),
+            "wealth.zcells": Key("40", "integer", at_least=MIN_CELLS),
+            "wealth.t_final": Key("0.25", above=0),
+            "wealth.n_records": Key("4", "integer", at_least=1),
+            "wealth.cfl_safety": Key("0.9", above=0, at_most=1),
         },
         _run_wealth,
     ),
@@ -586,10 +574,10 @@ SUBCOMMANDS: dict[str, tuple[dict[str, str], Callable[[RunConfig, Path], Report]
         {
             **_RUN,
             **_CROWD_MODEL,
-            "crowd.cells": "48",
-            "crowd.t_final": "auto",
-            "crowd.n_records": "4",
-            "crowd.cfl_safety": "0.9",
+            "crowd.cells": Key("48", "integer", at_least=MIN_CELLS),
+            "crowd.t_final": Key("auto", "auto", above=0),
+            "crowd.n_records": Key("4", "integer", at_least=1),
+            "crowd.cfl_safety": Key("0.9", above=0, at_most=1),
         },
         _run_crowd,
     ),
@@ -605,7 +593,7 @@ def run(subcommand: str, config_path: str | None, overrides: list[str], out_dir:
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = resolve_config(subcommand, config_path, list(overrides))
-    resolved_out = out_dir or cfg.str_("run.out") or os.environ.get(ENV_OUT) or "runs"
+    resolved_out = out_dir or cfg["run.out"] or os.environ.get(ENV_OUT) or "runs"
     out = Path(resolved_out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, subcommand, cfg)

@@ -49,12 +49,21 @@ class TestConfig:
         cfgfile = tmp_path / "ok.cfg"
         cfgfile.write_text("# comment\n\nmodel.preset=lq\n")
         cfg = resolve_config("fpk", str(cfgfile), [])
-        assert cfg.str_("model.preset") == "lq"
+        assert cfg["model.preset"] == "lq"
 
     def test_bad_value_reports_key(self):
-        cfg = resolve_config("fpk", None, ["fpk.cells=many"])
-        with pytest.raises(ConfigError, match="fpk.cells"):
-            cfg.int_("fpk.cells")
+        with pytest.raises(ConfigError, match="key fpk.cells: expected an integer >= 8, got 'many'"):
+            resolve_config("fpk", None, ["fpk.cells=many"])
+
+    def test_directory_as_config_file(self, tmp_path, capsys):
+        assert main(["fpk", "--config", str(tmp_path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {tmp_path}: ")
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"model.preset=ou\nfpk.cells=\xff\n")
+        assert main(["fpk", "--config", str(cfgfile), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfgfile}: ")
 
     def test_exit_codes(self, tmp_path):
         assert main(["fpk", "--set", "bogus=1", "--out", str(tmp_path / "x")]) == 2
@@ -68,85 +77,85 @@ class TestConfig:
     @pytest.mark.parametrize(
         "subcommand, override, message",
         [
-            ("fpk", "model.alpha=0", "penalty must be positive"),
-            ("simulate", "model.alpha=nan", "penalty must be positive"),
-            ("fpk", "model.sigma=nan", "diffusion entries must be finite"),
-            ("fpk", "model.sigma=inf", "diffusion entries must be finite"),
+            ("fpk", "model.alpha=0", "key model.alpha: expected a finite number > 0, got '0'"),
+            ("simulate", "model.alpha=nan", "key model.alpha: expected a finite number > 0, got 'nan'"),
+            ("fpk", "model.sigma=nan", "key model.sigma: expected a finite number >= 0, got 'nan'"),
+            ("fpk", "model.sigma=inf", "key model.sigma: expected a finite number >= 0, got 'inf'"),
             ("fpk", "fpk.cfl_safety=2", "cfl_safety"),
-            ("simulate", "sim.n_particles=1", "two particles"),
+            ("simulate", "sim.n_particles=1", "key sim.n_particles: expected an integer >= 2, got '1'"),
             ("simulate", "sim.dt=10", "MPC window"),
-            ("fpk", "model.preset=crowd", "crowd.sigma"),
-            ("chaos-study", "chaos.n_values=1,10", "two particles"),
+            ("fpk", "model.preset=crowd", "key model.preset: expected one of ou, lq, mean_coupling, got 'crowd'"),
+            ("chaos-study", "chaos.n_values=1,10", "key chaos.n_values: expected at least two comma-separated integers >= 2, strictly increasing, got '1,10'"),
             ("chaos-study", "sim.dt=10", "MPC window"),
-            ("chaos-study", "chaos.n_values=10", "at least two particle counts"),
-            ("chaos-study", "chaos.n_values=", "at least two particle counts"),
-            ("chaos-study", "chaos.n_seeds=0", "at least one seed"),
+            ("chaos-study", "chaos.n_values=10", "key chaos.n_values: expected at least two comma-separated integers >= 2, strictly increasing, got '10'"),
+            ("chaos-study", "chaos.n_values=", "key chaos.n_values: expected at least two comma-separated integers >= 2, strictly increasing, got ''"),
+            ("chaos-study", "chaos.n_seeds=0", "key chaos.n_seeds: expected an integer >= 1, got '0'"),
             # particle counts below two, or not increasing, and a negative first seed
             ("chaos-study", "chaos.n_values=1,40", "key chaos.n_values: "),
             ("chaos-study", "chaos.n_values=10,0", "key chaos.n_values: "),
             ("chaos-study", "chaos.n_values=40,10", "key chaos.n_values: "),
             ("chaos-study", "chaos.n_values=40,40", "key chaos.n_values: "),
-            ("chaos-study", "chaos.seed0=-1", "key chaos.seed0: expected a non-negative integer, got -1"),
+            ("chaos-study", "chaos.seed0=-1", "key chaos.seed0: expected an integer >= 0, got '-1'"),
             # 7 steps of 0.03 end at t = 0.21, not at the reference's t = 0.2
             ("chaos-study", "model.T=0.2 sim.dt=0.03", "key sim.dt: t_final/dt = 6.66"),
             ("fpk", "fpk.n_records=0", "key fpk.n_records:"),
             ("wealth", "wealth.n_records=0", "key wealth.n_records:"),
             ("crowd", "crowd.n_records=0", "key crowd.n_records:"),
-            ("mpc-order", "mpc.dt_values=0.1", "at least two window sizes"),
-            ("mpc-order", "mpc.dt_values=", "at least two window sizes"),
+            ("mpc-order", "mpc.dt_values=0.1", "key mpc.dt_values: expected at least two comma-separated finite numbers > 0, strictly decreasing, got '0.1'"),
+            ("mpc-order", "mpc.dt_values=", "key mpc.dt_values: expected at least two comma-separated finite numbers > 0, strictly decreasing, got ''"),
             ("mpc-order", "mpc.dt_values=0.05,0.1", "strictly decreasing"),
-            ("fpk", "model.init_var=nan", "init_var must be positive and finite, got nan"),
-            ("fpk", "model.init_var=-1", "init_var must be positive and finite, got -1.0"),
-            ("simulate", "model.init_var=nan", "init_var must be positive and finite, got nan"),
-            ("simulate", "model.preset=mean_coupling model.coupling_strength=nan", "strength must be finite, got nan"),
-            ("crowd", "crowd.lam=nan", "lam must be nonnegative and finite, got nan"),
-            ("crowd", "crowd.psi_weight=inf", "psi_weight must be finite, got inf"),
-            ("mpc-order", "mpc.dt_values=0.1,nan", "dt_list entries must be positive and finite"),
-            ("fpk", "fpk.t_final=nan", "t_final must be positive and finite, got nan"),
-            ("simulate", "model.preset=crowd crowd.bandwidth=nan", "kde_bandwidth must be positive"),
+            ("fpk", "model.init_var=nan", "key model.init_var: expected a finite number > 0, got 'nan'"),
+            ("fpk", "model.init_var=-1", "key model.init_var: expected a finite number > 0, got '-1'"),
+            ("simulate", "model.init_var=nan", "key model.init_var: expected a finite number > 0, got 'nan'"),
+            ("simulate", "model.preset=mean_coupling model.coupling_strength=nan", "key model.coupling_strength: expected a finite number, got 'nan'"),
+            ("crowd", "crowd.lam=nan", "key crowd.lam: expected a finite number >= 0, got 'nan'"),
+            ("crowd", "crowd.psi_weight=inf", "key crowd.psi_weight: expected a finite number, got 'inf'"),
+            ("mpc-order", "mpc.dt_values=0.1,nan", "key mpc.dt_values: expected at least two comma-separated finite numbers > 0, strictly decreasing, got '0.1,nan'"),
+            ("fpk", "fpk.t_final=nan", "key fpk.t_final: expected auto or a finite number > 0, got 'nan'"),
+            ("simulate", "model.preset=crowd crowd.bandwidth=nan", "key crowd.bandwidth: expected a finite number > 0, got 'nan'"),
             ("mfg", "mfg.n_t=0", "key mfg.n_t:"),
             ("compare", "mfg.n_t=-1", "key mfg.n_t:"),
-            ("mfg", "mfg.tol=inf", "tol must be positive and finite"),
-            ("mfg", "mfg.tol=nan", "tol must be positive and finite"),
-            ("compare", "mfg.tol=0", "tol must be positive and finite"),
-            ("mfg", "model.T=inf", "horizon must be positive and finite, got inf"),
-            ("compare", "model.T=inf", "horizon must be positive and finite, got inf"),
-            ("simulate", "model.T=inf", "horizon must be positive and finite, got inf"),
-            ("simulate", "sim.t_final=nan", "t_final must be positive"),
-            ("simulate", "sim.t_final=inf", "t_final must be positive"),
-            ("chaos-study", "sim.t_final=nan", "t_final must be positive"),
-            ("chaos-study", "sim.t_final=inf", "t_final must be positive"),
-            ("wealth", "wealth.psi_width=inf", "psi_width must be positive and finite"),
-            ("wealth", "wealth.psi_width=-inf", "psi_width must be positive and finite"),
-            ("wealth", "wealth.kappa=nan", "kappa must be positive"),
+            ("mfg", "mfg.tol=inf", "key mfg.tol: expected a finite number > 0, got 'inf'"),
+            ("mfg", "mfg.tol=nan", "key mfg.tol: expected a finite number > 0, got 'nan'"),
+            ("compare", "mfg.tol=0", "key mfg.tol: expected a finite number > 0, got '0'"),
+            ("mfg", "model.T=inf", "key model.T: expected auto or a finite number > 0, got 'inf'"),
+            ("compare", "model.T=inf", "key model.T: expected auto or a finite number > 0, got 'inf'"),
+            ("simulate", "model.T=inf", "key model.T: expected auto or a finite number > 0, got 'inf'"),
+            ("simulate", "sim.t_final=nan", "key sim.t_final: expected auto or a finite number > 0, got 'nan'"),
+            ("simulate", "sim.t_final=inf", "key sim.t_final: expected auto or a finite number > 0, got 'inf'"),
+            ("chaos-study", "sim.t_final=nan", "key sim.t_final: expected auto or a finite number > 0, got 'nan'"),
+            ("chaos-study", "sim.t_final=inf", "key sim.t_final: expected auto or a finite number > 0, got 'inf'"),
+            ("wealth", "wealth.psi_width=inf", "key wealth.psi_width: expected a finite number > 0, got 'inf'"),
+            ("wealth", "wealth.psi_width=-inf", "key wealth.psi_width: expected a finite number > 0, got '-inf'"),
+            ("wealth", "wealth.kappa=nan", "key wealth.kappa: expected a finite number > 0, got 'nan'"),
             ("wealth", "wealth.z_min=inf", "z_min"),
-            ("fpk", "fpk.xmax=inf", "grid axis bounds must be finite, got [-6.0, inf]"),
-            ("wealth", "wealth.zmax=inf", "grid axis bounds must be finite, got [1e-06, inf]"),
-            ("wealth", "wealth.ymin=-inf", "grid axis bounds must be finite, got [-inf, 3.0]"),
-            ("crowd", "crowd.xmax=inf", "grid axis bounds must be finite, got [-2.0, inf]"),
+            ("fpk", "fpk.xmax=inf", "key fpk.xmax: expected a finite number, got 'inf'"),
+            ("wealth", "wealth.zmax=inf", "key wealth.zmax: expected a finite number, got 'inf'"),
+            ("wealth", "wealth.ymin=-inf", "key wealth.ymin: expected a finite number, got '-inf'"),
+            ("crowd", "crowd.xmax=inf", "key crowd.xmax: expected a finite number, got 'inf'"),
             ("simulate", "model.preset=crowd crowd.target1=nan,0", "key crowd.target1: expected two"),
-            # negative initial-law widths, named by their field
-            ("crowd", "crowd.ic_std=-0.5 crowd.cells=16 crowd.t_final=0.05", "ic_std must be nonnegative and finite, got -0.5"),
-            ("simulate", "model.preset=wealth wealth.y_std=-1", "y_std must be nonnegative and finite, got -1.0"),
-            ("simulate", "model.preset=wealth wealth.z_log_std=-0.3", "z_log_std must be nonnegative and finite, got -0.3"),
-            ("wealth", "wealth.y_std=-1", "y_std must be nonnegative and finite, got -1.0"),
+            # negative initial-law widths
+            ("crowd", "crowd.ic_std=-0.5 crowd.cells=16 crowd.t_final=0.05", "key crowd.ic_std: expected a finite number >= 0, got '-0.5'"),
+            ("simulate", "model.preset=wealth wealth.y_std=-1", "key wealth.y_std: expected a finite number >= 0, got '-1'"),
+            ("simulate", "model.preset=wealth wealth.z_log_std=-0.3", "key wealth.z_log_std: expected a finite number >= 0, got '-0.3'"),
+            ("wealth", "wealth.y_std=-1", "key wealth.y_std: expected a finite number >= 0, got '-1'"),
         ]
         + [
             # before, numpy's seeding raised from inside the run: a traceback, exit 1
-            ("simulate", "sim.seed=-1", "key sim.seed: seed must be a non-negative integer, got -1"),
-            ("simulate", "sim.record_every=0", "key sim.record_every: record_every must be >= 1"),
-            ("simulate", "sim.coupling=bogus", "key sim.coupling: coupling must be one of"),
-            ("simulate", "sim.n_particles=1", "key sim.n_particles: n_particles must be >= 2"),
+            ("simulate", "sim.seed=-1", "key sim.seed: expected an integer >= 0, got '-1'"),
+            ("simulate", "sim.record_every=0", "key sim.record_every: expected an integer >= 1, got '0'"),
+            ("simulate", "sim.coupling=bogus", "key sim.coupling: expected one of leave_one_out, full_empirical, got 'bogus'"),
+            ("simulate", "sim.n_particles=1", "key sim.n_particles: expected an integer >= 2, got '1'"),
         ]
         # a time step that is not positive and finite, or wider than the horizon, names sim.dt
         + [
             (subcommand, f"sim.dt={dt}", f"key sim.dt: {message}")
             for subcommand in ("simulate", "chaos-study")
             for dt, message in (
-                ("0", "dt must be positive and finite, got 0.0"),
-                ("-1", "dt must be positive and finite, got -1.0"),
-                ("nan", "dt must be positive and finite, got nan"),
-                ("inf", "dt must be positive and finite, got inf"),
+                ("0", "expected a finite number > 0, got '0'"),
+                ("-1", "expected a finite number > 0, got '-1'"),
+                ("nan", "expected a finite number > 0, got 'nan'"),
+                ("inf", "expected a finite number > 0, got 'inf'"),
                 ("10", "MPC window dt=10.0 must lie in (0, T="),
             )
         ]
@@ -155,18 +164,18 @@ class TestConfig:
             for key in ("crowd.target1", "crowd.target2", "crowd.center1", "crowd.center2")
             for pair in ("nan,0", "0,inf", "-inf,0.5")
         ]
-        # too few cells for the FPK solver, named where the grid is built
+        # too few cells for the FPK solver
         + [
-            ("fpk", f"fpk.cells={n}", f"key fpk.cells: the grid needs at least 8 cells per axis, got {n}")
+            ("fpk", f"fpk.cells={n}", f"key fpk.cells: expected an integer >= 8, got '{n}'")
             for n in range(-1, 8)
         ]
         + [
-            (subcommand, f"fpk.cells={n}", f"key fpk.cells: the grid needs at least 8 cells per axis, got {n}")
+            (subcommand, f"fpk.cells={n}", f"key fpk.cells: expected an integer >= 8, got '{n}'")
             for subcommand in ("mfg", "compare", "chaos-study", "mpc-order")
             for n in (1, 7)
         ]
         + [
-            (subcommand, f"{key}={n}", f"key {key}: the grid needs at least 8 cells per axis, got {n}")
+            (subcommand, f"{key}={n}", f"key {key}: expected an integer >= 8, got '{n}'")
             for subcommand, key in (("crowd", "crowd.cells"), ("wealth", "wealth.ycells"), ("wealth", "wealth.zcells"))
             for n in (1, 7)
         ],
@@ -279,6 +288,82 @@ def test_every_listed_key_is_read(tmp_path, monkeypatch, subcommand):
         # run.out is read only when no output directory is passed
         assert run(subcommand, None, overrides + [f"run.out={tmp_path / str(k)}"], None) == 0
     assert sorted(set(SUBCOMMANDS[subcommand][0]) - read - UNREAD_KEYS) == []
+
+
+def rejection(subcommand: str, overrides: list[str], out: Path, capsys) -> str:
+    """The stderr of a run that must exit 2 before it starts."""
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([subcommand, *sets, "--out", str(out)]) == 2
+    return capsys.readouterr().err
+
+
+# the keys that take a word; run.out takes a path, and every other key numbers
+CHOICE_KEYS = ("model.preset", "sim.coupling", "fpk.boundary")
+
+NON_FINITE_CASES = [
+    (subcommand, key, value)
+    for subcommand in sorted(SUBCOMMANDS)
+    for key in SUBCOMMANDS[subcommand][0]
+    if key != "run.out"
+    for value in (("nan",) if key in CHOICE_KEYS else ("nan", "inf", "-inf"))
+]
+
+
+@pytest.mark.parametrize("subcommand, key, value", NON_FINITE_CASES)
+def test_every_non_finite_value_names_its_key(tmp_path, capsys, subcommand, key, value):
+    """Every listed key is checked, also where the run's preset never reads it."""
+    err = rejection(subcommand, TINY[subcommand] + [f"{key}={value}"], tmp_path / "x", capsys)
+    assert err.startswith(f"config error: key {key}: ")
+
+
+@pytest.mark.parametrize(
+    "subcommand, override",
+    [
+        ("fpk", "model.alpha=0"),
+        ("fpk", "model.init_var=-1"),
+        ("crowd", "crowd.ic_std=-0.5"),
+        ("wealth", "wealth.y_std=-1"),
+        ("fpk", "fpk.cfl_safety=2"),
+        ("simulate", "sim.n_particles=1"),
+        ("crowd", "crowd.target1=nan,0"),
+        ("mpc-order", "mpc.dt_values=0.1,nan"),
+    ],
+)
+def test_readme_rejections_name_their_key(tmp_path, capsys, subcommand, override):
+    err = rejection(subcommand, [override], tmp_path / "x", capsys)
+    assert err.startswith(f"config error: key {override.partition('=')[0]}: ")
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_every_default_passes_its_row(subcommand):
+    rows = SUBCOMMANDS[subcommand][0]
+    for key, row in rows.items():
+        row.parse(key, row.default)
+    assert resolve_config(subcommand, None, []).text == {key: row.default for key, row in rows.items()}
+
+
+@pytest.mark.parametrize("subcommand", ["fpk", "mfg", "compare", "chaos-study", "mpc-order"])
+def test_one_dimensional_subcommands_take_only_their_presets(tmp_path, capsys, subcommand):
+    err = rejection(subcommand, ["model.preset=wealth"], tmp_path / "x", capsys)
+    assert err == f"config error: key model.preset: expected one of {', '.join(ONE_D_PRESETS)}, got 'wealth'\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand, lo, hi",
+    [
+        ("fpk", "fpk.xmin", "fpk.xmax"),
+        ("chaos-study", "fpk.xmin", "fpk.xmax"),
+        ("wealth", "wealth.ymin", "wealth.ymax"),
+        ("wealth", "wealth.z_min", "wealth.zmax"),
+        ("crowd", "crowd.xmin", "crowd.xmax"),
+        ("crowd", "crowd.ymin", "crowd.ymax"),
+        ("simulate", "crowd.ymin", "crowd.ymax"),
+    ],
+)
+@pytest.mark.parametrize("low, high", [("1", "1"), ("2", "-2")])
+def test_grid_bounds_out_of_order_name_both_keys(tmp_path, capsys, subcommand, lo, hi, low, high):
+    err = rejection(subcommand, [f"{lo}={low}", f"{hi}={high}"], tmp_path / "x", capsys)
+    assert err == f"config error: keys {lo} and {hi}: grid axis needs min < max, got [{float(low)}, {float(high)}]\n"
 
 
 def output_names(out: Path) -> list[str]:
