@@ -105,13 +105,16 @@ class Key:
 
 
 # one row per key; each bound is the one its config object or builder sets
-_MODEL = {
-    "model.preset": Key("ou", "choice", choices=("ou", "lq", "mean_coupling")),
-    "model.T": Key("auto", "auto", above=0),
+def _model_keys(*presets: str) -> dict[str, Key]:
+    """The keys every model preset reads: the preset, one of ``presets``, the first by default, and the horizon."""
+    return {"model.preset": Key(presets[0], "choice", choices=presets), "model.T": Key("auto", "auto", above=0)}
+
+
+# the constants of the one-dimensional presets
+_CONSTANTS = {
     "model.sigma": Key("1.0", at_least=0),
     "model.alpha": Key("1.0", above=0),
     "model.init_var": Key("0.25", above=0),
-    "model.coupling_strength": Key("1.0"),
 }
 
 _RUN = {
@@ -148,12 +151,6 @@ _SIM = {
     "sim.dt": Key("0.001", above=0),
     "sim.t_final": Key("auto", "auto", above=0),
     "sim.coupling": Key("full_empirical", "choice", choices=COUPLINGS),
-}
-
-# a particle run takes every preset, and the KDE bandwidth of the crowd cost on particles
-_PARTICLE_MODEL = {
-    "model.preset": Key("ou", "choice", choices=("ou", "lq", "mean_coupling", "wealth", "crowd")),
-    "crowd.bandwidth": Key("0.2", above=0),
 }
 
 # one particle run's size, seed and snapshots; chaos-study sets the size and
@@ -199,16 +196,15 @@ class RunConfig:
     def __init__(self, rows: dict[str, Key], text: dict[str, str]):
         self.text = dict(text)
         self.values = {key: rows[key].parse(key, raw) for key, raw in self.text.items()}
-        for lo, hi in _AXES:
-            if hi in self.values and not self.values[lo] < self.values[hi]:
-                a, b = self.values[lo], self.values[hi]
+        for lo, hi in (axis for axis in _AXES if axis[1] in self.values):
+            a, b = self.values[lo], self.values[hi]
+            if not a < b:
                 raise ConfigError(f"keys {lo} and {hi}: grid axis needs min < max, got [{a}, {b}]")
+            if not math.isfinite(b - a):
+                raise ConfigError(f"keys {lo} and {hi}: grid axis width must be finite, got [{a}, {b}]")
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def lines(self) -> list[str]:
-        return [f"{k}={self.text[k]}" for k in sorted(self.text)]
 
 
 def _parse_config_text(text: str, source: str) -> dict[str, str]:
@@ -225,8 +221,10 @@ def _parse_config_text(text: str, source: str) -> dict[str, str]:
 
 
 def resolve_config(subcommand: str, config_path: str | None, overrides: list[str]) -> RunConfig:
+    """Each key's default, then its value in ``config_path``, then in ``overrides``; ``model.preset``
+    is settled first, and every other key is one of the subcommand's rows or of that preset's."""
     rows = SUBCOMMANDS[subcommand][0]
-    text = {key: row.default for key, row in rows.items()}
+    given: dict[str, str] = {}
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
@@ -235,19 +233,23 @@ def resolve_config(subcommand: str, config_path: str | None, overrides: list[str
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        for key, val in _parse_config_text(source, str(path)).items():
-            if key not in rows:
-                raise ConfigError(f"unknown config key: {key}")
-            text[key] = val
+        given.update(_parse_config_text(source, str(path)))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in rows:
-            raise ConfigError(f"unknown config key: {key}")
-        text[key] = val.strip()
-    return RunConfig(rows, text)
+        given[key.strip()] = val.strip()
+    row = rows.get("model.preset")
+    presets = row.choices if row else ()
+    if row:
+        preset = row.parse("model.preset", given.get("model.preset", row.default))
+        rows = {**rows, **_PRESETS[preset][0]}
+    for key in (key for key in given if key not in rows):
+        readers = " or ".join(p for p in presets if key in _PRESETS[p][0])
+        if readers:
+            raise ConfigError(f"key {key}: read only with model.preset={readers}, got model.preset={preset}")
+        raise ConfigError(f"unknown config key: {key}")
+    return RunConfig(rows, {**{key: row.default for key, row in rows.items()}, **given})
 
 
 @contextmanager
@@ -264,26 +266,18 @@ def _auto(value: float | None, default: float) -> float:
     return default if value is None else value
 
 
-def _model(cfg: RunConfig) -> ModelSpec:
-    preset, T = cfg["model.preset"], cfg["model.T"]
-    if preset == "wealth":
-        model = build_wealth_model(_wealth_params(cfg))
-        return model.with_horizon(_auto(T, model.T))
-    if preset == "crowd":
-        params = _crowd_params(cfg, _auto(T, 0.5))
-        # only particle runs read the KDE bandwidth; the grid solvers use the density itself
-        return build_crowd_model(replace(params, kde_bandwidth=cfg["crowd.bandwidth"]))
-    common = dict(sigma=cfg["model.sigma"], init_var=cfg["model.init_var"], alpha=cfg["model.alpha"])
-    if preset == "ou":
-        return ou_model(T=_auto(T, 8.0), **common)
-    if preset == "lq":
-        return lq_model(T=_auto(T, 1.0), **common)
-    return mean_coupling_model(T=_auto(T, 1.0), strength=cfg["model.coupling_strength"], **common)
+def _fields(cfg: RunConfig, rows: dict[str, Key]) -> dict[str, object]:
+    """The values of ``rows``, each keyed by its field: the key without its prefix."""
+    return {key.partition(".")[2]: cfg[key] for key in rows}
 
 
 def _wealth_params(cfg: RunConfig) -> WealthParams:
-    # each key of the wealth model is its field, prefixed
-    return WealthParams(**{key.partition(".")[2]: cfg[key] for key in _WEALTH_MODEL})
+    return WealthParams(**_fields(cfg, _WEALTH_MODEL))
+
+
+def _wealth_model(cfg: RunConfig) -> ModelSpec:
+    model = build_wealth_model(_wealth_params(cfg))
+    return model.with_horizon(_auto(cfg["model.T"], model.T))
 
 
 def _crowd_params(cfg: RunConfig, T: float) -> CrowdParams:
@@ -300,16 +294,35 @@ def _crowd_params(cfg: RunConfig, T: float) -> CrowdParams:
     )
 
 
-def _model_1d(cfg: RunConfig) -> tuple[ModelSpec, Grid]:
-    """The model and its ``fpk.*`` grid, for the one-dimensional subcommands."""
+# model preset -> (the keys it reads besides model.preset and model.T, its builder)
+_PRESETS: dict[str, tuple[dict[str, Key], Callable[[RunConfig], ModelSpec]]] = {
+    "ou": (_CONSTANTS, lambda cfg: ou_model(T=_auto(cfg["model.T"], 8.0), **_fields(cfg, _CONSTANTS))),
+    "lq": (_CONSTANTS, lambda cfg: lq_model(T=_auto(cfg["model.T"], 1.0), **_fields(cfg, _CONSTANTS))),
+    "mean_coupling": ({**_CONSTANTS, "model.coupling_strength": Key("1.0")}, lambda cfg: mean_coupling_model(
+        T=_auto(cfg["model.T"], 1.0), strength=cfg["model.coupling_strength"], **_fields(cfg, _CONSTANTS))),
+    "wealth": (_WEALTH_MODEL, _wealth_model),
+    # only particle runs take crowd.bandwidth, the KDE bandwidth of the crowd
+    # cost on particles; the grid solvers use the density itself
+    "crowd": ({**_CROWD_MODEL, "crowd.bandwidth": Key("0.2", above=0)}, lambda cfg: build_crowd_model(
+        replace(_crowd_params(cfg, _auto(cfg["model.T"], 0.5)), kde_bandwidth=cfg["crowd.bandwidth"]))),
+}
+
+
+def _model_1d(cfg: RunConfig):
+    """The model, its ``fpk.*`` grid and its initial density, for the one-dimensional subcommands."""
     grid = Grid(mins=(cfg["fpk.xmin"],), maxs=(cfg["fpk.xmax"],), cells=(cfg["fpk.cells"],))
-    return _model(cfg), grid
+    model = _PRESETS[cfg["model.preset"]][1](cfg)
+    return model, grid, _initial_density(cfg, model, grid)
 
 
-def _initial_density(model: ModelSpec, grid: Grid):
-    return coupling_measure(
-        tuple(model.population(p).initial_law.grid_density(grid) for p in range(model.n_populations))
-    )
+def _initial_density(cfg: RunConfig, model: ModelSpec, grid: Grid):
+    """Each population's initial law on ``grid``; a law that misses the grid box names the box's keys."""
+    try:
+        laws = tuple(model.population(p).initial_law.grid_density(grid) for p in range(model.n_populations))
+    except ValueError as exc:
+        *keys, last = [key for axis in _AXES if axis[1] in cfg.values for key in axis]
+        raise ConfigError(f"keys {', '.join(keys)} and {last}: {exc}") from exc
+    return coupling_measure(laws)
 
 
 def _fpk_config(cfg: RunConfig, section: str, t_final: float) -> FpkConfig:
@@ -327,11 +340,13 @@ def _picard_config(cfg: RunConfig) -> PicardConfig:
 
 
 def _sim_config(cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int, record_every: int) -> SimConfig:
-    """The ``sim.*`` keys as a particle run; a window wider than the horizon names ``sim.dt``."""
+    """The ``sim.*`` keys as a particle run; a window wider than the horizon, or a
+    step count that rounds, names ``sim.dt``."""
     t_final = _auto(cfg["sim.t_final"], model.T)
     sim = SimConfig(cfg["sim.dt"], t_final, n_particles, seed, record_every, cfg["sim.coupling"])
     try:
         model.check_window(sim.dt)
+        sim.n_steps()
     except ValueError as exc:
         raise ConfigError(f"key sim.dt: {exc}") from exc
     return sim
@@ -339,7 +354,7 @@ def _sim_config(cfg: RunConfig, model: ModelSpec, n_particles: int, seed: int, r
 
 def _write_manifest(out: Path, subcommand: str, cfg: RunConfig) -> None:
     lines = [f"# brsmfg {subcommand} manifest", f"# version={__version__}"]
-    lines += cfg.lines()
+    lines += [f"{key}={cfg.text[key]}" for key in sorted(cfg.text)]
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -368,34 +383,28 @@ Report = tuple[int, list[tuple[str, object]]]
 
 def _run_simulate(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model = _model(cfg)
+        model = _PRESETS[cfg["model.preset"]][1](cfg)
         sim = _sim_config(cfg, model, cfg["sim.n_particles"], cfg["sim.seed"], cfg["sim.record_every"])
     rec = simulate_brs_nplayer(model, sim)
-    final = rec.final()
-    write_empirical_csv(out / "particles_final.csv", [final.empirical(p) for p in range(model.n_populations)])
-    rows = []
-    for k, t in enumerate(rec.times):
-        snap = rec.snapshots[k]
-        for pop in range(model.n_populations):
-            mom = moments(snap.empirical(pop))
-            for ax in range(model.d):
-                rows.append([t, f"pop{pop}_mean_x{ax}", mom.mean[ax]])
-                rows.append([t, f"pop{pop}_var_x{ax}", mom.variance[ax]])
+    write_empirical_csv(out / "particles_final.csv", [rec.final().empirical(p) for p in range(model.n_populations)])
+    rows = [
+        [t, f"pop{pop}_{name}_x{ax}", value[ax]]
+        for t, snap in zip(rec.times, rec.snapshots)
+        for pop in range(model.n_populations)
+        for mom in [moments(snap.empirical(pop))]
+        for ax in range(model.d)
+        for name, value in (("mean", mom.mean), ("var", mom.variance))
+    ]
     write_csv(out / "metrics.csv", ["t", "metric_name", "value"], rows)
-    entries: list[tuple[str, object]] = [("t_final", rec.times[-1]), ("n_steps", len(rec.times) - 1)]
-    for pop in range(model.n_populations):
-        mom = moments(final.empirical(pop))
-        for ax in range(model.d):
-            entries.append((f"pop{pop}_terminal_mean_x{ax}", mom.mean[ax]))
-            entries.append((f"pop{pop}_terminal_var_x{ax}", mom.variance[ax]))
-    return 0, entries
+    # the final snapshot's rows are the terminal moments
+    terminal = [(name.replace("_", "_terminal_", 1), v) for t, name, v in rows if t == rec.times[-1]]
+    return 0, [("t_final", rec.times[-1]), ("n_steps", len(rec.times) - 1)] + terminal
 
 
 def _run_fpk(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg)
+        model, grid, m0 = _model_1d(cfg)
         fpk = _fpk_config(cfg, "fpk", _auto(cfg["fpk.t_final"], model.T))
-        m0 = _initial_density(model, grid)
     path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=[f"preset={cfg['model.preset']}"])
     mom = moments(path.final(0))
@@ -408,9 +417,8 @@ def _run_fpk(cfg: RunConfig, out: Path) -> Report:
 
 def _run_mfg(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg)
+        model, grid, m0 = _model_1d(cfg)
         picard = _picard_config(cfg)
-        m0 = _initial_density(model, grid)
     sol = solve_mfg_picard(model, m0, grid, cfg["mfg.n_t"], cfg=picard)
     sol.value.write_csv(out / "values.csv")
     sol.density_path.write_csv(out / "density.csv")
@@ -426,9 +434,8 @@ def _run_mfg(cfg: RunConfig, out: Path) -> Report:
 
 def _run_compare(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg)
+        model, grid, m0 = _model_1d(cfg)
         picard = _picard_config(cfg)
-        m0 = _initial_density(model, grid)
     res = compare_brs_mfg(model, m0, grid, cfg["mfg.n_t"], cfg=picard)
     res.write_csv(out / "compare.csv")
     res.brs_path.write_csv(out / "density_brs.csv")
@@ -442,17 +449,12 @@ def _run_compare(cfg: RunConfig, out: Path) -> Report:
 
 def _run_chaos(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg)
+        model, grid, m0 = _model_1d(cfg)
         n_values, seed0 = cfg["chaos.n_values"], cfg["chaos.seed0"]
         # the study sets each run's particle count and seed, and reads only its
         # final snapshot
         sim = _sim_config(cfg, model, n_values[0], seed0, record_every=sys.maxsize)
-        try:
-            sim.n_steps(exact=True)
-        except ValueError as exc:
-            raise ConfigError(f"key sim.dt: {exc}, not at sim.t_final={sim.t_final}") from exc
         fpk = _fpk_config(cfg, "fpk", sim.t_final)
-        m0 = _initial_density(model, grid)
         seeds = [seed0 + k for k in range(cfg["chaos.n_seeds"])]
     reference = solve_fpk(model, m0, fpk)
     with _building():
@@ -474,7 +476,7 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
 
 def _run_mpc_order(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid = _model_1d(cfg)
+        model, grid, _ = _model_1d(cfg)
         res = mpc_reduction_check(model, grid, cfg["mpc.dt_values"])
     res.write_csv(out / "orders.csv")
     entries: list[tuple[str, object]] = [("fitted_order", res.fitted_order)]
@@ -493,7 +495,7 @@ def _run_wealth(cfg: RunConfig, out: Path) -> Report:
             cells=(cfg["wealth.ycells"], cfg["wealth.zcells"]),
         )
         fpk = _fpk_config(cfg, "wealth", cfg["wealth.t_final"])
-        m0 = _initial_density(model, grid)
+        m0 = _initial_density(cfg, model, grid)
     path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=["preset=wealth"])
     mom = moments(path.final(0))
@@ -509,14 +511,10 @@ def _run_crowd(cfg: RunConfig, out: Path) -> Report:
     with _building():
         params = _crowd_params(cfg, _auto(cfg["crowd.t_final"], 0.5))
         model = build_crowd_model(params)
-        nc = cfg["crowd.cells"]
-        grid = Grid(
-            mins=(params.domain[0][0], params.domain[1][0]),
-            maxs=(params.domain[0][1], params.domain[1][1]),
-            cells=(nc, nc),
-        )
+        (xmin, xmax), (ymin, ymax) = params.domain
+        grid = Grid(mins=(xmin, ymin), maxs=(xmax, ymax), cells=(cfg["crowd.cells"],) * 2)
         fpk = _fpk_config(cfg, "crowd", model.T)
-        m0 = _initial_density(model, grid)
+        m0 = _initial_density(cfg, model, grid)
     path = solve_fpk(model, m0, fpk)
     path.write_csv(out / "density.csv", preamble=["preset=crowd"])
     vol = grid.cell_volume
@@ -529,18 +527,20 @@ def _run_crowd(cfg: RunConfig, out: Path) -> Report:
     ] + _fpk_report_entries(path)
 
 
-# subcommand -> (key table, runner)
+# subcommand -> (key table, runner); a table with model.preset takes the keys of
+# its chosen preset too
+_ONE_D = _model_keys("ou", "lq", "mean_coupling")
 SUBCOMMANDS: dict[str, tuple[dict[str, Key], Callable[[RunConfig, Path], Report]]] = {
     "simulate": (
-        {**_MODEL, **_RUN, **_WEALTH_MODEL, **_CROWD_MODEL, **_SIM, **_SIM_RUN, **_PARTICLE_MODEL},
+        {**_model_keys("ou", "lq", "mean_coupling", "wealth", "crowd"), **_RUN, **_SIM, **_SIM_RUN},
         _run_simulate,
     ),
-    "fpk": ({**_MODEL, **_RUN, **_GRID_1D, **_FPK_STEPPING, "fpk.t_final": Key("auto", "auto", above=0)}, _run_fpk),
-    "mfg": ({**_MODEL, **_RUN, **_GRID_1D, **_MFG}, _run_mfg),
-    "compare": ({**_MODEL, **_RUN, **_GRID_1D, **_MFG}, _run_compare),
+    "fpk": ({**_ONE_D, **_RUN, **_GRID_1D, **_FPK_STEPPING, "fpk.t_final": Key("auto", "auto", above=0)}, _run_fpk),
+    "mfg": ({**_ONE_D, **_RUN, **_GRID_1D, **_MFG}, _run_mfg),
+    "compare": ({**_ONE_D, **_RUN, **_GRID_1D, **_MFG}, _run_compare),
     "chaos-study": (
         {
-            **_MODEL,
+            **_ONE_D,
             **_RUN,
             **_SIM,
             **_GRID_1D,
@@ -552,7 +552,7 @@ SUBCOMMANDS: dict[str, tuple[dict[str, Key], Callable[[RunConfig, Path], Report]
         _run_chaos,
     ),
     "mpc-order": (
-        {**_MODEL, **_RUN, **_GRID_1D, "mpc.dt_values": Key("0.1,0.05,0.025,0.0125", "numbers", above=0, order=-1)},
+        {**_ONE_D, **_RUN, **_GRID_1D, "mpc.dt_values": Key("0.1,0.05,0.025,0.0125", "numbers", above=0, order=-1)},
         _run_mpc_order,
     ),
     "wealth": (
@@ -611,20 +611,17 @@ def main(argv: list[str] | None = None) -> int:
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
+        p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./runs)")
     args = parser.parse_args(argv)
     try:
         return run(args.subcommand, args.config, args.overrides, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the run cannot allocate its arrays: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

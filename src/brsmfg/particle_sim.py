@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,15 +80,12 @@ class SimConfig:
         if self.coupling not in COUPLINGS:
             raise ValueError(f"coupling must be one of {COUPLINGS}")
 
-    def n_steps(self, exact: bool = False) -> int:
-        """t_final/dt rounded, at least 1; warns if it rounds, or with ``exact`` raises."""
+    def n_steps(self) -> int:
+        """t_final/dt, at least 1; a ratio that is not an integer within 1e-9 raises."""
         steps = self.t_final / self.dt
-        rounded = round(steps)
-        n = max(int(rounded), 1)
-        if abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
-            if exact:
-                raise ValueError(f"t_final/dt = {steps} is not an integer: {n} steps end at t={n * self.dt}")
-            warnings.warn(f"t_final/dt = {steps} is not an integer; rounding to {rounded}", stacklevel=2)
+        n = max(round(steps), 1)
+        if abs(steps - n) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"t_final/dt = {steps} is not an integer: {n} steps end at t={n * self.dt}")
         return n
 
 
@@ -385,7 +381,7 @@ def propagation_of_chaos_study(
         )
     ref_density: GridDensity = reference.density(int(idx[0]), 0)
     model.check_window(cfg_base.dt)
-    n_steps, n_max = cfg_base.n_steps(exact=True), max(n_list)
+    n_steps, n_max = cfg_base.n_steps(), max(n_list)
     steps = [_particle_step(model, cfg_base.dt, cfg_base.coupling, n) for n in n_list]
     w1 = np.empty((len(n_list), len(seeds)))
     for first in range(0, len(seeds), _SEEDS):

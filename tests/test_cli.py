@@ -96,8 +96,10 @@ class TestConfig:
             ("chaos-study", "chaos.n_values=40,10", "key chaos.n_values: "),
             ("chaos-study", "chaos.n_values=40,40", "key chaos.n_values: "),
             ("chaos-study", "chaos.seed0=-1", "key chaos.seed0: expected an integer >= 0, got '-1'"),
-            # 7 steps of 0.03 end at t = 0.21, not at the reference's t = 0.2
+            # 7 steps of 0.03 end at t = 0.21, not at the reference's t = 0.2; a lone run rounds no more either
             ("chaos-study", "model.T=0.2 sim.dt=0.03", "key sim.dt: t_final/dt = 6.66"),
+            ("simulate", "model.T=0.2 sim.dt=0.03", "key sim.dt: t_final/dt = 6.66"),
+            ("simulate", "sim.t_final=0.2 sim.dt=0.03", "7 steps end at t=0.21"),
             ("fpk", "fpk.n_records=0", "key fpk.n_records:"),
             ("wealth", "wealth.n_records=0", "key wealth.n_records:"),
             ("crowd", "crowd.n_records=0", "key crowd.n_records:"),
@@ -242,13 +244,26 @@ TINY = {
 }
 
 
-# the model presets each subcommand accepts; wealth and crowd take no model.* key
-PRESETS = {
-    "simulate": ("ou", "lq", "mean_coupling", "wealth", "crowd"),
-    "wealth": (None,),
-    "crowd": (None,),
-}
+def presets_of(subcommand: str) -> tuple:
+    """The model presets ``subcommand`` takes; (None,) for wealth and crowd, which take no model.* key."""
+    row = SUBCOMMANDS[subcommand][0].get("model.preset")
+    return (None,) if row is None else row.choices
+
+
 ONE_D_PRESETS = ("ou", "lq", "mean_coupling")
+
+# every (subcommand, preset) a run can have
+RUNS = [(subcommand, preset) for subcommand in sorted(SUBCOMMANDS) for preset in presets_of(subcommand)]
+
+
+def preset_sets(preset) -> list[str]:
+    return [] if preset is None else [f"model.preset={preset}"]
+
+
+def listed_keys(subcommand: str, preset) -> dict[str, str]:
+    """The keys a run of ``subcommand`` with ``preset`` lists, with their default text."""
+    return resolve_config(subcommand, None, preset_sets(preset)).text
+
 
 # listed by every subcommand but read by none; the benchmark harness still passes it
 UNREAD_KEYS = {"run.workers"}
@@ -270,8 +285,9 @@ class _ReadRecorder(dict):
         return super().get(key, default)
 
 
-@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
-def test_every_listed_key_is_read(tmp_path, monkeypatch, subcommand):
+@pytest.mark.parametrize("subcommand, preset", RUNS)
+def test_every_listed_key_is_read(tmp_path, monkeypatch, subcommand, preset):
+    """The manifest lists the keys of the run's own preset only, and the run reads each of them."""
     read: set[str] = set()
     resolve = cli.resolve_config
 
@@ -281,13 +297,25 @@ def test_every_listed_key_is_read(tmp_path, monkeypatch, subcommand):
         return cfg
 
     monkeypatch.setattr(cli, "resolve_config", recording)
-    # the manifest lists every key; writing it is not a read
-    monkeypatch.setattr(cli, "_write_manifest", lambda out, subcommand, cfg: None)
-    for k, preset in enumerate(PRESETS.get(subcommand, ONE_D_PRESETS)):
-        overrides = TINY[subcommand] + ([] if preset is None else [f"model.preset={preset}"])
-        # run.out is read only when no output directory is passed
-        assert run(subcommand, None, overrides + [f"run.out={tmp_path / str(k)}"], None) == 0
-    assert sorted(set(SUBCOMMANDS[subcommand][0]) - read - UNREAD_KEYS) == []
+    # run.out is read only when no output directory is passed
+    assert run(subcommand, None, TINY[subcommand] + preset_sets(preset) + [f"run.out={tmp_path}"], None) == 0
+    manifest = [ln.partition("=")[0] for ln in (tmp_path / "manifest.txt").read_text().splitlines() if not ln.startswith("#")]
+    assert manifest == sorted(listed_keys(subcommand, preset))
+    assert sorted(set(manifest) - read - UNREAD_KEYS) == []
+
+
+@pytest.mark.parametrize(
+    "subcommand, counts",
+    [
+        ("simulate", {"ou": 13, "lq": 13, "mean_coupling": 14, "wealth": 16, "crowd": 23}),
+        ("fpk", {"ou": 14, "lq": 14, "mean_coupling": 15}),
+        ("chaos-study", {"ou": 19, "lq": 19, "mean_coupling": 20}),
+        ("mpc-order", {"ou": 11, "lq": 11, "mean_coupling": 12}),
+    ],
+)
+def test_listed_key_counts(subcommand, counts):
+    """Each count is the keys the preset reads, plus run.out and run.workers."""
+    assert {p: len(listed_keys(subcommand, p)) for p in presets_of(subcommand)} == counts
 
 
 def rejection(subcommand: str, overrides: list[str], out: Path, capsys) -> str:
@@ -300,20 +328,64 @@ def rejection(subcommand: str, overrides: list[str], out: Path, capsys) -> str:
 # the keys that take a word; run.out takes a path, and every other key numbers
 CHOICE_KEYS = ("model.preset", "sim.coupling", "fpk.boundary")
 
+# a subcommand's own keys under its default preset, and each preset's keys under that preset
 NON_FINITE_CASES = [
-    (subcommand, key, value)
-    for subcommand in sorted(SUBCOMMANDS)
-    for key in SUBCOMMANDS[subcommand][0]
-    if key != "run.out"
+    (subcommand, preset, key, value)
+    for subcommand, preset in RUNS
+    for key in listed_keys(subcommand, preset)
+    if key != "run.out" and (preset == presets_of(subcommand)[0] or key not in SUBCOMMANDS[subcommand][0])
     for value in (("nan",) if key in CHOICE_KEYS else ("nan", "inf", "-inf"))
 ]
 
 
-@pytest.mark.parametrize("subcommand, key, value", NON_FINITE_CASES)
-def test_every_non_finite_value_names_its_key(tmp_path, capsys, subcommand, key, value):
-    """Every listed key is checked, also where the run's preset never reads it."""
-    err = rejection(subcommand, TINY[subcommand] + [f"{key}={value}"], tmp_path / "x", capsys)
-    assert err.startswith(f"config error: key {key}: ")
+@pytest.mark.parametrize("subcommand, preset, key, value", NON_FINITE_CASES)
+def test_every_non_finite_value_names_its_key(tmp_path, capsys, subcommand, preset, key, value):
+    """Every listed key is checked against its row, each preset's keys with that preset chosen."""
+    err = rejection(subcommand, TINY[subcommand] + preset_sets(preset) + [f"{key}={value}"], tmp_path / "x", capsys)
+    assert err.startswith(f"config error: key {key}: expected ")
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides, message",
+    [
+        ("simulate", ["crowd.lam=1"], "key crowd.lam: read only with model.preset=crowd, got model.preset=ou"),
+        ("simulate", ["model.preset=crowd", "model.sigma=0.5"], "key model.sigma: read only with model.preset=ou or lq or mean_coupling, got model.preset=crowd"),
+        ("simulate", ["model.preset=crowd", "model.alpha=5"], "key model.alpha: read only with model.preset=ou or lq or mean_coupling, got model.preset=crowd"),
+        ("simulate", ["model.preset=crowd", "wealth.kappa=0.4"], "key wealth.kappa: read only with model.preset=wealth, got model.preset=crowd"),
+        ("fpk", ["model.coupling_strength=2"], "key model.coupling_strength: read only with model.preset=mean_coupling, got model.preset=ou"),
+        # no preset of fpk reads a crowd key
+        ("fpk", ["crowd.lam=1"], "unknown config key: crowd.lam"),
+    ],
+)
+def test_a_key_of_another_preset_is_rejected(tmp_path, capsys, subcommand, overrides, message):
+    assert rejection(subcommand, overrides, tmp_path / "x", capsys) == f"config error: {message}\n"
+
+
+# every (subcommand, preset, key) where another preset of the subcommand reads the key and this one does not
+OTHER_PRESET_KEYS = [
+    (subcommand, preset, key)
+    for subcommand, preset in RUNS
+    for key in dict.fromkeys(k for other in presets_of(subcommand) if other for k in cli._PRESETS[other][0])
+    if preset and key not in listed_keys(subcommand, preset)
+]
+
+
+@pytest.mark.parametrize("subcommand, preset, key", OTHER_PRESET_KEYS)
+def test_every_key_of_another_preset_names_the_chosen_preset(tmp_path, capsys, subcommand, preset, key):
+    err = rejection(subcommand, [f"model.preset={preset}", f"{key}=1"], tmp_path / "x", capsys)
+    assert err.startswith(f"config error: key {key}: read only with model.preset=")
+    assert err.endswith(f", got model.preset={preset}\n")
+
+
+def test_the_preset_is_settled_before_the_other_keys(tmp_path, capsys):
+    """--set model.preset overrides the file's, and the file's crowd key then belongs to another preset."""
+    cfgfile = tmp_path / "crowd.cfg"
+    cfgfile.write_text("model.preset=crowd\ncrowd.lam=2\n")
+    assert resolve_config("simulate", str(cfgfile), [])["crowd.lam"] == 2.0
+    with pytest.raises(ConfigError, match="^key crowd.lam: read only with model.preset=crowd, got model.preset=ou$"):
+        resolve_config("simulate", str(cfgfile), ["model.preset=ou"])
+    with pytest.raises(ConfigError, match="^key model.preset: expected one of ou, lq, mean_coupling, wealth, crowd, got 'bogus'$"):
+        resolve_config("simulate", str(cfgfile), ["model.preset=bogus"])
 
 
 @pytest.mark.parametrize(
@@ -334,12 +406,12 @@ def test_readme_rejections_name_their_key(tmp_path, capsys, subcommand, override
     assert err.startswith(f"config error: key {override.partition('=')[0]}: ")
 
 
-@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
-def test_every_default_passes_its_row(subcommand):
-    rows = SUBCOMMANDS[subcommand][0]
-    for key, row in rows.items():
-        row.parse(key, row.default)
-    assert resolve_config(subcommand, None, []).text == {key: row.default for key, row in rows.items()}
+@pytest.mark.parametrize("subcommand, preset", RUNS)
+def test_every_default_passes_its_row(subcommand, preset):
+    rows = {**SUBCOMMANDS[subcommand][0], **({} if preset is None else cli._PRESETS[preset][0])}
+    # resolving checks every value against its row
+    assert listed_keys(subcommand, preset) == {k: preset if k == "model.preset" else row.default for k, row in rows.items()}
+    assert resolve_config(subcommand, None, []).text == listed_keys(subcommand, presets_of(subcommand)[0])
 
 
 @pytest.mark.parametrize("subcommand", ["fpk", "mfg", "compare", "chaos-study", "mpc-order"])
@@ -348,22 +420,61 @@ def test_one_dimensional_subcommands_take_only_their_presets(tmp_path, capsys, s
     assert err == f"config error: key model.preset: expected one of {', '.join(ONE_D_PRESETS)}, got 'wealth'\n"
 
 
+# grid axes whose bounds are two keys: "subcommand [override]", then the two keys
+GRID_AXES = [
+    ("fpk", "fpk.xmin", "fpk.xmax"),
+    ("chaos-study", "fpk.xmin", "fpk.xmax"),
+    ("wealth", "wealth.ymin", "wealth.ymax"),
+    ("wealth", "wealth.z_min", "wealth.zmax"),
+    ("crowd", "crowd.xmin", "crowd.xmax"),
+    ("crowd", "crowd.ymin", "crowd.ymax"),
+    ("simulate model.preset=crowd", "crowd.ymin", "crowd.ymax"),
+]
+
+
+@pytest.mark.parametrize("spec, lo, hi", GRID_AXES)
+@pytest.mark.parametrize("low, high", [("1", "1"), ("2", "-2")])
+def test_grid_bounds_out_of_order_name_both_keys(tmp_path, capsys, spec, lo, hi, low, high):
+    subcommand, *sets = spec.split()
+    err = rejection(subcommand, sets + [f"{lo}={low}", f"{hi}={high}"], tmp_path / "x", capsys)
+    assert err == f"config error: keys {lo} and {hi}: grid axis needs min < max, got [{float(low)}, {float(high)}]\n"
+
+
+# wealth.z_min is positive, so the z axis cannot be infinitely wide
+@pytest.mark.parametrize("spec, lo, hi", [axis for axis in GRID_AXES if axis[1] != "wealth.z_min"])
+def test_an_infinitely_wide_grid_axis_names_both_keys(tmp_path, capsys, spec, lo, hi):
+    subcommand, *sets = spec.split()
+    err = rejection(subcommand, sets + [f"{lo}=-1e308", f"{hi}=1e308"], tmp_path / "x", capsys)
+    assert err == f"config error: keys {lo} and {hi}: grid axis width must be finite, got [-1e+308, 1e+308]\n"
+
+
 @pytest.mark.parametrize(
-    "subcommand, lo, hi",
+    "subcommand, overrides, keys",
     [
-        ("fpk", "fpk.xmin", "fpk.xmax"),
-        ("chaos-study", "fpk.xmin", "fpk.xmax"),
-        ("wealth", "wealth.ymin", "wealth.ymax"),
-        ("wealth", "wealth.z_min", "wealth.zmax"),
-        ("crowd", "crowd.xmin", "crowd.xmax"),
-        ("crowd", "crowd.ymin", "crowd.ymax"),
-        ("simulate", "crowd.ymin", "crowd.ymax"),
+        (subcommand, ["fpk.xmin=100", "fpk.xmax=200"], "fpk.xmin and fpk.xmax")
+        for subcommand in ("fpk", "mfg", "compare", "chaos-study", "mpc-order")
+    ]
+    + [
+        ("wealth", ["wealth.ymin=100", "wealth.ymax=200"], "wealth.ymin, wealth.ymax, wealth.z_min and wealth.zmax"),
+        ("crowd", ["crowd.xmin=100", "crowd.xmax=200"], "crowd.xmin, crowd.xmax, crowd.ymin and crowd.ymax"),
     ],
 )
-@pytest.mark.parametrize("low, high", [("1", "1"), ("2", "-2")])
-def test_grid_bounds_out_of_order_name_both_keys(tmp_path, capsys, subcommand, lo, hi, low, high):
-    err = rejection(subcommand, [f"{lo}={low}", f"{hi}={high}"], tmp_path / "x", capsys)
-    assert err == f"config error: keys {lo} and {hi}: grid axis needs min < max, got [{float(low)}, {float(high)}]\n"
+def test_an_initial_law_outside_the_grid_box_names_the_box_keys(tmp_path, capsys, subcommand, overrides, keys):
+    err = rejection(subcommand, TINY[subcommand] + overrides, tmp_path / "x", capsys)
+    assert err == f"config error: keys {keys}: initial law has no mass inside the grid box\n"
+
+
+@pytest.mark.parametrize("subcommand, builder", [("fpk", "Grid"), ("simulate", "simulate_brs_nplayer")])
+def test_a_run_that_cannot_allocate_its_arrays_is_a_config_error(tmp_path, capsys, monkeypatch, subcommand, builder):
+    message = "Unable to allocate 745. GiB for an array with shape (100000000001,) and data type float64"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    # the builder refuses as numpy does; the test allocates nothing large
+    monkeypatch.setattr(cli, builder, refuse)
+    err = rejection(subcommand, TINY[subcommand], tmp_path / "x", capsys)
+    assert err == f"config error: the run cannot allocate its arrays: {message}\n"
 
 
 def output_names(out: Path) -> list[str]:

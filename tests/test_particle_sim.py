@@ -35,7 +35,7 @@ from brsmfg.particle_sim import (
     propagation_of_chaos_study,
     simulate_brs_nplayer,
 )
-from brsmfg.presets import mean_coupling_model, ou_model
+from brsmfg.presets import lq_model, mean_coupling_model, ou_model
 
 
 def state_of(points):
@@ -390,6 +390,22 @@ class TestPermutationEquivariance:
         np.testing.assert_allclose(b.positions[0], a.positions[0][perm], rtol=0.0, atol=1e-12)
 
 
+class TestMirrorEquivariance:
+    @pytest.mark.parametrize("preset", ["ou", "lq", "mean_coupling"])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("shape", [(15, 1), (3, 15, 1)], ids=["lone", "stacked"])
+    def test_mirroring_positions_and_noise_mirrors_the_step(self, preset, coupling, shape):
+        """The drifts are odd in x, negation is exact and rounding is symmetric: the bits mirror."""
+        model = {"ou": ou_model(T=1.0), "lq": lq_model(T=1.0), "mean_coupling": mean_coupling_model(strength=2.0)}[preset]
+        rng = np.random.default_rng(3)
+        x, noise = rng.uniform(-4.0, 4.0, shape), rng.standard_normal(shape)
+        step = particle_sim._particle_step(model, 0.1, coupling, shape[-2])
+        ahead, mirrored = x.copy(), -x
+        step((ahead,), 0.3, [noise])
+        step((mirrored,), 0.3, [-noise])
+        assert np.array_equal(mirrored, -ahead)
+
+
 class TestSimulate:
     def test_determinism_bitwise(self):
         model = ou_model(T=1.0)
@@ -431,8 +447,8 @@ class TestSimulate:
         var = rec.final().empirical().variance()[0]
         assert var == pytest.approx(0.5, abs=0.08)
 
-    def test_rounding_warning_for_nonintegral_step_count(self):
-        with pytest.warns(UserWarning, match="rounding"):
+    def test_nonintegral_step_count_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^t_final/dt = 3\.33+[0-9]* is not an integer: 3 steps end at t=0\.8999"):
             SimConfig(dt=0.3, t_final=1.0, n_particles=4, seed=0).n_steps()
 
     def test_coupling_gap_scales_like_one_over_n(self):
@@ -681,8 +697,8 @@ class TestChaosStudy:
         with pytest.raises(ValueError, match=r"^t_final/dt = 3\.33+[0-9]* is not an integer: 3 steps end at t=0\.8999"):
             propagation_of_chaos_study(model, cfg, [10, 20], path, seeds=[0])
         assert threading.active_count() == threads
-        with pytest.warns(UserWarning, match="rounding to 3"):
-            assert simulate_brs_nplayer(model, cfg).times[-1] == pytest.approx(0.9)
+        with pytest.raises(ValueError, match=r"^t_final/dt = 3\.33+[0-9]* is not an integer: 3 steps end at t=0\.8999"):
+            simulate_brs_nplayer(model, cfg)
 
 
 class BrokenGenerator:
