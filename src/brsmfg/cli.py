@@ -476,8 +476,8 @@ def _run_chaos(cfg: RunConfig, out: Path) -> Report:
 
 def _run_mpc_order(cfg: RunConfig, out: Path) -> Report:
     with _building():
-        model, grid, _ = _model_1d(cfg)
-        res = mpc_reduction_check(model, grid, cfg["mpc.dt_values"])
+        model, grid, m0 = _model_1d(cfg)
+        res = mpc_reduction_check(model, m0, grid, cfg["mpc.dt_values"])
     res.write_csv(out / "orders.csv")
     entries: list[tuple[str, object]] = [("fitted_order", res.fitted_order)]
     for dt, err in res.rows:

@@ -69,17 +69,21 @@ class ControlPenalty:
         return a
 
 
-def _zero_kernel(x, y) -> np.ndarray:
-    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+def _zeros(x, m) -> np.ndarray:
+    return np.zeros(np.shape(x))
 
 
 @dataclass(frozen=True)
 class CostFunction:
     """Scalar cost (x, m) -> R with an analytic spatial gradient.
 
-    ``pair_gradient`` optionally declares the gradient's pairwise kernel k,
-    gradient(x, m) = integral of k(x, y) m(dy), broadcasting over the leading
-    axes of x and y; ``None`` when the gradient is not of that form.
+    ``linear`` declares the gradient linear in m: gradient(x, sum_j w_j delta_{y_j})
+    = sum_j w_j gradient(x, delta_{y_j}) whenever sum_j w_j = 1. Against the
+    leave-one-out measure m^{-i} of a uniform N-point m this reads
+    (N gradient(x, m) - gradient(x, delta_{x_i})) / (N - 1), and the particle
+    step takes the N one-point measures delta_{x_i} as a stack of N runs; so a
+    linear gradient must take a leading run axis of x and of the measure's
+    points, as :class:`~brsmfg.measures.EmpiricalMeasure` stacks them.
 
     ``bind(points, axes)``, optional, returns m -> ``gradient(points, m)[..., axes]``
     bit for bit, doing the work that depends only on the points once.
@@ -87,32 +91,24 @@ class CostFunction:
 
     value: Callable
     gradient: Callable
-    pair_gradient: Callable | None = None
+    linear: bool = False
     bind: Callable | None = None
 
     @staticmethod
     def zero(d: int) -> "CostFunction":
-        return CostFunction(
-            value=lambda x, m: np.zeros(np.shape(x)[:-1]),
-            gradient=lambda x, m: np.zeros(np.shape(x)),
-            pair_gradient=_zero_kernel,
-        )
+        return CostFunction(value=lambda x, m: np.zeros(np.shape(x)[:-1]), gradient=_zeros, linear=True)
 
 
 @dataclass(frozen=True)
 class DriftFunction:
-    """Vector field (x, m) -> R^d.
-
-    ``pair_value`` optionally declares the pairwise kernel k with
-    value(x, m) = integral of k(x, y) m(dy), as for ``CostFunction``.
-    """
+    """Vector field (x, m) -> R^d; ``linear`` declares it linear in m, as for ``CostFunction``."""
 
     value: Callable
-    pair_value: Callable | None = None
+    linear: bool = False
 
     @staticmethod
     def zero(d: int) -> "DriftFunction":
-        return DriftFunction(value=lambda x, m: np.zeros(np.shape(x)), pair_value=_zero_kernel)
+        return DriftFunction(value=_zeros, linear=True)
 
 
 @dataclass(frozen=True)
@@ -135,8 +131,7 @@ class DiffusionFunction:
 
 def is_zero(fn: CostFunction | DriftFunction) -> bool:
     """Whether the ingredient is declared identically zero (``CostFunction.zero``, ``DriftFunction.zero``)."""
-    kernel = fn.pair_value if isinstance(fn, DriftFunction) else fn.pair_gradient
-    return kernel is _zero_kernel
+    return (fn.value if isinstance(fn, DriftFunction) else fn.gradient) is _zeros
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ coupling measures are rebuilt every step on its shared uniform weights. A
 step's noise is the next values of its run's stream, one block per population
 in particle order, taken before any update runs.
 
-The leave-one-out coupling evaluates each ingredient against every player's
-own exclusion measure. Ingredients that declare a pairwise kernel get this
-from one full-measure evaluation per step; opaque ones are evaluated player
-by player.
+The leave-one-out coupling evaluates the best-reply drift against every
+player's own exclusion measure. When a one-population model declares f, h
+and g linear in m, that is exact algebra on two evaluations a step, one
+against the full measure and one against each player's own point; other
+models are evaluated player by player.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .measures import EmpiricalMeasure, GridDensity, _frozen, leave_one_out, wasserstein_1d
-from .model import ModelSpec, _check_finite, brs_drift, coupling_measure, is_zero
+from .model import ModelSpec, _check_finite, brs_drift, coupling_measure
 
 __all__ = [
     "EnsembleState",
@@ -111,24 +112,34 @@ def _reflect(positions: np.ndarray, floors) -> np.ndarray:
     return positions
 
 
-def _leave_one_out_eval(fn, pair, pts: np.ndarray, views, pop: int) -> np.ndarray:
+# the weight of a one-point measure
+_ONE = _frozen(np.ones(1))
+
+
+def _leave_one_out_eval(fn, linear: bool, pts: np.ndarray, views, pop: int) -> np.ndarray:
     """``fn(x_i, m^{-i})`` for every particle i of population ``pop``, shape (..., N, d).
 
     ``m^{-i}`` replaces population ``pop``'s measure by the uniform measure on
     its other N - 1 particles; other populations keep their full measures.
-    When ``fn(x, m)`` is the integral of a declared pairwise kernel
-    ``pair(x, y)`` against m and there is one population, the exclusion is
-    exact algebra on the full measure,
-    ``fn(x_i, m^{-i}) = (N fn(x_i, m) - pair(x_i, x_i)) / (N - 1)``, so ``fn``
-    runs once on all particles. Otherwise each particle is evaluated against
-    its own leave-one-out measure, run by run when leading axes stack runs.
+    When ``fn`` is ``linear`` in m and there is one population, the exclusion
+    is exact algebra, ``fn(x_i, m^{-i}) = (N fn(x_i, m) - fn(x_i, delta_{x_i})) / (N - 1)``:
+    ``fn`` runs once on all particles against the full measure and once on
+    the one-point measures delta_{x_i}, stacked as runs of one particle, and
+    must return a fresh array of its points' shape. Otherwise each particle
+    is evaluated against its own leave-one-out measure, run by run when
+    leading axes stack runs.
     """
     n = pts.shape[-2]
     # a single particle falls through to leave_one_out, which rejects it
-    if pair is not None and len(views) == 1 and n > 1:
+    if linear and len(views) == 1 and n > 1:
+        own = pts.reshape(-1, 1, pts.shape[-1])
         full = fn(pts, views[0])
-        diag = _check_finite(pair(pts, pts), "pairwise kernel", "self-interaction")
-        return (n * full - diag) / (n - 1)
+        diag = fn(own, EmpiricalMeasure(own, _ONE, checked=True))
+        # the bits of (n * full - diag) / (n - 1), in the fresh array fn returned
+        full *= n
+        full -= diag.reshape(pts.shape)
+        full /= n - 1
+        return full
     out = np.empty_like(pts)
     for r in np.ndindex(pts.shape[:-2]):
         run = tuple(EmpiricalMeasure(v.points[r], v.weights, checked=True) for v in views)
@@ -148,34 +159,17 @@ def _particle_step(model: ModelSpec, dt: float, coupling: str, n_particles: int)
     by X += b dt + sigma(t, X) sqrt(dt) xi. Every b and sigma is taken at
     time t before any population moves; b's own array then holds b dt and
     sigma sqrt(dt) xi in turn, so the update allocates no array of the
-    positions' size. b = ``brs_drift(..., window=dt)``
-    against the full empirical measure, or per player against its
-    leave-one-out measure, through b's pairwise kernel
-    kf - mask * (kh + kg/T) / (alpha + dt * alpha_dot) when f, h and g all
-    declare theirs; a zero f or g and an all-ones mask are skipped, as in
-    ``brs_drift``. Built once: one read-only uniform weight vector, the
-    kernels, and sigma sqrt(dt) of a declared-constant diffusion. Errors of
-    non-finite values name the population.
+    positions' size. b = ``brs_drift(..., window=dt)`` against the full
+    empirical measure, or per player against its leave-one-out measure
+    (``_leave_one_out_eval``). Built once: one read-only uniform weight
+    vector, whether each population's f, h and g are all linear in m, and
+    sigma sqrt(dt) of a declared-constant diffusion. Errors of non-finite
+    values name the population.
     """
     sqrt_dt = np.sqrt(dt)
     weights = _frozen(np.full(n_particles, 1.0 / n_particles))
     scales = [None if p.diffusion.diag is None else np.asarray(p.diffusion.diag) * sqrt_dt for p in model.populations]
-
-    def kernel(pop, p):
-        kf, kh, kg = p.drift.pair_value, p.running_cost.pair_gradient, p.terminal_cost.pair_gradient
-        if kf is None or kh is None or kg is None:
-            return None
-        mask = None if p.control_mask is None else model.mask(pop)
-        zero_f, zero_g = is_zero(p.drift), is_zero(p.terminal_cost)
-
-        def pair(t, x, y):
-            k = kh(x, y) if zero_g else kh(x, y) + kg(x, y) / model.T
-            ku = (k if mask is None else mask * k) / p.penalty.at(t, dt)
-            return -ku if zero_f else kf(x, y) - ku
-
-        return pair
-
-    kernels = [kernel(pop, p) for pop, p in enumerate(model.populations)]
+    linear = [p.drift.linear and p.running_cost.linear and p.terminal_cost.linear for p in model.populations]
 
     def step(positions, t: float, noises) -> None:
         views = tuple(EmpiricalMeasure(p, weights, checked=True) for p in positions)
@@ -186,9 +180,7 @@ def _particle_step(model: ModelSpec, dt: float, coupling: str, n_particles: int)
                 if coupling == "full_empirical":
                     total = brs_drift(model, pop, t, pts, coupling_measure(views), dt)
                 else:
-                    k = kernels[pop]
-                    pair = None if k is None else lambda x, y: k(t, x, y)
-                    total = _leave_one_out_eval(lambda x, m: brs_drift(model, pop, t, x, m, dt), pair, pts, views, pop)
+                    total = _leave_one_out_eval(lambda x, m: brs_drift(model, pop, t, x, m, dt), linear[pop], pts, views, pop)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} in step pop {pop}") from exc
             scale = scales[pop]

@@ -31,9 +31,11 @@ __all__ = ["ou_model", "lq_model", "mean_coupling_model"]
 
 
 def _quadratic_cost() -> CostFunction:
+    # the gradient x never reads m, so it is linear in m
     return CostFunction(
         value=lambda x, m: 0.5 * np.asarray(x)[..., 0] ** 2,
         gradient=lambda x, m: np.asarray(x, dtype=float).copy(),
+        linear=True,
     )
 
 
@@ -90,9 +92,6 @@ def mean_coupling_model(
         mu = m.mean()  # (1,), or one row per run of a stack of runs
         return strength * (x - (mu if mu.ndim == 1 else mu[:, None]))
 
-    def pair_gradient(x, y):
-        return strength * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-
-    h = CostFunction(value=value, gradient=gradient, pair_gradient=pair_gradient)
+    h = CostFunction(value=value, gradient=gradient, linear=True)
     pop = _scalar_population(h, CostFunction.zero(1), sigma, init_var, alpha)
     return ModelSpec(d=1, T=T, populations=(pop,))

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from brsmfg.applications import WealthParams
 from brsmfg.fokker_planck import NumericalError
-from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity, format_value, write_csv
+from brsmfg.measures import EmpiricalMeasure, Grid, GridDensity, format_value, leave_one_out, write_csv
 from brsmfg.model import (
     ControlPenalty,
     CostFunction,
@@ -24,7 +24,7 @@ from brsmfg.model import (
     coupling_measure,
     product_law,
 )
-from brsmfg.particle_sim import _leave_one_out_eval, _reflect
+from brsmfg.particle_sim import _reflect
 
 
 def without_bind(model: ModelSpec) -> ModelSpec:
@@ -440,9 +440,10 @@ def hjb_backward_oracle(model, density_path, grid, n_t):
 # ---------------------------------------------------------------------------
 # Reference particle step: the straightforward composition of the best-reply
 # drift, which evaluates every ingredient (zero ones included), multiplies by
-# the control mask even when it is all ones, and rebuilds the mask and the
-# pairwise kernel every step. The library's particle step must reproduce it
-# exactly.
+# the control mask even when it is all ones, rebuilds the mask every step and
+# takes each particle's leave-one-out measure, or its own one-point measure
+# for ingredients linear in m, one particle at a time. The library's particle
+# step must reproduce it exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -463,17 +464,20 @@ def em_step_oracle(model, state, dt, noises, coupling):
             grad = mask * (np.asarray(h.gradient(x, m), dtype=float) + np.asarray(g.gradient(x, m), dtype=float) / model.T)
             return np.asarray(f.value(x, m), dtype=float) + -grad / denom
 
-        kf, kh, kg = f.pair_value, h.pair_gradient, g.pair_gradient
-        pair = None
-        if kf is not None and kh is not None and kg is not None:
-
-            def pair(x, y, kf=kf, kh=kh, kg=kg, mask=mask, denom=denom):
-                return kf(x, y) + -(mask * (kh(x, y) + kg(x, y) / model.T)) / denom
-
+        n = len(pts)
         if coupling == "full_empirical":
             total = value(pts, coupling_measure(views))
+        elif f.linear and h.linear and g.linear and model.n_populations == 1:
+            # linear in m: the full measure's value less each particle's value at its own point
+            own = np.array([value(pts[i : i + 1], EmpiricalMeasure(pts[i : i + 1])) for i in range(n)]).reshape(pts.shape)
+            total = (n * value(pts, views[0]) - own) / (n - 1)
         else:
-            total = _leave_one_out_eval(value, pair, pts, views, pop)
+            total = np.array(
+                [
+                    value(pts[i], coupling_measure([leave_one_out(v, i) if q == pop else v for q, v in enumerate(views)]))
+                    for i in range(n)
+                ]
+            )
         sig = np.asarray(p.diffusion.value(state.t, pts), dtype=float)
         new = pts + total * dt + sig * np.sqrt(dt) * noises[pop]
         new_positions.append(_reflect(new, p.reflect_lower))

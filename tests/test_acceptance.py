@@ -128,7 +128,7 @@ class TestCriterion2ReductionOrder:
         t0 = time.time()
         model = lq_model(T=1.0)
         grid = Grid((-4.0,), (4.0,), (320,))
-        res = mpc_reduction_check(model, grid, [0.1, 0.05, 0.025, 0.0125])
+        res = mpc_reduction_check(model, model.population(0).initial_law.grid_density(grid), grid, [0.1, 0.05, 0.025, 0.0125])
         assert res.fitted_order == pytest.approx(1.0, abs=0.3)
         elapsed = time.time() - t0
         print(f"PASS criterion 2: surrogate reduction order {res.fitted_order:.3f} "

@@ -151,7 +151,7 @@ class TestSurrogate:
         # the dense window solve is the oracle; halving dt should halve the gap
         model = lq_model(T=1.0)
         grid = Grid((-4.0,), (4.0,), (320,))
-        res = mpc_reduction_check(model, grid, [0.1, 0.05])
+        res = mpc_reduction_check(model, model.population(0).initial_law.grid_density(grid), grid, [0.1, 0.05])
         (dt1, e1), (dt2, e2) = res.rows
         assert e1 / e2 == pytest.approx(2.0, rel=0.4)
         assert res.fitted_order == pytest.approx(1.0, abs=0.3)

@@ -474,7 +474,7 @@ class TestBoundCosts:
         calls = []
         model, m = _wealth_case()
         p = model.population(0)
-        terminal = replace(p.running_cost, bind=None, pair_gradient=None)
+        terminal = replace(p.running_cost, bind=None)
         model = replace(model, populations=(replace(p, terminal_cost=terminal),))
         _Step(_counting_gradients(model, calls), m.grid, None, "no_flux").assemble((m,), 0.0)
         # the running cost binds but is not bound: its whole gradient is asked on the z faces alone

@@ -27,6 +27,11 @@ from brsmfg.presets import lq_model, mean_coupling_model, ou_model
 GRID = Grid((-6.0,), (6.0,), (400,))
 
 
+def reduction_check(model, grid, dt_list):
+    """``mpc_reduction_check`` with the density frozen at the model's initial law on ``grid``."""
+    return mpc_reduction_check(model, model.population(0).initial_law.grid_density(grid), grid, dt_list)
+
+
 def frozen_path(model, grid, n_t=2):
     m0 = model.population(0).initial_law.grid_density(grid)
     return constant_path(grid, m0, np.linspace(0.0, model.T, n_t + 1))
@@ -186,13 +191,13 @@ class TestReductionCheck:
             gradient=lambda x, m: np.zeros(np.shape(x)),
         )
         model = scalar_model(h=h, sigma=1.0)
-        res = mpc_reduction_check(model, GRID, [0.1, 0.05])
+        res = reduction_check(model, GRID, [0.1, 0.05])
         assert all(err <= 1e-12 for _, err in res.rows)
 
     def test_lq_first_order(self):
         model = lq_model(T=1.0)
         grid = Grid((-4.0,), (4.0,), (320,))
-        res = mpc_reduction_check(model, grid, [0.1, 0.05, 0.025, 0.0125])
+        res = reduction_check(model, grid, [0.1, 0.05, 0.025, 0.0125])
         assert res.fitted_order == pytest.approx(1.0, abs=0.3)
         errs = [e for _, e in res.rows]
         for a, b in zip(errs, errs[1:]):
@@ -201,24 +206,36 @@ class TestReductionCheck:
     def test_requires_decreasing_windows(self):
         model = lq_model(T=1.0)
         with pytest.raises(ValueError, match="decreasing"):
-            mpc_reduction_check(model, GRID, [0.05, 0.1])
+            reduction_check(model, GRID, [0.05, 0.1])
 
     @pytest.mark.parametrize("dt_list", [[0.1, np.nan], [0.1, 0.0], [np.inf, 0.1], [0.1, -0.05]])
     def test_windows_must_be_positive_and_finite(self, dt_list):
         with pytest.raises(ValueError, match="^dt_list entries must be positive and finite"):
-            mpc_reduction_check(lq_model(T=1.0), GRID, dt_list)
+            reduction_check(lq_model(T=1.0), GRID, dt_list)
 
     def test_one_window_fits_no_order(self):
         with pytest.raises(ValueError, match="two window sizes"):
-            mpc_reduction_check(lq_model(T=1.0), GRID, [0.1])
+            reduction_check(lq_model(T=1.0), GRID, [0.1])
 
     def test_order_bound_on_every_smooth_scalar_preset(self):
         from brsmfg.presets import ou_model
 
         grid = Grid((-4.0,), (4.0,), (320,))
         for model in (ou_model(T=8.0), lq_model(T=1.0), mean_coupling_model(T=1.0)):
-            res = mpc_reduction_check(model, grid, [0.1, 0.05, 0.025])
+            res = reduction_check(model, grid, [0.1, 0.05, 0.025])
             assert res.fitted_order >= 0.7
+
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda model, m0: mpc_reduction_check(model, m0, GRID, [0.1, 0.05]), lambda model, m0: solve_mfg_picard(model, m0, GRID, 4)],
+        ids=["mpc_reduction_check", "solve_mfg_picard"],
+    )
+    def test_initial_density_on_another_grid_rejected(self, solve):
+        # as many cells as GRID on another box: its values would be read as GRID's cells
+        model = lq_model(T=1.0)
+        m0 = model.population(0).initial_law.grid_density(Grid((-5.0,), (5.0,), (400,)))
+        with pytest.raises(ValueError, match="^density lives on a different grid$"):
+            solve(model, m0)
 
     def test_mismatched_grid_rejected(self):
         model = lq_model(T=1.0)

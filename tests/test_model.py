@@ -47,7 +47,9 @@ class TestDeclaredStructure:
     def test_zero_ingredients_are_declared(self):
         assert is_zero(CostFunction.zero(1)) and is_zero(DriftFunction.zero(2))
         assert not is_zero(quadratic_cost())
-        assert not is_zero(CostFunction(CostFunction.zero(1).value, CostFunction.zero(1).gradient))
+        # the declaration is the identity of the zero's function, not a value that reads zero
+        assert not is_zero(CostFunction(CostFunction.zero(1).value, lambda x, m: np.zeros(np.shape(x))))
+        assert not is_zero(DriftFunction(lambda x, m: np.zeros(np.shape(x)), linear=True))
 
     def test_constant_diffusion_returns_fresh_writable_arrays(self):
         fn = DiffusionFunction.constant([0.5, 2.0])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from _helpers import FixedNoise, em_step_oracle, gaussian_law, point_law, quadratic_cost, rk4, scalar_model
 
 import brsmfg.particle_sim as particle_sim
-from brsmfg.applications import WealthParams, build_wealth_model
+from brsmfg.applications import CrowdParams, WealthParams, build_crowd_model, build_wealth_model
 from brsmfg.brs import brs_control_finite
 from brsmfg.fokker_planck import FpkConfig, solve_fpk
 from brsmfg.measures import EmpiricalMeasure, Grid, leave_one_out, wasserstein_1d
@@ -88,14 +88,14 @@ class TestEmStep:
         assert np.array_equal(a.positions[0][perm], b.positions[0])
 
 
-def without_kernels(model):
-    """The same model with every pairwise-kernel declaration removed."""
+def not_linear(model):
+    """The same model with no ingredient declared linear in m, so leave-one-out takes the per-player loop."""
     pops = tuple(
         replace(
             p,
-            drift=replace(p.drift, pair_value=None),
-            running_cost=replace(p.running_cost, pair_gradient=None),
-            terminal_cost=replace(p.terminal_cost, pair_gradient=None),
+            drift=replace(p.drift, linear=False),
+            running_cost=replace(p.running_cost, linear=False),
+            terminal_cost=replace(p.terminal_cost, linear=False),
         )
         for p in model.populations
     )
@@ -103,34 +103,29 @@ def without_kernels(model):
 
 
 def pull(coef: float):
-    """coef * (x - mean of population 0's measure) + x / 2, with its pairwise kernel coef * (x - y) + x / 2.
+    """coef * (x - mean of population 0's measure) + x / 2, linear in m.
 
-    The local term x / 2 makes the kernel's self-interaction k(x, x) non-zero.
+    The local term x / 2 makes the self term at delta_{x_i}, x_i / 2, non-zero.
     """
 
     def value(x, m):
         x = np.asarray(x, dtype=float)
-        m0 = m[0] if isinstance(m, tuple) else m
-        return coef * (x - m0.mean()) + 0.5 * x
+        mu = (m[0] if isinstance(m, tuple) else m).mean()  # (d,), or one row per run of a stack of runs
+        return coef * (x - (mu if mu.ndim == 1 else mu[:, None])) + 0.5 * x
 
-    def kernel(x, y):
-        x = np.asarray(x, dtype=float)
-        return coef * (x - np.asarray(y, dtype=float)) + 0.5 * x
-
-    return value, kernel
+    return value
 
 
 def pull_cost(coef: float, d: int) -> CostFunction:
     if coef == 0.0:
         return CostFunction.zero(d)
-    grad, kernel = pull(coef)
-    return CostFunction(value=lambda x, m: np.zeros(np.shape(x)[:-1]), gradient=grad, pair_gradient=kernel)
+    return CostFunction(value=lambda x, m: np.zeros(np.shape(x)[:-1]), gradient=pull(coef), linear=True)
 
 
 def pull_drift(coef: float, d: int) -> DriftFunction:
     if coef == 0.0:
         return DriftFunction.zero(d)
-    return DriftFunction(*pull(coef))
+    return DriftFunction(pull(coef), linear=True)
 
 
 def step_model(d, n_pops, f_coef, g_coef, mask, floors, T=0.7, penalty=None, diffusion=None):
@@ -150,7 +145,7 @@ def step_model(d, n_pops, f_coef, g_coef, mask, floors, T=0.7, penalty=None, dif
 
 class TestStepOracle:
     # every combination is run on each drawn cloud: (d, control mask), populations,
-    # zero or non-zero f and g, reflection floors, coupling, declared kernels or not
+    # zero or non-zero f and g, reflection floors, coupling, declared linear or not
     STRUCTURES = list(
         itertools.product(
             [(1, None), (2, None), (2, (1.0, 0.0))],
@@ -171,10 +166,10 @@ class TestStepOracle:
     )
     def test_best_reply_step_matches_reference_composition(self, n, t, seed):
         rng = np.random.default_rng(seed)
-        for (d, mask), n_pops, f_coef, g_coef, floors, coupling, kernels in self.STRUCTURES:
+        for (d, mask), n_pops, f_coef, g_coef, floors, coupling, linear in self.STRUCTURES:
             model = step_model(d, n_pops, f_coef, g_coef, mask, floors)
-            if not kernels:
-                model = without_kernels(model)
+            if not linear:
+                model = not_linear(model)
             state = EnsembleState(tuple(rng.standard_normal((n, d)) for _ in range(n_pops)), t, 0)
             noises = [rng.standard_normal((n, d)) for _ in range(n_pops)]
             out = one_step(model, state, 0.05, FixedNoise(noises), coupling)
@@ -367,27 +362,41 @@ class TestNamedStepFailures:
             self.two_pop_step(pop1, dt=10.0)
 
 
+def preset_model(name: str) -> ModelSpec:
+    return {
+        "ou": lambda: ou_model(T=1.0),
+        "lq": lambda: lq_model(T=1.0),
+        "mean_coupling": lambda: mean_coupling_model(strength=2.0),
+        "wealth": lambda: build_wealth_model(WealthParams()),
+        "crowd": lambda: build_crowd_model(CrowdParams()),
+    }[name]()
+
+
 class TestPermutationEquivariance:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        preset=st.sampled_from(["ou", "mean_coupling"]),
-        coupling=st.sampled_from(COUPLINGS),
-        kernels=st.booleans(),
-        n=st.integers(2, 20),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_permuting_particles_permutes_the_step(self, preset, coupling, kernels, n, seed):
-        model = ou_model(T=1.0) if preset == "ou" else mean_coupling_model(strength=2.0)
-        if not kernels:
-            model = without_kernels(model)
+    @pytest.mark.parametrize("preset", ["ou", "lq", "mean_coupling", "wealth", "crowd"])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @settings(max_examples=20, deadline=None)
+    @given(linear=st.booleans(), n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1))
+    def test_permuting_particles_permutes_the_step(self, preset, coupling, linear, n, seed):
+        model = preset_model(preset)
+        if not linear:
+            model = not_linear(model)
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-5.0, 5.0, (n, 1))
-        noise = rng.standard_normal((n, 1))
-        perm = rng.permutation(n)
-        a = one_step(model, EnsembleState((pts,), 0.0, 0), 0.1, FixedNoise([noise]), coupling)
-        b = one_step(model, EnsembleState((pts[perm],), 0.0, 0), 0.1, FixedNoise([noise[perm]]), coupling)
-        # the measure's mean sums the points in another order: a few ulps of |x| <= 5
-        np.testing.assert_allclose(b.positions[0], a.positions[0][perm], rtol=0.0, atol=1e-12)
+        if model.d == 1:
+            positions = (rng.uniform(-5.0, 5.0, (n, 1)),)
+        else:
+            # wealth and crowd evaluate player by player: a few particles from their initial laws
+            n = min(n, 6)
+            positions = tuple(p.initial_law.sample(rng, n) for p in model.populations)
+        noises = [rng.standard_normal(p.shape) for p in positions]
+        # each population by its own permutation
+        perms = [rng.permutation(n) for _ in positions]
+        a = one_step(model, EnsembleState(positions, 0.0, 0), 0.1, FixedNoise(noises), coupling)
+        permuted = EnsembleState(tuple(p[k] for p, k in zip(positions, perms)), 0.0, 0)
+        b = one_step(model, permuted, 0.1, FixedNoise([z[k] for z, k in zip(noises, perms)]), coupling)
+        for got, ref, k in zip(b.positions, a.positions, perms):
+            # the measure's sums take the points in another order: a few ulps
+            np.testing.assert_allclose(got, ref[k], rtol=0.0, atol=1e-12)
 
 
 class TestMirrorEquivariance:
@@ -510,62 +519,115 @@ def loo_calls(monkeypatch):
     return calls
 
 
-class TestLeaveOneOutKernel:
-    def test_declared_kernel_matches_generic_loop(self, loo_calls):
+def linear_ingredients():
+    """(name, d, F) for every ingredient a shipped model declares linear in m: a drift's value, a cost's gradient."""
+    found = []
+    for name in ("ou", "lq", "mean_coupling", "wealth", "crowd"):
+        model = preset_model(name)
+        for pop, p in enumerate(model.populations):
+            for field, ingredient, fn in (
+                ("f", p.drift, p.drift.value),
+                ("grad h", p.running_cost, p.running_cost.gradient),
+                ("grad g", p.terminal_cost, p.terminal_cost.gradient),
+            ):
+                if ingredient.linear:
+                    found.append((f"{name} pop {pop} {field}", model.d, fn))
+    return found
+
+
+class TestLeaveOneOutAlgebra:
+    def test_declared_linear_cost_matches_generic_loop(self, loo_calls):
         model = mean_coupling_model(T=0.2)
         cfg = SimConfig(dt=0.02, t_final=0.2, n_particles=60, seed=5, coupling="leave_one_out")
         fast = simulate_brs_nplayer(model, cfg).final().positions[0]
         assert loo_calls == []
-        slow = simulate_brs_nplayer(without_kernels(model), cfg).final().positions[0]
+        slow = simulate_brs_nplayer(not_linear(model), cfg).final().positions[0]
         assert len(loo_calls) == 60 * cfg.n_steps()
         np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-12)
 
-    def test_step_drift_kernel_matches_generic_loop(self, loo_calls):
-        # Gaussian kernel: its self-interaction k(x, x) = 1 is not zero
-        def kernel(x, y):
-            return np.exp(-((np.asarray(x) - np.asarray(y)) ** 2))
-
+    def test_linear_drift_matches_generic_loop(self, loo_calls):
+        # a Gaussian-kernel drift, the integral of exp(-(x - y)^2) m(dy): its self term at delta_{x_i} is 1, not 0
         def value(x, m):
-            k = kernel(np.asarray(x, dtype=float)[..., None, :], m.points)
+            x, y = np.asarray(x, dtype=float), m.points
+            # a stack of runs meets its own run's points
+            k = np.exp(-((x[..., None, :] - (y if y.ndim == 2 else y[:, None])) ** 2))
             return (k * m.weights[:, None]).sum(axis=-2)
 
-        drift = DriftFunction(value=value, pair_value=kernel)
-        model = scalar_model(f=drift)
+        model = scalar_model(f=DriftFunction(value=value, linear=True))
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((12, 1))
         noise = rng.standard_normal((12, 1))
         state = EnsembleState((pts,), 0.0, 0)
         a = one_step(model, state, 0.1, FixedNoise([noise]), "leave_one_out")
         assert loo_calls == []
-        b = one_step(without_kernels(model), state, 0.1, FixedNoise([noise]), "leave_one_out")
+        b = one_step(not_linear(model), state, 0.1, FixedNoise([noise]), "leave_one_out")
         assert len(loo_calls) == 12
         np.testing.assert_allclose(a.positions[0], b.positions[0], rtol=0.0, atol=1e-12)
+        # a stack of three runs steps as the three runs one by one
+        runs = rng.standard_normal((3, 12, 1))
+        noises = rng.standard_normal((3, 12, 1))
+        stacked = runs.copy()
+        particle_sim._particle_step(model, 0.1, "leave_one_out", 12)((stacked,), 0.0, [noises])
+        for run, z, got in zip(runs, noises, stacked):
+            want = one_step(model, EnsembleState((run,), 0.0, 0), 0.1, FixedNoise([z]), "leave_one_out")
+            assert np.array_equal(got, want.positions[0])
 
-    def test_single_particle_is_rejected_with_a_kernel(self):
+    @pytest.mark.parametrize("preset", ["ou", "lq"])
+    def test_quadratic_costs_step_as_the_generic_loop(self, preset, loo_calls):
+        model = preset_model(preset)
+        rng = np.random.default_rng(4)
+        pts = model.population(0).initial_law.sample(rng, 7)
+        noise = rng.standard_normal(pts.shape)
+        state = EnsembleState((pts,), 0.0, 0)
+        a = one_step(model, state, 0.05, FixedNoise([noise]), "leave_one_out")
+        assert loo_calls == []
+        b = one_step(not_linear(model), state, 0.05, FixedNoise([noise]), "leave_one_out")
+        np.testing.assert_allclose(a.positions[0], b.positions[0], rtol=0.0, atol=1e-12)
+
+    def test_a_nonfinite_self_term_is_named_as_its_ingredient(self):
+        def value(x, m):
+            # finite against the full measure, infinite against the one-point measures
+            return np.full(np.shape(x), np.inf if m.n == 1 else 0.0)
+
+        model = scalar_model(f=DriftFunction(value, linear=True))
+        message = "drift f produced non-finite value (inf) in brs_drift in step pop 0"
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            one_step(model, state_of([0.1, 0.2, 0.3]), 0.1, np.random.default_rng(0), "leave_one_out")
+
+    def test_single_particle_is_rejected_when_linear(self):
         state = EnsembleState((np.zeros((1, 1)),), 0.0, 0)
         with pytest.raises(ValueError, match="leave-one-out"):
             one_step(mean_coupling_model(), state, 0.1, np.random.default_rng(0), "leave_one_out")
 
+    def test_shipped_linear_ingredients_are_found(self):
+        # mean_coupling's h, the OU and LQ quadratic costs, and the zero f and g
+        names = [name for name, _, _ in linear_ingredients()]
+        for want in ("mean_coupling pop 0 grad h", "ou pop 0 grad h", "lq pop 0 grad g", "ou pop 0 f", "ou pop 0 grad g"):
+            assert want in names
+
     @settings(max_examples=60, deadline=None)
     @given(
         cloud=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=25),
+        raw_weights=st.lists(st.floats(0.01, 1.0), min_size=25, max_size=25),
         query=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
-        strength=st.floats(0.01, 5.0),
     )
-    def test_declared_kernels_match_their_closures(self, cloud, query, strength):
-        pts = np.asarray(cloud)[:, None]
-        x = np.asarray(query)[:, None]
-        m = EmpiricalMeasure(pts)
-        h = mean_coupling_model(strength=strength).population(0).running_cost
-        zero_cost, zero_drift = CostFunction.zero(1), DriftFunction.zero(1)
-        declared = [
-            (h.gradient, h.pair_gradient),
-            (zero_cost.gradient, zero_cost.pair_gradient),
-            (zero_drift.value, zero_drift.pair_value),
-        ]
-        for closure, kernel in declared:
-            want = kernel(x[:, None, :], pts[None, :, :]).mean(axis=1)
-            np.testing.assert_allclose(closure(x, m), want, rtol=1e-12, atol=1e-12)
+    def test_linear_ingredients_are_linear_in_m(self, cloud, raw_weights, query):
+        for name, d, fn in linear_ingredients():
+            pts = np.asarray(cloud).reshape(-1, 1).repeat(d, axis=1)
+            if d == 2:
+                # a positive second axis, where the wealth state lives
+                pts[:, 1] = 1.0 + np.abs(pts[:, 1])
+            x = np.asarray(query)[:, None].repeat(d, axis=1)
+            w = np.asarray(raw_weights[: len(pts)])
+            w = w / w.sum()
+            # F(x, sum_j w_j delta_{y_j}) = sum_j w_j F(x, delta_{y_j})
+            mixed = sum(wj * np.asarray(fn(x, EmpiricalMeasure(y[None]))) for wj, y in zip(w, pts))
+            np.testing.assert_allclose(fn(x, EmpiricalMeasure(pts, w)), mixed, rtol=0.0, atol=1e-12, err_msg=name)
+            # the one-point measures delta_{x_i} as a stack of runs, bit for bit the loop over i
+            own = x.reshape(-1, 1, d)
+            stacked = np.asarray(fn(own, EmpiricalMeasure(own, np.ones(1))))
+            looped = np.array([fn(x[i : i + 1], EmpiricalMeasure(x[i : i + 1])) for i in range(len(x))])
+            assert stacked.shape == own.shape and stacked.tobytes() == looped.tobytes(), name
 
     def test_opaque_callables_take_the_generic_path(self, loo_calls):
         model = build_wealth_model(WealthParams())
@@ -645,10 +707,10 @@ class TestChaosStudy:
     ):
         _, path = reference
         if preset == "mean_coupling":
-            # a declared pair kernel: leave-one-out takes the kernel algebra
+            # declared linear in m: leave-one-out takes the linear algebra
             model = mean_coupling_model(strength=1.7)
         else:
-            # no kernel: leave-one-out takes the per-player path; penalty and diffusion are closures of t
+            # not declared linear: leave-one-out takes the per-player path; penalty and diffusion are closures of t
             pop = scalar_model(h=quadratic_cost(), alpha=lambda t: 1.0 + t, alpha_dot=lambda t: 1.0).population(0)
             model = ModelSpec(d=1, T=1.0, populations=(replace(pop, diffusion=DiffusionFunction(varying_diffusion)),))
         cfg = SimConfig(dt=0.1, t_final=1.0, n_particles=2, seed=0, coupling=coupling)
